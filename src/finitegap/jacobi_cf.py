@@ -14,7 +14,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .herglotz import Divisor, split_resolvents
+from .herglotz import Divisor
 from .spectral_set import gap_branch_sign
 
 DEFAULT_PREC = 128

@@ -50,6 +50,18 @@ def three_gap_cp(three_gap):
     return critical_points(three_gap)
 
 
+@pytest.fixture(scope="session")
+def thin_band():
+    """Two bands of width 1e-3 at the ends of [-2, 2]."""
+    return GapSystem(b0=-2.0, a0=2.0, gaps=((-1.999, 1.999),))
+
+
+@pytest.fixture(scope="session")
+def thin_gap():
+    """A gap of width 1e-6 next to an ordinary one."""
+    return GapSystem(b0=-2.0, a0=2.0, gaps=((-1.0, -1.0 + 1e-6), (0.5, 1.2)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

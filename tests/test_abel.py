@@ -1,10 +1,29 @@
 import numpy as np
 import pytest
 
-from conftest import random_divisor
+from conftest import random_divisor, random_gap_system
 from finitegap import abel as ab
-from finitegap.errors import ValidationError
+from finitegap.errors import SolverError, ValidationError
 from finitegap.herglotz import Divisor
+from finitegap.spectral_set import GapSystem, critical_points
+
+# round-trip characters per set; random_<N> is a random set with N gaps
+ROUNDTRIP_COUNTS = {
+    "two_gap": 25,
+    "three_gap": 8,
+    "thin_band": 8,
+    "thin_gap": 8,
+    "random_6": 4,
+    "random_10": 3,
+    "random_16": 2,
+}
+
+
+def _named_set(request, name):
+    if name.startswith("random_"):
+        n = int(name.split("_")[1])
+        return random_gap_system(np.random.default_rng(n), n_gaps=n)
+    return request.getfixturevalue(name)
 
 
 class TestCharacter:
@@ -49,13 +68,14 @@ class TestAbelMap:
         dn = np.asarray(ab.abel_map(one_gap, one_gap_cp, Divisor(((0.2, -1),))).alpha)
         assert ab.torus_distance(up, -dn) < 1e-12
 
-    def test_series_matches_quadrature(self, three_gap, three_gap_cp, rng):
-        for _ in range(5):
-            d = random_divisor(three_gap, rng)
-            direct = np.asarray(ab.abel_map(three_gap, three_gap_cp, d).alpha)
-            chart = ab.chart_from_divisor(three_gap, d)
-            fast = ab.abel_map_angles(three_gap, np.asarray(chart.angles)[None, :])[0]
-            assert ab.torus_distance(direct, fast) < 1e-11
+    def test_series_matches_quadrature(self, three_gap, three_gap_cp, thin_band, rng):
+        for gs, cp in ((three_gap, three_gap_cp), (thin_band, critical_points(thin_band))):
+            for _ in range(5):
+                d = random_divisor(gs, rng)
+                direct = np.asarray(ab.abel_map(gs, cp, d).alpha)
+                chart = ab.chart_from_divisor(gs, d)
+                fast = ab.abel_map_angles(gs, np.asarray(chart.angles)[None, :])[0]
+                assert ab.torus_distance(direct, fast) < 1e-11
 
     def test_continuity_through_endpoints(self, two_gap):
         # the map mod 1 is continuous across phi = 0 and pi (eps flips)
@@ -92,17 +112,65 @@ class TestInversion:
         for (x, _), (a, _) in zip(d.points, two_gap.gaps):
             assert x == pytest.approx(a, abs=1e-8)
 
-    def test_roundtrip_random(self, two_gap, two_gap_cp, rng):
-        for _ in range(25):
-            alpha = ab.Character(tuple(rng.random(2)))
-            d = ab.invert_abel(two_gap, two_gap_cp, alpha)
-            assert ab.abel_map(two_gap, two_gap_cp, d).distance(alpha) < 1e-9
+    @pytest.mark.parametrize("name", list(ROUNDTRIP_COUNTS))
+    def test_roundtrip(self, request, rng, name):
+        gs = _named_set(request, name)
+        cp = critical_points(gs)
+        alphas = [ab.Character(tuple(rng.random(gs.n_gaps))) for _ in range(ROUNDTRIP_COUNTS[name])]
+        # divisors 1e-9 of a gap width inside the left / right gap endpoints
+        for side, e in ((0, 1), (1, -1)):
+            pts = tuple(((a, b)[side] + (1 - 2 * side) * 1e-9 * (b - a), e) for a, b in gs.gaps)
+            alphas.append(ab.abel_map(gs, cp, Divisor(pts)))
+        for alpha in alphas:
+            d = ab.invert_abel(gs, cp, alpha)
+            assert ab.abel_map(gs, cp, d).distance(alpha) < 1e-9
 
-    def test_roundtrip_three_gap(self, three_gap, three_gap_cp, rng):
-        for _ in range(8):
+    @pytest.mark.parametrize(
+        "scale, shift",
+        [
+            (250.0, 1e4),
+            (1e-3, 0.0),
+            pytest.param(1e-3, -7.0, marks=pytest.mark.xfail(
+                raises=SolverError, strict=True,
+                reason="monomial harmonic-measure polynomials lose ~1e-10 when |shift| >> scale")),
+            pytest.param(1.0, 1e4, marks=pytest.mark.xfail(
+                raises=SolverError, strict=True,
+                reason="critical_points does not converge when |shift| >> scale")),
+        ],
+    )
+    def test_affine_image(self, three_gap, three_gap_cp, rng, scale, shift):
+        # harmonic measures are invariant under x -> ax + b (a > 0), so the
+        # image set has the same character at the image divisor
+        img = GapSystem(
+            b0=scale * three_gap.b0 + shift,
+            a0=scale * three_gap.a0 + shift,
+            gaps=tuple((scale * a + shift, scale * b + shift) for a, b in three_gap.gaps),
+        )
+        img_cp = critical_points(img)
+        for _ in range(3):
             alpha = ab.Character(tuple(rng.random(3)))
             d = ab.invert_abel(three_gap, three_gap_cp, alpha)
-            assert ab.abel_map(three_gap, three_gap_cp, d).distance(alpha) < 1e-9
+            d_img = ab.invert_abel(img, img_cp, alpha)
+            assert ab.abel_map(img, img_cp, d_img).distance(alpha) < 1e-9
+            assert d_img.eps == d.eps
+            assert np.allclose(d_img.xs, scale * np.asarray(d.xs) + shift, rtol=0, atol=1e-9 * scale)
+
+    def test_restarts_are_capped(self, three_gap, three_gap_cp, monkeypatch):
+        starts = []
+
+        def stuck(gs, targets, phis):
+            starts.append(phis[0])
+            return phis, np.full(len(phis), 0.25)
+
+        monkeypatch.setattr(ab, "_newton_invert", stuck)
+        alpha = ab.Character((0.1, 0.2, 0.3))
+        guess = Divisor(tuple((a, 1) for a, _ in three_gap.gaps))
+        with pytest.raises(SolverError) as err:
+            ab.invert_abel(three_gap, three_gap_cp, alpha, guess=guess)
+        assert err.value.residual == 0.25
+        # the guess, the diagonal seed, then 2N restarts
+        assert len(starts) == 2 + 2 * three_gap.n_gaps
+        assert np.allclose(starts[1], ab._diagonal_seed(alpha.alpha))
 
 
 class TestShiftCovariance:
@@ -177,3 +245,16 @@ class TestMeasure:
         det = ab.measure_box(one_gap, one_gap_cp, box)
         est, se = ab.measure_mc(one_gap, one_gap_cp, box, samples=20_000, seed=7)
         assert abs(est - det) <= 3.0 * se
+
+    @pytest.mark.parametrize("n_gaps", [4, 6])
+    def test_monte_carlo_beyond_three_gaps(self, n_gaps):
+        gs = random_gap_system(np.random.default_rng(n_gaps), n_gaps=n_gaps)
+        cp = critical_points(gs)
+        (a1, b1), (an, bn) = gs.gap(1), gs.gap(n_gaps)
+        box = [
+            {"gap": 1, "a": a1, "b": 0.5 * (a1 + b1), "eps": 1},
+            {"gap": n_gaps, "a": an + 0.25 * (bn - an), "b": bn, "eps": -1},
+        ]
+        det = ab.measure_box(gs, cp, box)
+        est, se = ab.measure_mc(gs, cp, box, samples=4000, seed=n_gaps)
+        assert abs(est - det) <= 5.0 * se
