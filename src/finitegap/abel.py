@@ -126,7 +126,7 @@ def _abel_series(gs):
     """
     n = gs.n_gaps
     mids, halfs = _gap_geometry(gs)
-    coeffs = _harmonic_poly_coeffs(gs)
+    coeffs = _harmonic_poly_coeffs(gs, DEFAULT_QTOL)
     m_grid = _SERIES_MIN_NODES
     while True:
         half = m_grid // 2

@@ -6,6 +6,11 @@ The iteration state is the polynomial pair (T, Pi) of the current
 resolvent splitting; one step peels off (q_n, p_{n+1}^2) and advances the
 divisor.  All state arithmetic runs at a configurable binary precision
 (mpmath), since errors accumulate linearly in the number of steps.
+
+R(z) = prod (z - e) over the 2N+2 endpoints is built once per window, by
+`initial_state`, and carried with every state.  A step reads only the
+coefficients it needs: each coefficient of a product, of R - T^2 and of its
+quotient by Pi is one `mp.fdot` over the pairs of factors that form it.
 """
 
 from dataclasses import dataclass
@@ -21,82 +26,42 @@ DEFAULT_PREC = 128
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
+# Newton steps allowed per divisor root; from a float64 seed a simple root
+# needs about log2(prec / 50) + 1
+_NEWTON_MAX = 50
+
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over mpmath reals (ascending coefficients)
-
-
-def _ptrim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else mp.mpf(0)) + (b[i] if i < len(b) else mp.mpf(0)) for i in range(n)]
-
-
-def _psub(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else mp.mpf(0)) - (b[i] if i < len(b) else mp.mpf(0)) for i in range(n)]
-
-
-def _pmul(a, b):
-    out = [mp.mpf(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _pscale(a, s):
-    return [ai * s for ai in a]
-
-def _pshift_mul_z(a):
-    """Multiply by z."""
-    return [mp.mpf(0)] + list(a)
-
-
-def _peval(p, x):
-    acc = mp.mpf(0) if isinstance(x, mp.mpf) else 0.0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _pderiv(p):
-    return [i * c for i, c in enumerate(p)][1:] or [mp.mpf(0)]
+# polynomials over mpmath reals (ascending coefficients)
 
 
 def _pfromroots(roots):
+    """Coefficients of the monic polynomial prod (z - r)."""
     out = [mp.mpf(1)]
     for r in roots:
-        out = _pmul(out, [-mp.mpf(r), mp.mpf(1)])
+        r = mp.mpf(r)
+        out = [-r * out[0]] + [out[i - 1] - r * out[i] for i in range(1, len(out))] + [out[-1]]
     return out
 
 
-def _pdiv_linear(p, x0):
-    """Divide by the monic linear factor (z - x0); returns (quotient, remainder)."""
-    q = [mp.mpf(0)] * (len(p) - 1)
-    acc = p[-1]
-    for i in range(len(p) - 2, -1, -1):
-        q[i] = acc
-        acc = p[i] + acc * x0
-    return q, acc
+def _pairs(a, b, k):
+    """The pairs (a_i, b_{k-i}) whose products sum to the z^k coefficient of a*b."""
+    return [(a[i], b[k - i]) for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1)]
 
 
-def _coef(p, k):
-    return p[k] if k < len(p) else mp.mpf(0)
+def _powers(x, n):
+    """[1, x, ..., x^n]."""
+    pw = [mp.mpf(1)]
+    for _ in range(n):
+        pw.append(pw[-1] * x)
+    return pw
+
+
+def _peval(p, x):
+    return mp.fdot(p, _powers(x, len(p) - 1))
 
 
 # ---------------------------------------------------------------------------
-
-
-def _r_poly_mp(gs):
-    return _pfromroots(gs.endpoints)
 
 
 def _sqrtr_gap_mp(gs, j, x):
@@ -108,12 +73,18 @@ def _sqrtr_gap_mp(gs, j, x):
 
 @dataclass(frozen=True)
 class CFState:
-    """Divisor window of the continued-fraction iteration at one site."""
+    """Divisor window of the continued-fraction iteration at one site.
+
+    r_coeffs are the coefficients of R, built once per window at the window's
+    precision and shared by every state derived from the first one, also
+    by the 2 x prec retry of a step.
+    """
 
     gs: object
     xs: tuple
     eps: tuple
     t_coeffs: tuple
+    r_coeffs: tuple
     p0sq: object
     prec: int = DEFAULT_PREC
 
@@ -154,7 +125,7 @@ class JacobiSegment:
 
 
 def initial_state(gs, divisor, prec=DEFAULT_PREC):
-    """CFState at site 0 from a divisor, with T rebuilt in working precision."""
+    """CFState at site 0 from a divisor, with T and R built in working precision."""
     divisor = divisor.normalized(gs)
     n = gs.n_gaps
     with mp.workprec(prec):
@@ -176,69 +147,128 @@ def initial_state(gs, divisor, prec=DEFAULT_PREC):
             except ZeroDivisionError:
                 raise SolverError("divisor interpolation system is singular")
             t = [low[m] for m in range(n)] + [s1, mp.mpf(1)]
-        num = _psub(_r_poly_mp(gs), _pmul(t, t))
-        p0sq = -_coef(num, 2 * n) / 4
+        r = _pfromroots(gs.endpoints)
+        # p0^2 = -[z^2N](R - T^2) / 4
+        p0sq = -mp.fdot([(r[2 * n], 1)] + _pairs([-c for c in t], t, 2 * n)) / 4
         if p0sq <= 0:
             raise SolverError(f"nonpositive p0^2 = {float(p0sq)}: invalid divisor data")
         xs = tuple(mp.mpf(x) for x in divisor.xs)
-        return CFState(gs=gs, xs=xs, eps=divisor.eps, t_coeffs=tuple(t), p0sq=p0sq, prec=prec)
+        return CFState(gs=gs, xs=xs, eps=divisor.eps, t_coeffs=tuple(t), r_coeffs=tuple(r),
+                       p0sq=p0sq, prec=prec)
 
 
-def _gap_roots_mp(gs, coeffs, tol_escape=1e-9):
-    """One root of a monic mpf polynomial per closed gap."""
+def _reduce_divide(r, t, xs, pi):
+    """(p^2, quotient) of (R - T^2) / (-4 p^2 Pi), with -4 p^2 the z^2N
+    coefficient of R - T^2 and Pi = prod (z - x_j) given by its coefficients.
+
+    R - T^2 must have degree 2N and Pi must divide it, both to
+    2^(-prec+30) max |r_k|: the test reads the coefficients above z^2N, and
+    the remainders of dividing the quotient-scaled R - T^2 by z - x_1, then
+    by z - x_2, and so on.  Each coefficient of R - T^2 and of the top-down
+    long division by Pi is one fdot; the remainders come from the
+    division's remainder polynomial, which has degree N - 1.
+    """
+    n = len(xs)
+    one = mp.mpf(1)
+    neg_t = [-c for c in t]
+    num = [mp.fdot([(r[k], one)] + _pairs(neg_t, t, k)) for k in range(2 * n + 3)]
+    div_tol = mp.ldexp(max(abs(c) for c in r), 30 - mp.mp.prec)
+    tail = max(abs(num[2 * n + 1]), abs(num[2 * n + 2]))
+    if tail > div_tol:
+        raise SolverError("degree reduction failed", residual=float(tail))
+    psq = -num[2 * n] / 4
+    if psq <= 0:
+        raise SolverError(f"nonpositive p^2 = {float(psq)}")
+    neg_pi = [-c for c in pi]
+    quot = [one] * (n + 1)
+    for m in range(n, -1, -1):
+        quot[m] = mp.fdot([(num[m + n], one)]
+                          + [(neg_pi[m + n - i], quot[i]) for i in range(m + 1, n + 1)])
+    rem = [mp.fdot([(num[k], one)] + [(neg_pi[k - i], quot[i]) for i in range(k + 1)])
+           for k in range(n)]
+    rem_max = mp.mpf(0)
+    for x in xs:
+        acc, low = rem[-1], rem[:-1]
+        rem = []
+        for c in reversed(low):
+            rem.append(acc)
+            acc = c + acc * x
+        rem.reverse()
+        rem_max = max(rem_max, abs(acc))
+    scale = -1 / (4 * psq)
+    if rem_max * abs(scale) > div_tol:
+        raise SolverError("polynomial division remainder above tolerance",
+                          residual=float(rem_max * abs(scale)))
+    return psq, [c * scale for c in quot]
+
+
+def _gap_roots(gs, coeffs, tol_escape=1e-9):
+    """The root in each closed gap of a monic mpf polynomial of degree N.
+
+    Newton from the np.roots seed, clipped to the gap, with f and f' from one
+    power vector.  It has converged when a step s_k, or the next step
+    predicted from the quadratic rate, |s_k|^3 / |s_(k-1)|^2, is below
+    2^-prec times the largest |endpoint|; the prediction also stops the
+    iteration when the steps reach the rounding floor of evaluating f.  Where
+    Newton does not converge inside the gap, the root is bisected if f
+    changes sign over the gap, else clamped to the nearer endpoint if within
+    tol_escape gap widths of it, else an error.
+    """
     n = gs.n_gaps
-    approx = np.roots([float(c) for c in reversed(coeffs)])
-    approx = np.sort(approx.real)
-    deriv = _pderiv(list(coeffs))
+    seeds = np.sort(np.roots([float(c) for c in reversed(coeffs)]).real)
+    dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
+    tol = mp.ldexp(max(abs(gs.b0), abs(gs.a0)), -mp.mp.prec)
     roots = []
-    for j in range(1, n + 1):
-        a, b = gs.gap(j)
-        width = b - a
-        x = mp.mpf(min(max(approx[j - 1], a), b))
-        for _ in range(6):
-            fx = _peval(list(coeffs), x)
-            dfx = _peval(deriv, x)
-            if dfx == 0:
+    for j, (a, b) in enumerate(gs.gaps, start=1):
+        x = mp.mpf(min(max(seeds[j - 1], a), b))
+        prev, converged = None, False
+        for _ in range(_NEWTON_MAX):
+            pw = _powers(x, n)
+            dfx = mp.fdot(dcoeffs, pw)
+            if not dfx:
                 break
-            step = fx / dfx
-            x = x - step
-            if abs(step) < mp.mpf(10) ** (-mp.mp.dps):
+            step = mp.fdot(coeffs, pw) / dfx
+            x -= step
+            size = abs(step)
+            if size <= tol or (prev is not None and size ** 3 <= tol * prev ** 2):
+                converged = True
                 break
-        if x < a or x > b:
-            # bisection fallback when Newton leaves the bracket
-            fa = _peval(list(coeffs), mp.mpf(a))
-            fb = _peval(list(coeffs), mp.mpf(b))
-            if mp.sign(fa) * mp.sign(fb) <= 0:
-                lo, hi = mp.mpf(a), mp.mpf(b)
-                flo = fa
+            prev = size
+        if not (converged and a <= x <= b):
+            lo, hi = mp.mpf(a), mp.mpf(b)
+            flo, fhi = _peval(coeffs, lo), _peval(coeffs, hi)
+            if mp.sign(flo) * mp.sign(fhi) <= 0:
                 for _ in range(mp.mp.prec + 10):
                     mid = (lo + hi) / 2
-                    fm = _peval(list(coeffs), mid)
+                    fm = _peval(coeffs, mid)
                     if mp.sign(fm) == mp.sign(flo):
                         lo, flo = mid, fm
                     else:
                         hi = mid
                 x = (lo + hi) / 2
-            elif x < a - tol_escape * width or x > b + tol_escape * width:
+            elif x < a - tol_escape * (b - a) or x > b + tol_escape * (b - a):
                 raise SolverError(
                     f"divisor root escaped gap {j}", residual=float(min(abs(x - a), abs(x - b)))
                 )
+            elif not converged:
+                raise SolverError(f"divisor root did not converge in gap {j}")
             else:
-                x = mp.mpf(min(max(float(x), a), b))
-        roots.append(mp.mpf(min(max(float(x), a), b)) if not (a <= x <= b) else x)
+                x = lo if x < a else hi
+        roots.append(x)
     return roots
 
 
 def _eps_from_t(gs, t_coeffs, roots):
+    """Sheet signs of new divisor points.  There T^2 = R, so eps_j is the
+    sign of T(x_j) on the branch gap_branch_sign(j) of sqrt(R); points
+    within 1e-12 gap widths of an endpoint get +1."""
     eps = []
     for j, x in enumerate(roots, start=1):
         a, b = gs.gap(j)
-        width = b - a
-        if min(x - a, b - x) < 1e-12 * width:
+        if min(x - a, b - x) < 1e-12 * (b - a):
             eps.append(1)
             continue
-        val = _peval(list(t_coeffs), x) / _sqrtr_gap_mp(gs, j, x)
-        eps.append(1 if val >= 0 else -1)
+        eps.append(1 if _peval(t_coeffs, x) * gap_branch_sign(gs, j) >= 0 else -1)
     return tuple(eps)
 
 
@@ -246,46 +276,27 @@ def _cf_step_at_prec(state, prec):
     gs = state.gs
     n = gs.n_gaps
     with mp.workprec(prec):
-        t = list(state.t_coeffs)
+        t, r = state.t_coeffs, state.r_coeffs
         pi = _pfromroots(state.xs)
-        r = _r_poly_mp(gs)
-        # q from the vanishing z^(2N+1) coefficient of R - (T - 2(z-q) Pi)^2
-        a_poly = _psub(t, _pscale(_pshift_mul_z(pi), 2))
-        b_poly = _pscale(pi, 2)
+        # q from the vanishing z^(2N+1) coefficient of R - (A + qB)^2 with
+        # A = T - 2z Pi and B = 2 Pi; B^2 has degree 2N, so the equation is linear
+        a = [t[0]] + [t[i] - 2 * pi[i - 1] for i in range(1, n + 2)]
+        b = [2 * c for c in pi]
         k = 2 * n + 1
-        ab_k = _coef(_pmul(a_poly, b_poly), k)
+        ab_k = mp.fdot(_pairs(a, b, k))
         if ab_k == 0:
             raise SolverError("degenerate linear equation for q_n")
-        q = (_coef(r, k) - _coef(_pmul(a_poly, a_poly), k)) / (2 * ab_k)
-        t_tilde = _padd(a_poly, _pscale(b_poly, q))
-        num = _psub(r, _pmul(t_tilde, t_tilde))
-        scale = max(abs(c) for c in r)
-        tail = max((abs(c) for c in num[2 * n + 1 :]), default=mp.mpf(0))
-        div_tol = mp.mpf(2) ** (-prec + 30) * scale
-        if tail > div_tol:
-            raise SolverError("degree reduction failed", residual=float(tail))
-        num = num[: 2 * n + 1]
-        p1sq = -_coef(num, 2 * n) / 4
-        if p1sq <= 0:
-            raise SolverError(f"nonpositive p^2 = {float(p1sq)} in cf step")
-        quot = _pscale(num, -1 / (4 * p1sq))
-        rem_max = mp.mpf(0)
-        for x in state.xs:
-            quot, rem = _pdiv_linear(quot, x)
-            rem_max = max(rem_max, abs(rem))
-        if rem_max > div_tol:
-            raise SolverError("polynomial division remainder above tolerance", residual=float(rem_max))
-        t_next = _pscale(t_tilde, -1)
-        if n:
-            roots = _gap_roots_mp(gs, quot)
-        else:
-            roots = []
-        eps = _eps_from_t(gs, t_next, roots)
+        q = (r[k] - mp.fdot(_pairs(a, a, k))) / (2 * ab_k)
+        # the next T is -(A + qB)
+        t_next = [-(ai + bi * q) for ai, bi in zip(a, b)] + [-a[-1]]
+        p1sq, quot = _reduce_divide(r, t_next, state.xs, pi)
+        roots = _gap_roots(gs, quot)
         nxt = CFState(
             gs=gs,
             xs=tuple(roots),
-            eps=eps,
+            eps=_eps_from_t(gs, t_next, roots),
             t_coeffs=tuple(t_next),
+            r_coeffs=r,
             p0sq=p1sq,
             prec=state.prec,
         )
@@ -308,28 +319,12 @@ def dual_state(state):
     T and p0^2 are unchanged.
     """
     gs = state.gs
-    n = gs.n_gaps
     with mp.workprec(state.prec):
-        t = list(state.t_coeffs)
-        num = _psub(_r_poly_mp(gs), _pmul(t, t))
-        scale = max(abs(c) for c in _r_poly_mp(gs))
-        div_tol = mp.mpf(2) ** (-state.prec + 30) * scale
-        tail = max((abs(c) for c in num[2 * n + 1 :]), default=mp.mpf(0))
-        if tail > div_tol:
-            raise SolverError("degree reduction failed in dual state", residual=float(tail))
-        num = num[: 2 * n + 1]
-        quot = _pscale(num, -1 / (4 * state.p0sq))
-        rem_max = mp.mpf(0)
-        for x in state.xs:
-            quot, rem = _pdiv_linear(quot, x)
-            rem_max = max(rem_max, abs(rem))
-        if rem_max > div_tol:
-            raise SolverError("division remainder above tolerance in dual state", residual=float(rem_max))
-        roots = _gap_roots_mp(gs, quot) if n else []
-        eps = _eps_from_t(gs, t, roots)
+        _, quot = _reduce_divide(state.r_coeffs, state.t_coeffs, state.xs, _pfromroots(state.xs))
+        roots = _gap_roots(gs, quot)
         return CFState(
-            gs=gs, xs=tuple(roots), eps=eps, t_coeffs=state.t_coeffs, p0sq=state.p0sq,
-            prec=state.prec,
+            gs=gs, xs=tuple(roots), eps=_eps_from_t(gs, state.t_coeffs, roots),
+            t_coeffs=state.t_coeffs, r_coeffs=state.r_coeffs, p0sq=state.p0sq, prec=state.prec,
         )
 
 

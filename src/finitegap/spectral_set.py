@@ -304,11 +304,13 @@ def green(gs, cp, z, qtol=DEFAULT_QTOL):
 
 
 @lru_cache(maxsize=32)
-def _harmonic_poly_coeffs(gs):
+def _harmonic_poly_coeffs(gs, qtol):
     """Coefficients (ascending) of the polynomials P_k, k = 1..N.
 
     P_k has degree <= N-1 and unit signed period over gap k, zero over the
-    others; these are the gap derivatives of the harmonic measures.
+    others; these are the gap derivatives of the harmonic measures.  The
+    periods are quadratures to qtol, which callers pass positionally so that
+    equal tolerances share one cache entry.
     """
     n = gs.n_gaps
     if n == 0:
@@ -319,7 +321,7 @@ def _harmonic_poly_coeffs(gs):
         sj = gap_branch_sign(gs, j)
         for m in range(n):
             mat[j - 1, m] = sj * chebyshev_quad(
-                lambda t: t ** m / np.sqrt(_rest_abs(gs, (lo, hi), t)), lo, hi
+                lambda t: t ** m / np.sqrt(_rest_abs(gs, (lo, hi), t)), lo, hi, qtol
             )
     try:
         coeffs = np.linalg.solve(mat, np.eye(n))
@@ -340,7 +342,7 @@ def harmonic_measure(gs, cp, k, x, qtol=DEFAULT_QTOL):
     kind = gs.locate(x)
     if kind[0] == "band":
         return 1.0 if kind[1] >= k else 0.0
-    coeffs = _harmonic_poly_coeffs(gs)[k - 1]
+    coeffs = _harmonic_poly_coeffs(gs, qtol)[k - 1]
     poly = np.polynomial.Polynomial(coeffs)
     if kind[0] == "gap":
         j = kind[1]
@@ -373,7 +375,7 @@ def harmonic_measure_density(gs, cp, k, x):
     scale = max(1.0, gs.diameter)
     if min(x - lo, hi - x) < _EDGE_TOL * scale:
         raise ValidationError("square-root blow-up: x at a gap endpoint")
-    coeffs = _harmonic_poly_coeffs(gs)[k - 1]
+    coeffs = _harmonic_poly_coeffs(gs, DEFAULT_QTOL)[k - 1]
     poly = np.polynomial.Polynomial(coeffs)
     return float(poly(x) / sqrt_R_gap(gs, j, x))
 

@@ -1,12 +1,13 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from conftest import random_divisor
+from conftest import random_divisor, random_gap_system
 from finitegap import jacobi_cf as jc
-from finitegap.errors import ValidationError
+from finitegap.errors import SolverError, ValidationError
 from finitegap.herglotz import Divisor
-from finitegap.spectral_set import frequencies
+from finitegap.spectral_set import GapSystem, frequencies
 from oracle_stieltjes import halfline_measure, stieltjes_coefficients
 
 # period-2 coefficients of the symmetric one-gap set with divisor (0.3, +1),
@@ -44,6 +45,56 @@ class TestCfStep:
         for _ in range(5):
             _, psq, st = jc.cf_step(st)
             assert psq == pytest.approx(split_resolvents(two_gap, st.divisor).p0sq, rel=1e-10)
+
+    @pytest.mark.xfail(strict=True, raises=SolverError,
+                       reason="the remainder test scales by max |r_k|, not by |R| at the divisor")
+    def test_n8_moved_set_remainder_test(self):
+        # N = 8 set on [-10.76, 2.35] from the benchmark's coeffs workload (seed
+        # 404, request 101): the step raises "polynomial division remainder
+        # above tolerance" at 256 bits and again after the retry at 512
+        doc = {
+            "band": [-10.764565259161568, 2.347342127590304],
+            "gaps": [[-10.455233527018484, -9.990754360960945],
+                     [-8.682906245581448, -6.445497962195155],
+                     [-5.24906783065601, -4.7067784838470015],
+                     [-2.2113939788656802, -1.8732104943178176],
+                     [-1.4209940995420611, -1.0081113789187182],
+                     [-0.7096183374102516, -0.32110386702242444],
+                     [0.18743658263082175, 1.0740176148718703],
+                     [1.43364730195737, 1.966789771855879]],
+            "divisor": [{"x": -10.346884837964906, "eps": -1}, {"x": -8.204029149210061, "eps": 1},
+                        {"x": -5.161200234498688, "eps": -1}, {"x": -2.0064282435709653, "eps": -1},
+                        {"x": -1.2413627903998516, "eps": -1}, {"x": -0.4800697484163612, "eps": 1},
+                        {"x": 0.284846069699325, "eps": -1}, {"x": 1.4637669019965713, "eps": 1}],
+        }
+        gs, d = GapSystem.from_json(doc), Divisor.from_json(doc)
+        seg = jc.coefficients(gs, d, 0, 9, prec=256)
+        qo, po = stieltjes_coefficients(*halfline_measure(gs, d), 9)
+        bound = 1e-8 * gs.diameter / 4
+        assert np.max(np.abs(qo - np.array(seg.q))) < bound
+        assert np.max(np.abs(po - np.array(seg.p)[1:])) < bound
+
+
+class TestGapRoots:
+    # the root polisher at 256 bits on quotients with a root at the edge of
+    # gap 1 = [-1, -0.5], and one more root in gap 2
+    @staticmethod
+    def _roots(root):
+        gs = GapSystem(b0=-2.0, a0=2.0, gaps=((-1.0, -0.5), (0.5, 1.0)))
+        return jc._gap_roots(gs, jc._pfromroots([root, mp.mpf("0.7")]))
+
+    @pytest.mark.parametrize("edge, inward", [(-1.0, 1), (-0.5, -1)])
+    def test_root_just_inside_endpoint(self, edge, inward):
+        with mp.workprec(256):
+            want = [edge + inward * mp.mpf("1e-30") * 0.5, mp.mpf("0.7")]
+            for got, root in zip(self._roots(want[0]), want):
+                assert abs(got - root) <= mp.ldexp(abs(root), -200)
+
+    @pytest.mark.parametrize("edge, outward", [(-1.0, -1), (-0.5, 1)])
+    def test_root_outside_gap_raises(self, edge, outward):
+        with mp.workprec(256):
+            with pytest.raises(SolverError, match="divisor root escaped gap 1"):
+                self._roots(edge + outward * mp.mpf("1e-6") * 0.5)
 
 
 class TestDualState:
@@ -89,29 +140,75 @@ class TestCoefficients:
         assert len(lines) == 4
 
 
+def _moved_set(n):
+    """Fixed N-gap set scaled by 3 and translated by up to 90 % of its
+    half-width, as the benchmark moves its sets, with a divisor."""
+    rng = np.random.default_rng(0)
+    shift = 3.0 * rng.uniform(-1.8, 1.8)
+    gs = random_gap_system(rng, n, lo=shift - 6.0, hi=shift + 6.0)
+    return gs, random_divisor(gs, rng, margin=0.01)
+
+
+# N = 6 and 8 moved sets at two precisions, checked to criterion 4's bound
+# per unit of diameter / 4
+_MOVED = [
+    pytest.param(lambda request, n=n: _moved_set(n), prec, None, id=f"n{n}-p{prec}")
+    for n in (6, 8)
+    for prec in (128, 256)
+]
+
+
+def _assert_as_at_512_bits(gs, d, seg):
+    ref = jc.coefficients(gs, d, seg.n0, seg.n1, prec=512)
+    assert np.max(np.abs(np.array(seg.q) - ref.q)) < 1e-13
+    assert np.max(np.abs(np.array(seg.p) - ref.p)) < 1e-13
+
+
 class TestStieltjesOracle:
-    @pytest.mark.parametrize("eps", [1, -1])
-    def test_one_gap(self, one_gap, eps):
-        d = Divisor(((0.2, eps),))
-        xs, ws = halfline_measure(one_gap, d)
+    @pytest.mark.parametrize(
+        "make, prec, tol",
+        [
+            pytest.param(lambda request, e=e: (request.getfixturevalue("one_gap"), Divisor(((0.2, e),))),
+                         jc.DEFAULT_PREC, 1e-10, id=f"one_gap-eps{e:+d}")
+            for e in (1, -1)
+        ]
+        + _MOVED,
+    )
+    def test_forward_window(self, request, make, prec, tol):
+        gs, d = make(request)
+        tol = tol or 1e-8 * max(1.0, gs.diameter / 4)
+        xs, ws = halfline_measure(gs, d)
         assert ws.sum() == pytest.approx(1.0, abs=1e-10)
         qo, po = stieltjes_coefficients(xs, ws, 30)
-        seg = jc.coefficients(one_gap, d, 0, 31)
-        assert np.max(np.abs(qo - np.array(seg.q)[:31])) < 1e-10
-        assert np.max(np.abs(po - np.array(seg.p)[1:31])) < 1e-10
+        seg = jc.coefficients(gs, d, 0, 31, prec=prec)
+        assert np.max(np.abs(qo - np.array(seg.q)[:31])) < tol
+        assert np.max(np.abs(po - np.array(seg.p)[1:31])) < tol
+        _assert_as_at_512_bits(gs, d, seg)
 
-    def test_dual_side_measure(self, two_gap, rng):
+    @pytest.mark.parametrize(
+        "make, prec, tol",
+        [
+            pytest.param(lambda request: (request.getfixturevalue("two_gap"),
+                                          random_divisor(request.getfixturevalue("two_gap"),
+                                                         request.getfixturevalue("rng"), margin=0.05)),
+                         jc.DEFAULT_PREC, 1e-9, id="two_gap")
+        ]
+        + _MOVED,
+    )
+    def test_dual_side_measure(self, request, make, prec, tol):
         # negative-index coefficients come from the dual divisor's measure
-        d = random_divisor(two_gap, rng, margin=0.05)
-        st = jc.initial_state(two_gap, d)
+        gs, d = make(request)
+        tol = tol or 1e-8 * max(1.0, gs.diameter / 4)
+        st = jc.initial_state(gs, d, prec=prec)
         dual = jc.dual_state(st)
-        xs, ws = halfline_measure(two_gap, dual.divisor)
+        xs, ws = halfline_measure(gs, dual.divisor)
         qo, po = stieltjes_coefficients(xs, ws, 10)
-        seg = jc.coefficients(two_gap, d, -11, 0)
+        seg = jc.coefficients(gs, d, -11, 0, prec=prec)
         # dual forward coefficients are (q_-1, p_-1), (q_-2, p_-2), ...
         for n in range(10):
-            assert qo[n] == pytest.approx(seg.q_at(-n - 1), abs=1e-9)
-            assert po[n] == pytest.approx(seg.p_at(-n - 1), abs=1e-9)
+            assert qo[n] == pytest.approx(seg.q_at(-n - 1), abs=tol)
+            assert po[n] == pytest.approx(seg.p_at(-n - 1), abs=tol)
+        _assert_as_at_512_bits(gs, d, seg)
 
 
 class TestTransfer:

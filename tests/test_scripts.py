@@ -1,0 +1,45 @@
+"""Smoke tests of the experiment scripts that drive the continued fraction,
+run in-process on the two-gap fixture with small sizes."""
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURE = ROOT / "src" / "finitegap" / "fixtures" / "n2_asymmetric.json"
+
+
+def _run(script, args, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [script, "--input", str(FIXTURE), *args])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / script), run_name="__main__")
+    assert exc.value.code == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_almost_periodicity_scan(monkeypatch, capsys):
+    lines = _run("almost_periodicity_scan.py",
+                 ["--window", "20", "--length", "60", "--delta", "0.1"], monkeypatch, capsys)
+    assert lines[0].startswith("frequencies: [")
+    assert lines[1].split() == ["n", "torus_distance", "sup_discrepancy", "ratio"]
+    rows = [line.split() for line in lines[2:]]
+    assert rows, "expected a near-period below torus distance 0.1"
+    dists = [float(r[1]) for r in rows]
+    assert dists == sorted(dists) and dists[-1] < 0.1
+    for n, dist, sup, _ in rows:
+        assert 1 <= int(n) <= 40
+        # the discrepancy tracks the torus distance (criterion 12)
+        assert float(sup) <= 20.0 * float(dist)
+
+
+def test_invariant_measure_compare(monkeypatch, capsys):
+    lines = _run("invariant_measure_compare.py", ["--mc-samples", "2000", "--orbit-steps", "50"],
+                 monkeypatch, capsys)
+    values = {line.split(":")[0].strip(): line.split(":")[1].split() for line in lines}
+    exact = float(values["determinant formula"][0])
+    freq = float(values["orbit frequency"][0])
+    assert 0.0 < exact < 1.0
+    assert 0.0 <= freq <= 1.0
+    assert float(values["mc deviation"][0]) < 5.0

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_gap_system
+from finitegap import spectral_set
 from finitegap.errors import ValidationError
 from finitegap.spectral_set import (
     GapSystem,
@@ -130,6 +131,21 @@ class TestHarmonicMeasure:
         for x in np.linspace(-3.0, 4.0, 41):
             v = harmonic_measure(two_gap, two_gap_cp, 1, x)
             assert -1e-10 <= v <= 1.0 + 1e-10
+
+    def test_qtol_reaches_period_matrix(self, two_gap, two_gap_cp, monkeypatch):
+        # in a gap the only Chebyshev quadratures are the period matrix's
+        seen = []
+        quad = spectral_set.chebyshev_quad
+
+        def spy(g, lo, hi, qtol):
+            seen.append(qtol)
+            return quad(g, lo, hi, qtol)
+
+        monkeypatch.setattr(spectral_set, "chebyshev_quad", spy)
+        spectral_set._harmonic_poly_coeffs.cache_clear()
+        loose = harmonic_measure(two_gap, two_gap_cp, 1, -0.6, qtol=1e-6)
+        assert seen == [1e-6] * 4
+        assert loose == pytest.approx(harmonic_measure(two_gap, two_gap_cp, 1, -0.6), abs=1e-6)
 
     def test_density_sign(self, two_gap, two_gap_cp):
         # omega_1 decreases through gap 2 toward the right tail piece E_2 complement
