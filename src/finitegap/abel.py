@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .errors import SolverError, ValidationError
 from .herglotz import Divisor
 from .quad import DEFAULT_QTOL
 from .spectral_set import (
+    _chebval_centred,
     _harmonic_poly_coeffs,
     _rest_abs,
     critical_points,
@@ -137,7 +137,7 @@ def _abel_series(gs):
             lo, hi = gs.gap(k + 1)
             x = mids[k] + halfs[k] * np.cos(phi_half)
             root = np.sqrt(_rest_abs(gs, (lo, hi), x))
-            g_half = -0.5 * gap_branch_sign(gs, k + 1) * polyval(x, coeffs.T) / root
+            g_half = -0.5 * gap_branch_sign(gs, k + 1) * _chebval_centred(gs, coeffs.T, x) / root
             g = np.concatenate([g_half, g_half[:, -2:0:-1]], axis=1)  # even extension
             fhat[:, k] = np.fft.rfft(g, axis=1).real / m_grid
         max_b = np.abs(fhat[:, :, 1:]).max(axis=(0, 1), initial=0.0) * 2.0 / m_idx

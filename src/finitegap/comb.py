@@ -67,20 +67,32 @@ class CombData:
     def rational_relation_report(self, max_coeff=5):
         """Integer relations sum n_k omega_k = integer with |n_k| <= max_coeff.
 
-        Reported only; independence over the rationals is not enforced.
+        Reported only; independence over the rationals is not enforced.  Meet
+        in the middle: coefficient vectors of the two halves pair up where the
+        fractional parts of their sums add to 0, 1 or 2, then are re-tested.
         """
         omegas = np.asarray(self.omegas)
-        found = []
-        if omegas.size == 0 or omegas.size > 6:
-            return found
-        ranges = [np.arange(-max_coeff, max_coeff + 1)] * omegas.size
-        mesh = np.stack([m.ravel() for m in np.meshgrid(*ranges, indexing="ij")], axis=-1)
-        vals = mesh @ omegas
+        n, k = omegas.size, omegas.size // 2
+        if n == 0 or n > 6:
+            return []
+        w = 2 * max_coeff + 1
+        left, right = (np.indices((w,) * m).reshape(m, w**m).T - max_coeff for m in (k, n - k))
+        frac_left = np.mod(left @ omegas[:k], 1.0)
+        frac_right = np.mod(right @ omegas[k:], 1.0)
+        order = np.argsort(frac_right)
+        frac_right = frac_right[order]
+        window = 1e-9 + 1e-12  # the relation tolerance and the rounding of two half sums
+        keys = []
+        for target in (0.0, 1.0, 2.0):
+            lo = np.searchsorted(frac_right, target - frac_left - window)
+            counts = np.searchsorted(frac_right, target - frac_left + window, "right") - lo
+            pos = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+            keys.append(np.repeat(np.arange(len(left)), counts) * len(right) + order[pos])
+        keys = np.unique(np.concatenate(keys))
+        rows = np.hstack([left[keys // len(right)], right[keys % len(right)]])
+        vals = rows @ omegas
         near = np.abs(vals - np.round(vals)) < 1e-9
-        for row in mesh[near]:
-            if np.any(row):
-                found.append(tuple(int(v) for v in row))
-        return found
+        return [tuple(row) for row in rows[near].tolist() if any(row)]
 
     def to_json(self):
         return {

@@ -7,18 +7,13 @@ root of R(z) = (z-a0)(z-b0) prod (z-a_j)(z-b_j) with branch cuts on E.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebroots, chebval, chebvander
 
 from .errors import SolverError, ValidationError
-from .quad import (
-    DEFAULT_QTOL,
-    chebyshev_quad,
-    chebyshev_quad_fixed,
-    gl_quad,
-    theta_partial_quad,
-)
+from .quad import DEFAULT_QTOL, chebyshev_quad, gl_quad, theta_partial_quad
 
 _EDGE_TOL = 1e-13
 
@@ -167,91 +162,86 @@ def sqrt_R_gap(gs, j, x):
     return gap_branch_sign(gs, j) * np.sqrt(_abs_R(gs, x))
 
 
-def _prod_c(c, x, skip=None):
+def _prod_c(c, x):
     out = np.ones_like(np.asarray(x, dtype=float))
-    for k, ck in enumerate(c):
-        if k == skip:
-            continue
+    for ck in c:
         out = out * (x - ck)
     return out
 
 
-def _period_residuals(gs, c, n_nodes):
-    """The N gap integrals of prod(t - c_k)/|sqrt R| (sign dropped)."""
-    res = np.empty(gs.n_gaps)
-    for j in range(1, gs.n_gaps + 1):
-        lo, hi = gs.gap(j)
-        res[j - 1] = chebyshev_quad_fixed(
-            lambda t: _prod_c(c, t) / np.sqrt(_rest_abs(gs, (lo, hi), t)), lo, hi, n_nodes
+def _frame(gs):
+    """Midpoint and half-width of [b0, a0]: s = (t - mid) / half is the centred coordinate."""
+    return 0.5 * (gs.a0 + gs.b0), 0.5 * (gs.a0 - gs.b0)
+
+
+def _chebval_centred(gs, coeffs, t):
+    mid, half = _frame(gs)
+    return chebval((t - mid) / half, coeffs)
+
+
+def _centred(gs):
+    """The set in the centred coordinate; G and the harmonic measures carry over unchanged."""
+    mid, half = _frame(gs)
+    return GapSystem(
+        b0=(gs.b0 - mid) / half,
+        a0=(gs.a0 - mid) / half,
+        gaps=tuple(((a - mid) / half, (b - mid) / half) for a, b in gs.gaps),
+    )
+
+
+def _gap_moments(cs, qtol):
+    """M[j-1, m] = int_{gap j} T_m(s) ds / sqrt|R(s)|, m = 0..N, on the centred set cs, one
+    vector quadrature per gap; for gs, dt / sqrt|R(t)| = half^-N ds / sqrt|R_cs(s)|."""
+    n = cs.n_gaps
+    ends = np.array(cs.endpoints)
+    mom = np.empty((n, n + 1))
+    for j, (lo, hi) in enumerate(cs.gaps):
+        rest = np.concatenate((ends[: 2 * j + 1], ends[2 * j + 3 :]))[:, None]
+        mom[j] = chebyshev_quad(
+            lambda s: chebvander(s, n).T / np.sqrt(np.prod(np.abs(s - rest), axis=0)), lo, hi, qtol
         )
-    return res
+    return mom
 
 
-def _period_jacobian(gs, c, n_nodes):
-    jac = np.empty((gs.n_gaps, gs.n_gaps))
-    for j in range(1, gs.n_gaps + 1):
-        lo, hi = gs.gap(j)
-        for i in range(gs.n_gaps):
-            jac[j - 1, i] = -chebyshev_quad_fixed(
-                lambda t: _prod_c(c, t, skip=i) / np.sqrt(_rest_abs(gs, (lo, hi), t)),
-                lo,
-                hi,
-                n_nodes,
-            )
-    return jac
-
-
-def critical_points(gs, qtol=DEFAULT_QTOL, max_iter=80):
+def critical_points(gs, qtol=DEFAULT_QTOL):
     """Solve the N period conditions for the critical points of G.
 
-    Damped Newton from the gap midpoints with iterates clamped to the open
-    gaps; each period integral is monotone in its own variable, which makes
-    the clamped iteration safe.
+    In the centred coordinate, where the periods and G are the same, they
+    are linear: prod(s - s_k) is a multiple of P = T_N + sum_{m<N} p_m T_m,
+    whose gap periods vanish when sum_m M[j, m] p_m = -M[j, N]
+    (_gap_moments), and chebroots gives its zeros.  That sum cancels where
+    |P| is small against its coefficients, so the periods of prod(s - s_k)
+    are checked in product form by the adaptive quadrature and removed by
+    one correction of degree N-1 from the same moments (a Newton step).
     """
     n = gs.n_gaps
     if n == 0:
         return CriticalPoints(c=(), h=())
-    lo = np.array([g[0] for g in gs.gaps])
-    hi = np.array([g[1] for g in gs.gaps])
-    width = hi - lo
-    c = 0.5 * (lo + hi)
-    n_nodes = 256
-    scale = max(1.0, 1.0 / np.sqrt(np.min(_abs_R(gs, c))))
-    best = None
-    for it in range(max_iter):
-        res = _period_residuals(gs, c, n_nodes)
-        rnorm = np.max(np.abs(res))
-        if best is None or rnorm < best[0]:
-            best = (rnorm, c.copy())
-        if rnorm < 1e-14 * scale * gs.diameter:
-            break
-        jac = _period_jacobian(gs, c, n_nodes)
-        try:
-            step = np.linalg.solve(jac, res)
-        except np.linalg.LinAlgError:
-            raise SolverError("singular period Jacobian", residual=rnorm, iterate=c)
-        damp = 1.0
-        for _ in range(30):
-            trial = c - damp * step
-            if np.all(trial > lo + 1e-14 * width) and np.all(trial < hi - 1e-14 * width):
-                trial_res = _period_residuals(gs, trial, n_nodes)
-                if np.max(np.abs(trial_res)) < rnorm or damp < 1e-3:
-                    break
-            damp *= 0.5
-        c = np.clip(c - damp * step, lo + 1e-14 * width, hi - 1e-14 * width)
-    else:
+    cs = _centred(gs)
+    mom = _gap_moments(cs, qtol)
+    try:
+        p = np.append(np.linalg.solve(mom[:, :n], -mom[:, n]), 1.0)
+    except np.linalg.LinAlgError:
+        raise SolverError("singular period matrix")
+    s = np.sort(chebroots(p).real)
+    mid, half = _frame(gs)
+    lo, hi = np.array(gs.gaps).T
+    scale = max(1.0, 1.0 / np.sqrt(np.min(_abs_R(gs, 0.5 * (lo + hi)))))
+    res = np.array([
+        chebyshev_quad(lambda t: _prod_c(s, t) / np.sqrt(_rest_abs(cs, (a, b), t)), a, b, qtol)
+        for a, b in cs.gaps
+    ])
+    if np.max(np.abs(res)) > 1e3 * qtol * scale * max(1.0, gs.diameter ** n):
         raise SolverError(
-            "critical point solver did not converge", residual=best[0], iterate=best[1]
+            "period residual above tolerance", residual=np.max(np.abs(res)), iterate=mid + half * s
         )
-    # verify against the adaptive quadrature at full tolerance
-    for j in range(1, n + 1):
-        glo, ghi = gs.gap(j)
-        r = chebyshev_quad(
-            lambda t: _prod_c(c, t) / np.sqrt(_rest_abs(gs, (glo, ghi), t)), glo, ghi, qtol
-        )
-        if abs(r) > 1e3 * qtol * scale * max(1.0, gs.diameter ** n):
-            raise SolverError("period residual above tolerance", residual=abs(r), iterate=c)
-    h = tuple(_gap_green_value(gs, c, j, c[j - 1]) for j in range(1, n + 1))
+    diff = s[:, None] - s
+    np.fill_diagonal(diff, 1.0)
+    s = s - chebval(s, np.linalg.solve(mom[:, :n], -res)) / diff.prod(axis=1)
+    c = mid + half * s
+    if not np.all((lo < c) & (c < hi)):
+        raise SolverError("critical point outside its gap", iterate=c)
+    h = tuple(_gap_green_value(cs, s, j, s[j - 1]) for j in range(1, n + 1))
     return CriticalPoints(c=tuple(c), h=h)
 
 
@@ -305,24 +295,20 @@ def green(gs, cp, z, qtol=DEFAULT_QTOL):
 
 @lru_cache(maxsize=32)
 def _harmonic_poly_coeffs(gs, qtol):
-    """Coefficients (ascending) of the polynomials P_k, k = 1..N.
+    """Centred Chebyshev coefficients of the polynomials P_k, k = 1..N.
 
     P_k has degree <= N-1 and unit signed period over gap k, zero over the
     others; these are the gap derivatives of the harmonic measures.  The
-    periods are quadratures to qtol, which callers pass positionally so that
-    equal tolerances share one cache entry.
+    period matrix sign_j half^-N M[j, m], m < N, comes from the moments at
+    qtol, which callers pass positionally so that equal tolerances share
+    one cache entry.  Evaluate with _chebval_centred.
     """
     n = gs.n_gaps
     if n == 0:
         return np.zeros((0, 0))
-    mat = np.empty((n, n))
-    for j in range(1, n + 1):
-        lo, hi = gs.gap(j)
-        sj = gap_branch_sign(gs, j)
-        for m in range(n):
-            mat[j - 1, m] = sj * chebyshev_quad(
-                lambda t: t ** m / np.sqrt(_rest_abs(gs, (lo, hi), t)), lo, hi, qtol
-            )
+    _, half = _frame(gs)
+    signs = np.array([gap_branch_sign(gs, j) for j in range(1, n + 1)])
+    mat = signs[:, None] * half ** -n * _gap_moments(_centred(gs), qtol)[:, :n]
     try:
         coeffs = np.linalg.solve(mat, np.eye(n))
     except np.linalg.LinAlgError:
@@ -342,8 +328,7 @@ def harmonic_measure(gs, cp, k, x, qtol=DEFAULT_QTOL):
     kind = gs.locate(x)
     if kind[0] == "band":
         return 1.0 if kind[1] >= k else 0.0
-    coeffs = _harmonic_poly_coeffs(gs, qtol)[k - 1]
-    poly = np.polynomial.Polynomial(coeffs)
+    poly = partial(_chebval_centred, gs, _harmonic_poly_coeffs(gs, qtol)[k - 1])
     if kind[0] == "gap":
         j = kind[1]
         lo, hi = gs.gap(j)
@@ -376,8 +361,7 @@ def harmonic_measure_density(gs, cp, k, x):
     if min(x - lo, hi - x) < _EDGE_TOL * scale:
         raise ValidationError("square-root blow-up: x at a gap endpoint")
     coeffs = _harmonic_poly_coeffs(gs, DEFAULT_QTOL)[k - 1]
-    poly = np.polynomial.Polynomial(coeffs)
-    return float(poly(x) / sqrt_R_gap(gs, j, x))
+    return float(_chebval_centred(gs, coeffs, x) / sqrt_R_gap(gs, j, x))
 
 
 def dos_density(gs, cp, x):

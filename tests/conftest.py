@@ -85,3 +85,13 @@ def random_gap_system(rng, n_gaps=1, lo=-2.0, hi=2.0):
         cuts -= cuts[-1] - (hi - 0.05)
     gaps = tuple((cuts[2 * i], cuts[2 * i + 1]) for i in range(n_gaps))
     return GapSystem(b0=lo, a0=hi, gaps=gaps)
+
+
+def spaced_gap_system(rng, n_gaps, scale=1.0, shift=0.0, min_share=0.02):
+    """N gaps on [shift - 2 scale, shift + 2 scale], every band and gap at
+    least min_share of the diameter, as the benchmark draws its sets."""
+    free = 1.0 - (2 * n_gaps + 1) * min_share
+    lengths = min_share + free * rng.dirichlet(np.ones(2 * n_gaps + 1))
+    cuts = shift + scale * (-2.0 + 4.0 * np.cumsum(lengths)[:-1])
+    gaps = tuple((cuts[2 * i], cuts[2 * i + 1]) for i in range(n_gaps))
+    return GapSystem(b0=shift - 2.0 * scale, a0=shift + 2.0 * scale, gaps=gaps)

@@ -130,12 +130,8 @@ class TestInversion:
         [
             (250.0, 1e4),
             (1e-3, 0.0),
-            pytest.param(1e-3, -7.0, marks=pytest.mark.xfail(
-                raises=SolverError, strict=True,
-                reason="monomial harmonic-measure polynomials lose ~1e-10 when |shift| >> scale")),
-            pytest.param(1.0, 1e4, marks=pytest.mark.xfail(
-                raises=SolverError, strict=True,
-                reason="critical_points does not converge when |shift| >> scale")),
+            (1e-3, -7.0),
+            (1.0, 1e4),
         ],
     )
     def test_affine_image(self, three_gap, three_gap_cp, rng, scale, shift):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,15 @@ class TestCombData:
         assert (2,) in rel
         none = cb.CombData(teeth=((1 / np.pi, 0.1),)).rational_relation_report(max_coeff=3)
         assert none == []
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_relation_search_matches_mesh(self, n):
+        rng = np.random.default_rng(n)
+        twelfths = rng.choice(np.arange(1, 12), n, replace=False) / 12.0
+        mixed = np.append(twelfths[: n - 1], 1.0 / np.pi)
+        for omegas in (twelfths, rng.random(n), mixed):
+            comb = cb.CombData(teeth=tuple((o, 0.1) for o in omegas))
+            assert comb.rational_relation_report() == _mesh_relations(omegas)
 
 
 class TestForwardMap:
@@ -135,3 +146,18 @@ class TestSixGapRoundtrip:
         rec = cb.gaps_from_comb(c, bracket)
         err = np.max(np.abs(np.asarray(rec.gaps) - np.asarray(gs.gaps)))
         assert err / gs.diameter < 1e-6
+
+
+def _mesh_relations(omegas, max_coeff=5):
+    """The full (2 max_coeff + 1)^N mesh search, one value of the first
+    coefficient at a time to bound memory; rows in lexicographic order."""
+    span = range(-max_coeff, max_coeff + 1)
+    rest = np.array(list(itertools.product(span, repeat=omegas.size - 1)), dtype=int)
+    rest = rest.reshape(len(span) ** (omegas.size - 1), omegas.size - 1)
+    found = []
+    for first in span:
+        mesh = np.concatenate([np.full((len(rest), 1), first), rest], axis=1)
+        vals = mesh @ omegas
+        near = np.abs(vals - np.round(vals)) < 1e-9
+        found.extend(tuple(row) for row in mesh[near].tolist() if any(row))
+    return found

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from finitegap.errors import SolverError
 from finitegap.quad import chebyshev_quad, gl_quad, theta_partial_quad
 
 
@@ -30,3 +31,26 @@ def test_theta_partial_half_symmetric():
     half = theta_partial_quad(lambda t: t * t, -1.0, 1.0, 0.0)
     full = chebyshev_quad(lambda t: t * t, -1.0, 1.0)
     assert half == pytest.approx(0.5 * full, abs=1e-12)
+
+
+def test_gl_quad_order_is_capped():
+    # a jump never converges; the doubling stops at 2048 nodes with the
+    # last difference as residual instead of building ever larger rules
+    sizes = []
+
+    def step(x):
+        sizes.append(x.size)
+        return np.where(x < 0.3, 0.0, 1.0)
+
+    with pytest.raises(SolverError, match="did not converge") as err:
+        gl_quad(step, 0.0, 1.0)
+    assert max(sizes) == 2048
+    assert err.value.residual > 0.0
+
+
+def test_chebyshev_quad_vector_rows():
+    # rows converge together and match separate scalar calls
+    rows = chebyshev_quad(lambda t: np.stack([np.ones_like(t), t, t * t]), 0.0, 1.0)
+    assert rows.shape == (3,)
+    for k, val in enumerate(rows):
+        assert val == chebyshev_quad(lambda t: t**k * np.ones_like(t), 0.0, 1.0)

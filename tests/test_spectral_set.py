@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_gap_system
+from conftest import random_gap_system, spaced_gap_system
 from finitegap import spectral_set
-from finitegap.errors import ValidationError
+from finitegap.errors import SolverError, ValidationError
 from finitegap.spectral_set import (
     GapSystem,
     critical_points,
@@ -84,6 +84,57 @@ class TestCriticalPoints:
     def test_heights_positive(self, three_gap_cp):
         assert all(h > 0 for h in three_gap_cp.h)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_periods_vanish(self, n):
+        # independent check: a 2^14-node Chebyshev rule written here, on sets
+        # moved as the benchmark moves them
+        rng = np.random.default_rng(100 + n)
+        for _ in range(4):
+            scale = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
+            gs = spaced_gap_system(rng, n, scale, scale * rng.uniform(-1.8, 1.8))
+            c = np.asarray(critical_points(gs).c)
+            for lo, hi in gs.gaps:
+                t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(_REF_THETA)
+                rest = [e for e in gs.endpoints if e not in (lo, hi)]
+                root = np.sqrt(np.prod(np.abs(t[:, None] - np.array(rest)), axis=1))
+                poly = np.prod(t[:, None] - c, axis=1)
+                assert abs(np.sum(poly / root)) <= 1e-12 * np.sum(np.abs(poly) / root)
+
+    def test_lost_root_raises(self, monkeypatch):
+        # two zeros polished onto the root in gap 2 leave gap 1 without one:
+        # an error, never a clamp into the gap
+        gs = GapSystem(b0=-2.0, a0=2.0, gaps=((-1.0, -0.5), (0.5, 1.0)))
+        monkeypatch.setattr(spectral_set, "chebroots", lambda p: np.array([0.37, 0.38]))
+        with pytest.raises(SolverError):
+            critical_points(gs)
+
+
+_REF_THETA = (np.arange(1 << 14) + 0.5) * (np.pi / (1 << 14))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_gaps=st.integers(1, 8),
+    log_scale=st.floats(-3.0, 3.0),
+    shift_share=st.floats(-1.0, 1.0),
+)
+def test_affine_covariance(seed, n_gaps, log_scale, shift_share):
+    # c maps by x -> scale x + shift to rounding of the moved endpoints;
+    # h is invariant
+    scale = 10.0**log_scale
+    shift = shift_share * min(1e4, 1e5 * scale)
+    base = spaced_gap_system(np.random.default_rng(seed), n_gaps)
+    img = GapSystem(
+        b0=scale * base.b0 + shift,
+        a0=scale * base.a0 + shift,
+        gaps=tuple((scale * a + shift, scale * b + shift) for a, b in base.gaps),
+    )
+    cp, cp_img = critical_points(base), critical_points(img)
+    tol = max(1e-12 * img.diameter, 4.0 * np.spacing(abs(shift) + img.diameter))
+    assert np.max(np.abs(np.asarray(cp_img.c) - (scale * np.asarray(cp.c) + shift))) <= tol
+    assert np.max(np.abs(np.asarray(cp_img.h) - np.asarray(cp.h))) <= 1e-9
+
 
 class TestGreen:
     def test_free_closed_form(self, free_set):
@@ -133,7 +184,8 @@ class TestHarmonicMeasure:
             assert -1e-10 <= v <= 1.0 + 1e-10
 
     def test_qtol_reaches_period_matrix(self, two_gap, two_gap_cp, monkeypatch):
-        # in a gap the only Chebyshev quadratures are the period matrix's
+        # in a gap the only Chebyshev quadratures are the period matrix's:
+        # one vector quadrature of the N + 1 moments per gap
         seen = []
         quad = spectral_set.chebyshev_quad
 
@@ -144,7 +196,7 @@ class TestHarmonicMeasure:
         monkeypatch.setattr(spectral_set, "chebyshev_quad", spy)
         spectral_set._harmonic_poly_coeffs.cache_clear()
         loose = harmonic_measure(two_gap, two_gap_cp, 1, -0.6, qtol=1e-6)
-        assert seen == [1e-6] * 4
+        assert seen == [1e-6] * 2
         assert loose == pytest.approx(harmonic_measure(two_gap, two_gap_cp, 1, -0.6), abs=1e-6)
 
     def test_density_sign(self, two_gap, two_gap_cp):
