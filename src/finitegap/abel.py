@@ -280,8 +280,11 @@ def invert_abel(gs, cp, alpha, guess=None):
     from the diagonal seed phi_k = pi - 2 pi alpha_k, then from at most 2N
     deterministic restarts spread over the torus around that seed.  The
     first start that reaches a residual of 1e-10 wins; if none does,
-    SolverError carries the best residual.  Tested for N up to 16, thin
-    bands, thin gaps and divisors next to gap endpoints.
+    SolverError carries the best residual.  The returned divisor's float x
+    can lose the chart angle on a gap narrower than about 1e-8, so the Abel
+    map is evaluated again at the divisor's own chart; a residual above 1e-9
+    there is a SolverError too.  Tested for N up to 16, thin bands, thin
+    gaps and divisors next to gap endpoints.
     """
     n = gs.n_gaps
     target = np.asarray(alpha.alpha if isinstance(alpha, Character) else alpha, dtype=float)
@@ -298,7 +301,12 @@ def invert_abel(gs, cp, alpha, guess=None):
         if best is None or r < best[0]:
             best = (r, phis[0])
         if r <= 1e-10:
-            return divisor_from_chart(gs, DivisorChart(angles=tuple(phis[0])))
+            divisor = divisor_from_chart(gs, DivisorChart(angles=tuple(phis[0])))
+            back = np.asarray(chart_from_divisor(gs, divisor).angles)
+            r = float(np.max(np.abs(_wrap_half(abel_map_angles(gs, back)[0] - target))))
+            if r > 1e-9:
+                raise SolverError("inverted divisor misses the character", residual=r)
+            return divisor
     raise SolverError("Abel inversion did not converge", residual=best[0], iterate=best[1])
 
 

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,7 +67,9 @@ def _default_precision():
         raise ValidationError(f"WIDOMSPEC_PREC must be an integer, got {env!r}")
 
 
+@lru_cache(maxsize=None)
 def _parser():
+    """The argument parser, built on first use and reused by every main call."""
     p = argparse.ArgumentParser(prog="finitegap", description=__doc__)
     p.add_argument("command", choices=[
         "critical", "green", "harmonic", "dos", "resolvents", "coeffs", "transfer",

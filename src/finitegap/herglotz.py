@@ -3,18 +3,18 @@ into the half-line resolvent pair of a reflectionless Jacobi matrix.
 
 The pair u = -1/r_plus and v = p0^2 r_minus is represented as
 (sqrt(R) +- T) / (2 Pi) with a monic polynomial T of degree N+1 and
-Pi(z) = prod (z - x_j) over the divisor points.
+Pi(z) = prod (z - x_j) over the divisor points.  T has a closed form
+(t_poly) with no linear solve.  It is evaluated on the set centred by
+s = (t - mid) / half of [b0, a0], in float64 by split_resolvents and in
+mpmath by jacobi_cf.initial_state.
 """
 
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .spectral_set import GapSystem, sqrt_R, sqrt_R_gap, dos_density
-
-_COND_LIMIT = 1e12
+from .spectral_set import GapSystem, _centred, _frame, dos_density, gap_branch_sign, sqrt_R
 
 
 @dataclass(frozen=True)
@@ -122,82 +122,86 @@ def r00(gs, divisor, z):
     return out if out.shape else complex(out)
 
 
-def _sqrtr_series_coeff(gs):
-    """Coefficient of z^N in the expansion sqrt(R) = z^(N+1) + s1 z^N + ..."""
-    return -0.5 * sum(gs.endpoints)
+def _mul_linear(p, r):
+    """Ascending coefficients of p(z) (z - r)."""
+    return [-r * p[0]] + [p[i - 1] - r * p[i] for i in range(1, len(p))] + [p[-1]]
 
 
-def _solve_t(gs, divisor):
-    """Interpolation + asymptotics system for the lower coefficients of T."""
-    n = gs.n_gaps
-    s1 = _sqrtr_series_coeff(gs)
-    if n == 0:
-        return np.array([s1, 1.0])
-    xs = np.asarray(divisor.xs)
-    rhs = np.empty(n)
-    mat = np.vander(xs, n, increasing=True)
-    for j, (x, e) in enumerate(divisor.points):
-        a, b = gs.gap(j + 1)
-        sr = 0.0 if (x == a or x == b) else sqrt_R_gap(gs, j + 1, x)
-        rhs[j] = e * sr - x ** (n + 1) - s1 * x ** n
-    if np.linalg.cond(mat) > _COND_LIMIT:
-        low = _solve_t_mp(gs, divisor, s1)
-    else:
-        low = np.linalg.solve(mat, rhs)
-    return np.concatenate([low, [s1, 1.0]])
+def _pfromroots(roots):
+    """Ascending coefficients of the monic polynomial prod (z - r), in plain
+    arithmetic: floats for floats, mpf at the working precision for mpf."""
+    out = [1]
+    for r in roots:
+        out = _mul_linear(out, r)
+    return out
 
 
-def _solve_t_mp(gs, divisor, s1, prec=240):
-    """Extended-precision fallback for clustered divisor points."""
-    n = gs.n_gaps
-    with mp.workprec(prec):
-        mat = mp.matrix(n, n)
-        rhs = mp.matrix(n, 1)
-        for j, (x, e) in enumerate(divisor.points):
-            a, b = gs.gap(j + 1)
-            xm = mp.mpf(x)
-            for m in range(n):
-                mat[j, m] = xm ** m
-            if x == a or x == b:
-                sr = mp.mpf(0)
-            else:
-                rprod = mp.mpf(1)
-                for ep in gs.endpoints:
-                    rprod *= abs(xm - ep)
-                from .spectral_set import gap_branch_sign
+def centred_divisor(gs, divisor):
+    """(normalized divisor, centred set cs, points) with points (s_j, sigma_j):
+    s_j = (x_j - mid) / half, in the closed gap j of cs = _centred(gs) because
+    rounding is monotone, and sigma_j = eps_j times the branch sign of
+    sqrt(R) on gap j."""
+    divisor = divisor.normalized(gs)
+    mid, half = _frame(gs)
+    pts = tuple(((x - mid) / half, e * gap_branch_sign(gs, j))
+                for j, (x, e) in enumerate(divisor.points, start=1))
+    return divisor, _centred(gs), pts
 
-                sr = gap_branch_sign(gs, j + 1) * mp.sqrt(rprod)
-            rhs[j] = e * sr - xm ** (n + 1) - mp.mpf(s1) * xm ** n
-        try:
-            sol = mp.lu_solve(mat, rhs)
-        except ZeroDivisionError:
-            raise SolverError("divisor interpolation system is singular")
-        return np.array([float(sol[m]) for m in range(n)])
+
+def t_poly(ends, points):
+    """Ascending coefficients of T for the branch points ``ends`` and the
+    divisor ``points`` (x_j, sigma_j) of centred_divisor, in plain
+    arithmetic, so that floats give float64 and mpf the working precision.
+
+    With y_j = sigma_j sqrt|R(x_j)|, zero at a gap endpoint, and
+    s1 = -sum(ends) / 2,
+
+        T = Pi (z + s1 + sum x_j) + sum_j y_j Pi / ((z - x_j) Pi'(x_j))
+
+    is the unique monic T of degree N+1 with T(x_j) = y_j and z^N
+    coefficient s1; each Pi / (z - x_j) is a synthetic division of Pi.
+    """
+    xs = [x for x, _ in points]
+    n = len(xs)
+    pi = _pfromroots(xs)
+    t = _mul_linear(pi, sum(ends) / 2 - sum(xs))
+    for j, (x, sigma) in enumerate(points):
+        rabs = 1
+        for e in ends:
+            rabs *= abs(x - e)
+        w = sigma * rabs ** 0.5
+        for k, xk in enumerate(xs):
+            if k != j:
+                w /= x - xk
+        q = pi[n]
+        for k in range(n - 1, -1, -1):
+            t[k] += w * q
+            q = pi[k] + x * q
+    return t
 
 
 def split_resolvents(gs, divisor):
     """Construct the resolvent pair (u, v) = ((sqrt R + T)/2Pi, (sqrt R - T)/2Pi).
 
-    Extracts p0^2 from the z^(2N) coefficient of R - T^2 and q0 from the
-    expansion of u at infinity.
+    T comes from t_poly in float64 on the centred set s = (t - mid) / half,
+    where p0^2 is -[z^2N](R - T^2) / 4; in raw coordinates T scales by
+    half^(N+1) and p0^2 by half^2.  q0 is read from the expansion of u at
+    infinity.
     """
-    divisor = divisor.normalized(gs)
-    t_coeffs = _solve_t(gs, divisor)
+    divisor, cs, pts = centred_divisor(gs, divisor)
     n = gs.n_gaps
-    r_poly = np.polynomial.polynomial.polyfromroots(gs.endpoints)
-    t_sq = np.polynomial.polynomial.polymul(t_coeffs, t_coeffs)
-    diff = np.polynomial.polynomial.polysub(r_poly, t_sq)
-    scale = max(1.0, np.max(np.abs(r_poly)))
-    if len(diff) > 2 * n + 1 and np.max(np.abs(diff[2 * n + 1 :])) > 1e-8 * scale:
-        raise SolverError(
-            "degree reduction of R - T^2 failed", residual=np.max(np.abs(diff[2 * n + 1 :]))
-        )
-    lead = diff[2 * n] if len(diff) > 2 * n else 0.0
-    p0sq = -lead / 4.0
+    mid, half = _frame(gs)
+    t = t_poly(cs.endpoints, pts)
+    p0sq = half ** 2 * (np.convolve(t, t)[2 * n] - _pfromroots(cs.endpoints)[2 * n]) / 4
     if p0sq <= 0.0:
         raise SolverError(f"nonpositive p0^2 = {p0sq}: invalid divisor data")
+    # half^(N+1) T((z - mid) / half) by Horner in z - mid
+    t_raw = [t[-1]]
+    for k, c in enumerate(reversed(t[:-1]), start=1):
+        t_raw = _mul_linear(t_raw, mid)
+        t_raw[0] += half ** k * c
     q0 = -sum(divisor.xs) + 0.5 * sum(gs.endpoints)
-    return HerglotzPair(gs=gs, divisor=divisor, t_coeffs=tuple(t_coeffs), p0sq=p0sq, q0=q0)
+    return HerglotzPair(gs=gs, divisor=divisor, t_coeffs=tuple(map(float, t_raw)), p0sq=p0sq, q0=q0)
 
 
 def reflectionless_residual(gs, pair, x):

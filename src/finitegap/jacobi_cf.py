@@ -7,20 +7,26 @@ resolvent splitting; one step peels off (q_n, p_{n+1}^2) and advances the
 divisor.  All state arithmetic runs at a configurable binary precision
 (mpmath), since errors accumulate linearly in the number of steps.
 
+The iteration runs on the centred set s = (t - mid) / half of [b0, a0]
+(`spectral_set._centred`), where |s| <= 1 keeps the monomial coefficients
+well scaled.  `initial_state` maps the divisor in, with T from
+`herglotz.t_poly`; q_n = mid + half q, p_n = half p and the divisor
+x = mid + half s are mapped back where they leave the iteration.
+
 R(z) = prod (z - e) over the 2N+2 endpoints is built once per window, by
 `initial_state`, and carried with every state.  A step reads only the
 coefficients it needs: each coefficient of a product, of R - T^2 and of its
 quotient by Pi is one `mp.fdot` over the pairs of factors that form it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .herglotz import Divisor
-from .spectral_set import gap_branch_sign
+from .herglotz import Divisor, _pfromroots, centred_divisor, t_poly
+from .spectral_set import _frame, gap_branch_sign
 
 DEFAULT_PREC = 128
 
@@ -33,15 +39,6 @@ _NEWTON_MAX = 50
 
 # ---------------------------------------------------------------------------
 # polynomials over mpmath reals (ascending coefficients)
-
-
-def _pfromroots(roots):
-    """Coefficients of the monic polynomial prod (z - r)."""
-    out = [mp.mpf(1)]
-    for r in roots:
-        r = mp.mpf(r)
-        out = [-r * out[0]] + [out[i - 1] - r * out[i] for i in range(1, len(out))] + [out[-1]]
-    return out
 
 
 def _pairs(a, b, k):
@@ -64,23 +61,18 @@ def _peval(p, x):
 # ---------------------------------------------------------------------------
 
 
-def _sqrtr_gap_mp(gs, j, x):
-    prod = mp.mpf(1)
-    for e in gs.endpoints:
-        prod *= abs(x - e)
-    return mp.mpf(gap_branch_sign(gs, j)) * mp.sqrt(prod)
-
-
 @dataclass(frozen=True)
 class CFState:
     """Divisor window of the continued-fraction iteration at one site.
 
-    r_coeffs are the coefficients of R, built once per window at the window's
-    precision and shared by every state derived from the first one, also
-    by the 2 x prec retry of a step.
+    xs, t_coeffs and r_coeffs live on the centred set cs of gs; p0sq is in
+    raw coordinates.  r_coeffs are the coefficients of R, built once per
+    window at the window's precision and shared by every state derived from
+    the first one, also by the 2 x prec retry of a step.
     """
 
     gs: object
+    cs: object
     xs: tuple
     eps: tuple
     t_coeffs: tuple
@@ -90,7 +82,12 @@ class CFState:
 
     @property
     def divisor(self):
-        return Divisor(tuple((float(x), int(e)) for x, e in zip(self.xs, self.eps)))
+        """The divisor at this site: x = mid + half s, clamped into its closed gap."""
+        mid, half = _frame(self.gs)
+        with mp.workprec(self.prec):
+            pts = tuple((min(max(float(mid + half * s), a), b), e)
+                        for s, e, (a, b) in zip(self.xs, self.eps, self.gs.gaps))
+        return Divisor(pts).normalized(self.gs)
 
 
 @dataclass(frozen=True)
@@ -125,57 +122,41 @@ class JacobiSegment:
 
 
 def initial_state(gs, divisor, prec=DEFAULT_PREC):
-    """CFState at site 0 from a divisor, with T and R built in working precision."""
-    divisor = divisor.normalized(gs)
+    """CFState at site 0 from a divisor, with T and R built in working
+    precision on the centred set."""
+    divisor, cs, pts = centred_divisor(gs, divisor)
     n = gs.n_gaps
+    _, half = _frame(gs)
     with mp.workprec(prec):
-        s1 = -mp.fsum(gs.endpoints) / 2
-        if n == 0:
-            t = [s1, mp.mpf(1)]
-        else:
-            mat = mp.matrix(n, n)
-            rhs = mp.matrix(n, 1)
-            for j, (x, e) in enumerate(divisor.points):
-                a, b = gs.gap(j + 1)
-                xm = mp.mpf(x)
-                for m in range(n):
-                    mat[j, m] = xm ** m
-                sr = mp.mpf(0) if (x == a or x == b) else _sqrtr_gap_mp(gs, j + 1, xm)
-                rhs[j] = e * sr - xm ** (n + 1) - s1 * xm ** n
-            try:
-                low = mp.lu_solve(mat, rhs)
-            except ZeroDivisionError:
-                raise SolverError("divisor interpolation system is singular")
-            t = [low[m] for m in range(n)] + [s1, mp.mpf(1)]
-        r = _pfromroots(gs.endpoints)
-        # p0^2 = -[z^2N](R - T^2) / 4
-        p0sq = -mp.fdot([(r[2 * n], 1)] + _pairs([-c for c in t], t, 2 * n)) / 4
+        ends = [mp.mpf(e) for e in cs.endpoints]
+        pts = [(mp.mpf(s), sigma) for s, sigma in pts]
+        t = t_poly(ends, pts)
+        r = _pfromroots(ends)
+        # p0^2 = -[z^2N](R - T^2) / 4 on cs, times half^2 in raw coordinates
+        p0sq = -mp.fdot([(r[2 * n], 1)] + _pairs([-c for c in t], t, 2 * n)) / 4 * half * half
         if p0sq <= 0:
             raise SolverError(f"nonpositive p0^2 = {float(p0sq)}: invalid divisor data")
-        xs = tuple(mp.mpf(x) for x in divisor.xs)
-        return CFState(gs=gs, xs=xs, eps=divisor.eps, t_coeffs=tuple(t), r_coeffs=tuple(r),
-                       p0sq=p0sq, prec=prec)
+        return CFState(gs=gs, cs=cs, xs=tuple(s for s, _ in pts), eps=divisor.eps,
+                       t_coeffs=tuple(t), r_coeffs=tuple(r), p0sq=p0sq, prec=prec)
 
 
 def _reduce_divide(r, t, xs, pi):
     """(p^2, quotient) of (R - T^2) / (-4 p^2 Pi), with -4 p^2 the z^2N
     coefficient of R - T^2 and Pi = prod (z - x_j) given by its coefficients.
 
-    R - T^2 must have degree 2N and Pi must divide it, both to
-    2^(-prec+30) max |r_k|: the test reads the coefficients above z^2N, and
-    the remainders of dividing the quotient-scaled R - T^2 by z - x_1, then
-    by z - x_2, and so on.  Each coefficient of R - T^2 and of the top-down
-    long division by Pi is one fdot; the remainders come from the
-    division's remainder polynomial, which has degree N - 1.
+    R - T^2 has degree 2N by construction of T: its monic leading terms
+    cancel, and q cancels the z^(2N+1) term.  Pi must divide it to
+    2^(-prec+30) max |r_k|: the test reads the remainders of dividing the
+    quotient-scaled R - T^2 by z - x_1, then by z - x_2, and so on.  Each
+    coefficient of R - T^2 and of the top-down long division by Pi is one
+    fdot; the remainders come from the division's remainder polynomial,
+    which has degree N - 1.
     """
     n = len(xs)
     one = mp.mpf(1)
     neg_t = [-c for c in t]
-    num = [mp.fdot([(r[k], one)] + _pairs(neg_t, t, k)) for k in range(2 * n + 3)]
+    num = [mp.fdot([(r[k], one)] + _pairs(neg_t, t, k)) for k in range(2 * n + 1)]
     div_tol = mp.ldexp(max(abs(c) for c in r), 30 - mp.mp.prec)
-    tail = max(abs(num[2 * n + 1]), abs(num[2 * n + 2]))
-    if tail > div_tol:
-        raise SolverError("degree reduction failed", residual=float(tail))
     psq = -num[2 * n] / 4
     if psq <= 0:
         raise SolverError(f"nonpositive p^2 = {float(psq)}")
@@ -273,34 +254,26 @@ def _eps_from_t(gs, t_coeffs, roots):
 
 
 def _cf_step_at_prec(state, prec):
-    gs = state.gs
-    n = gs.n_gaps
+    cs = state.cs
+    n = cs.n_gaps
+    mid, half = _frame(state.gs)
     with mp.workprec(prec):
         t, r = state.t_coeffs, state.r_coeffs
         pi = _pfromroots(state.xs)
         # q from the vanishing z^(2N+1) coefficient of R - (A + qB)^2 with
-        # A = T - 2z Pi and B = 2 Pi; B^2 has degree 2N, so the equation is linear
+        # A = T - 2z Pi and B = 2 Pi; B^2 has degree 2N and, T and Pi being
+        # monic, the z^(2N+1) coefficient of 2AB is -4, so q is explicit
         a = [t[0]] + [t[i] - 2 * pi[i - 1] for i in range(1, n + 2)]
         b = [2 * c for c in pi]
         k = 2 * n + 1
-        ab_k = mp.fdot(_pairs(a, b, k))
-        if ab_k == 0:
-            raise SolverError("degenerate linear equation for q_n")
-        q = (r[k] - mp.fdot(_pairs(a, a, k))) / (2 * ab_k)
+        q = (mp.fdot(_pairs(a, a, k)) - r[k]) / 4
         # the next T is -(A + qB)
         t_next = [-(ai + bi * q) for ai, bi in zip(a, b)] + [-a[-1]]
         p1sq, quot = _reduce_divide(r, t_next, state.xs, pi)
-        roots = _gap_roots(gs, quot)
-        nxt = CFState(
-            gs=gs,
-            xs=tuple(roots),
-            eps=_eps_from_t(gs, t_next, roots),
-            t_coeffs=tuple(t_next),
-            r_coeffs=r,
-            p0sq=p1sq,
-            prec=state.prec,
-        )
-        return float(q), float(p1sq), nxt
+        roots = _gap_roots(cs, quot)
+        nxt = replace(state, xs=tuple(roots), eps=_eps_from_t(cs, t_next, roots),
+                      t_coeffs=tuple(t_next), p0sq=p1sq * half * half)
+        return float(mid + half * q), float(nxt.p0sq), nxt
 
 
 def cf_step(state):
@@ -318,14 +291,11 @@ def dual_state(state):
     The dual divisor consists of the roots of (R - T^2) / (-4 p0^2 Pi);
     T and p0^2 are unchanged.
     """
-    gs = state.gs
+    cs = state.cs
     with mp.workprec(state.prec):
         _, quot = _reduce_divide(state.r_coeffs, state.t_coeffs, state.xs, _pfromroots(state.xs))
-        roots = _gap_roots(gs, quot)
-        return CFState(
-            gs=gs, xs=tuple(roots), eps=_eps_from_t(gs, state.t_coeffs, roots),
-            t_coeffs=state.t_coeffs, r_coeffs=state.r_coeffs, p0sq=state.p0sq, prec=state.prec,
-        )
+        roots = _gap_roots(cs, quot)
+        return replace(state, xs=tuple(roots), eps=_eps_from_t(cs, state.t_coeffs, roots))
 
 
 def iterate(state, nsteps):

@@ -226,12 +226,13 @@ def critical_points(gs, qtol=DEFAULT_QTOL):
     s = np.sort(chebroots(p).real)
     mid, half = _frame(gs)
     lo, hi = np.array(gs.gaps).T
-    scale = max(1.0, 1.0 / np.sqrt(np.min(_abs_R(gs, 0.5 * (lo + hi)))))
     res = np.array([
         chebyshev_quad(lambda t: _prod_c(s, t) / np.sqrt(_rest_abs(cs, (a, b), t)), a, b, qtol)
         for a, b in cs.gaps
     ])
-    if np.max(np.abs(res)) > 1e3 * qtol * scale * max(1.0, gs.diameter ** n):
+    # prod(s - s_k) = 2^(1-N) P and |T_m| <= 1 on the centred set, so the integral
+    # of |prod(s - s_k)| / sqrt|R| over gap j is at most 2^(1-N) M[j, 0] sum |p_m|
+    if np.any(np.abs(res) > 1e3 * qtol * 2.0 ** (1 - n) * mom[:, 0] * np.abs(p).sum()):
         raise SolverError(
             "period residual above tolerance", residual=np.max(np.abs(res)), iterate=mid + half * s
         )

@@ -125,6 +125,17 @@ class TestInversion:
             d = ab.invert_abel(gs, cp, alpha)
             assert ab.abel_map(gs, cp, d).distance(alpha) < 1e-9
 
+    def test_thin_gap_chart_loss_raises(self):
+        # on a gap of width 1e-9 the divisor's float x cannot hold the angle
+        # Newton finds: these four characters miss by 2.4e-9 to 2.0e-8
+        gs = GapSystem(b0=-2.0, a0=2.0, gaps=((-0.3, -0.3 + 1e-9), (0.5, 1.0)))
+        cp = critical_points(gs)
+        rng = np.random.default_rng(0)
+        for _ in range(4):
+            with pytest.raises(SolverError, match="misses the character") as exc:
+                ab.invert_abel(gs, cp, ab.Character(tuple(rng.random(2))))
+            assert exc.value.residual > 1e-9
+
     @pytest.mark.parametrize(
         "scale, shift",
         [

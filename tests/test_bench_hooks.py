@@ -1,5 +1,6 @@
 """The benchmark reaches into the package by name: bench/tracer.py wraps every
-function in TRACED, and bench/worker.py clears the caches of
+function in TRACED and, in Tracer.install, patches module attributes such as
+jacobi_cf._cf_step_at_prec; bench/worker.py clears the caches of
 _program_caches before each pass.  A rename in the package would break the
 benchmark only when it runs; these tests catch it here.  The bench files are
 parsed, not imported or executed.
@@ -37,6 +38,26 @@ def _cache_names():
     raise AssertionError("bench/worker.py defines no _program_caches")
 
 
+def _install_reads():
+    """module.attribute for every attribute Tracer.install reads from a module
+    it binds as mods["<module>"], such as jcf._cf_step_at_prec."""
+    tracer = next(n for n in _module_tree("tracer.py").body
+                  if isinstance(n, ast.ClassDef) and n.name == "Tracer")
+    install = next(n for n in tracer.body if isinstance(n, ast.FunctionDef) and n.name == "install")
+    bound = {}
+    for node in ast.walk(install):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Subscript)
+                and ast.unparse(node.value.value) == "mods"
+                and isinstance(node.value.slice, ast.Constant)):
+            bound[node.targets[0].id] = node.value.slice.value
+    reads = sorted({f"{bound[n.value.id]}.{n.attr}" for n in ast.walk(install)
+                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                    and isinstance(n.value, ast.Name) and n.value.id in bound})
+    if not reads:
+        raise AssertionError("Tracer.install reads no module attribute by name")
+    return reads
+
+
 def _resolve(dotted):
     mod, *attrs = dotted.split(".")
     obj = importlib.import_module(f"finitegap.{mod}")
@@ -47,6 +68,11 @@ def _resolve(dotted):
 
 @pytest.mark.parametrize("name", _traced_names())
 def test_traced_name_resolves(name):
+    assert callable(_resolve(name))
+
+
+@pytest.mark.parametrize("name", _install_reads())
+def test_install_read_resolves(name):
     assert callable(_resolve(name))
 
 

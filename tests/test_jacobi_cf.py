@@ -1,9 +1,11 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from conftest import random_divisor, random_gap_system
+from conftest import random_divisor, random_gap_system, spaced_gap_system
 from finitegap import jacobi_cf as jc
 from finitegap.errors import SolverError, ValidationError
 from finitegap.herglotz import Divisor
@@ -34,8 +36,8 @@ class TestCfStep:
         st = jc.initial_state(three_gap, random_divisor(three_gap, rng))
         for _ in range(30):
             _, _, st = jc.cf_step(st)
-            for (a, b), x in zip(three_gap.gaps, st.xs):
-                assert a <= float(x) <= b
+            for (a, b), x in zip(three_gap.gaps, st.divisor.xs):
+                assert a <= x <= b
 
     def test_advanced_divisor_matches_resolvent_data(self, two_gap, rng):
         # p^2 produced by the step equals p0^2 of the advanced divisor
@@ -46,12 +48,11 @@ class TestCfStep:
             _, psq, st = jc.cf_step(st)
             assert psq == pytest.approx(split_resolvents(two_gap, st.divisor).p0sq, rel=1e-10)
 
-    @pytest.mark.xfail(strict=True, raises=SolverError,
-                       reason="the remainder test scales by max |r_k|, not by |R| at the divisor")
     def test_n8_moved_set_remainder_test(self):
         # N = 8 set on [-10.76, 2.35] from the benchmark's coeffs workload (seed
-        # 404, request 101): the step raises "polynomial division remainder
-        # above tolerance" at 256 bits and again after the retry at 512
+        # 404, request 101): in raw coordinates, where |x| reaches 10, the
+        # step raised "polynomial division remainder above tolerance" at 256
+        # bits and again after the retry at 512
         doc = {
             "band": [-10.764565259161568, 2.347342127590304],
             "gaps": [[-10.455233527018484, -9.990754360960945],
@@ -73,6 +74,33 @@ class TestCfStep:
         bound = 1e-8 * gs.diameter / 4
         assert np.max(np.abs(qo - np.array(seg.q))) < bound
         assert np.max(np.abs(po - np.array(seg.p)[1:])) < bound
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_gaps=st.integers(1, 8),
+    log_scale=st.floats(-3.0, 3.0),
+    shift_share=st.floats(-1.0, 1.0),
+)
+def test_affine_covariance(seed, n_gaps, log_scale, shift_share):
+    # under x -> scale x + shift the coefficients map by q -> shift + scale q
+    # and p -> scale p, to the rounding of the moved endpoints and divisor
+    scale, shift = 10.0**log_scale, 1e4 * shift_share
+    base = spaced_gap_system(np.random.default_rng(seed), n_gaps)
+    img = spaced_gap_system(np.random.default_rng(seed), n_gaps, scale, shift)
+    rng = np.random.default_rng(seed + 1)
+    share, eps = rng.uniform(0.01, 0.99, n_gaps), rng.choice([-1, 1], n_gaps)
+
+    def window(gs):
+        d = Divisor(tuple((a + u * (b - a), int(e)) for (a, b), u, e in zip(gs.gaps, share, eps)))
+        seg = jc.coefficients(gs, d, -3, 8)
+        return np.array(seg.q), np.array(seg.p)
+
+    (q, p), (q_img, p_img) = window(base), window(img)
+    tol = 64.0 * np.spacing(abs(shift) + 2.0 * scale)
+    assert np.max(np.abs(q_img - (shift + scale * q))) <= tol
+    assert np.max(np.abs(p_img - scale * p)) <= tol
 
 
 class TestGapRoots:
@@ -107,7 +135,7 @@ class TestDualState:
         d = random_divisor(two_gap, rng, margin=0.05)
         st = jc.initial_state(two_gap, d)
         back = jc.dual_state(jc.dual_state(st))
-        assert np.max(np.abs(np.array([float(x) for x in back.xs]) - np.array(d.xs))) < 1e-9
+        assert np.max(np.abs(np.array(back.divisor.xs) - np.array(d.xs))) < 1e-9
         assert back.eps == st.eps
 
 

@@ -108,6 +108,23 @@ class TestCriticalPoints:
         with pytest.raises(SolverError):
             critical_points(gs)
 
+    def test_moved_root_raises(self, monkeypatch):
+        # a zero moved by 1e-3 of its gap at N = 16 leaves that gap's period
+        # residual 20 times its relative bound
+        gs = spaced_gap_system(np.random.default_rng(3), 16, min_share=0.009)
+        a, b = spectral_set._centred(gs).gaps[8]
+        roots = spectral_set.chebroots
+
+        def moved(p):
+            s = np.sort(roots(p).real)
+            s[8] += 1e-3 * (b - a)
+            return s
+
+        critical_points(gs)
+        monkeypatch.setattr(spectral_set, "chebroots", moved)
+        with pytest.raises(SolverError, match="period residual above tolerance"):
+            critical_points(gs)
+
 
 _REF_THETA = (np.arange(1 << 14) + 0.5) * (np.pi / (1 << 14))
 
