@@ -76,14 +76,18 @@ class Divisor:
 class HerglotzPair:
     """The split resolvent pair of a reflectionless matrix with divisor data.
 
-    t_coeffs are ascending coefficients of the monic degree-N+1 polynomial T
-    with T(x_j) = eps_j sqrt(R)(x_j) on the gaps and the two leading
-    coefficients matched to the expansion of sqrt(R) at infinity.
+    T is the monic degree-N+1 polynomial with T(x_j) = eps_j sqrt(R)(x_j)
+    on the gaps and the two leading coefficients matched to the expansion of
+    sqrt(R) at infinity.  t_centred holds the ascending coefficients of T_c
+    on the centred set, T(z) = half^(N+1) T_c((z - mid) / half), from which
+    T is evaluated; t_coeffs are the ascending coefficients of T in z, an
+    export that loses accuracy on sets far from the origin.
     """
 
     gs: GapSystem
     divisor: Divisor
     t_coeffs: tuple
+    t_centred: tuple
     p0sq: float
     q0: float
 
@@ -93,16 +97,20 @@ class HerglotzPair:
             out = out * (np.asarray(z, dtype=complex) - x)
         return out
 
-    def _t(self, z):
-        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), self.t_coeffs)
+    def t(self, z):
+        """T(z) = half^(N+1) T_c((z - mid) / half)."""
+        mid, half = _frame(self.gs)
+        s = (np.asarray(z, dtype=complex) - mid) / half
+        tc = np.polynomial.polynomial.polyval(s, self.t_centred)
+        return half ** (len(self.t_centred) - 1) * tc
 
     def u(self, z):
         """u = -1/r_plus; Herglotz, u(z) = z - q0 + O(1/z)."""
-        return (sqrt_R(self.gs, z) + self._t(z)) / (2.0 * self._pi(z))
+        return (sqrt_R(self.gs, z) + self.t(z)) / (2.0 * self._pi(z))
 
     def v(self, z):
         """v = p0^2 r_minus; Herglotz, z v(z) -> -p0^2."""
-        return (sqrt_R(self.gs, z) - self._t(z)) / (2.0 * self._pi(z))
+        return (sqrt_R(self.gs, z) - self.t(z)) / (2.0 * self._pi(z))
 
     def r_plus(self, z):
         return -1.0 / self.u(z)
@@ -201,7 +209,8 @@ def split_resolvents(gs, divisor):
         t_raw = _mul_linear(t_raw, mid)
         t_raw[0] += half ** k * c
     q0 = -sum(divisor.xs) + 0.5 * sum(gs.endpoints)
-    return HerglotzPair(gs=gs, divisor=divisor, t_coeffs=tuple(map(float, t_raw)), p0sq=p0sq, q0=q0)
+    return HerglotzPair(gs=gs, divisor=divisor, t_coeffs=tuple(map(float, t_raw)),
+                        t_centred=tuple(map(float, t)), p0sq=p0sq, q0=q0)
 
 
 def reflectionless_residual(gs, pair, x):

@@ -7,7 +7,7 @@ root of R(z) = (z-a0)(z-b0) prod (z-a_j)(z-b_j) with branch cuts on E.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebroots, chebval, chebvander
@@ -44,9 +44,10 @@ class GapSystem:
     def n_gaps(self):
         return len(self.gaps)
 
-    @property
+    @cached_property
     def endpoints(self):
-        """All 2N+2 branch points of R, sorted."""
+        """All 2N+2 branch points of R, sorted; computed once per instance and
+        kept out of the dataclass fields, so equality and hashing ignore it."""
         pts = [self.b0, self.a0]
         for a, b in self.gaps:
             pts.extend((a, b))

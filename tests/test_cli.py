@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,3 +161,39 @@ class TestContract:
 
     def test_verify_passes_on_fixtures(self, capsys):
         assert main(["verify"]) == 0
+
+
+class TestRuntimeDependencies:
+    """numpy and mpmath are the runtime dependencies; scipy serves the tests
+    and the benchmark only.  Each check runs in a fresh interpreter, where
+    nothing has imported scipy yet."""
+
+    SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+    def _python(self, code):
+        env = dict(os.environ, PYTHONPATH=self.SRC)
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    def test_cli_import_loads_no_scipy(self):
+        proc = self._python(
+            "import sys, finitegap.cli\n"
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_comb_inverse_without_scipy(self, tmp_path):
+        doc = {"teeth": [{"omega": 0.5, "h": float(np.log(np.sqrt(3.0)))}],
+               "bracket": {"band": [-2.0, 2.0], "gaps": [[-0.8, 0.9]]}}
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        proc = self._python(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from finitegap.cli import main\n"
+            f"sys.exit(main(['comb', '--input', {str(path)!r}]))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        gaps = json.loads(proc.stdout)["gaps"]
+        assert np.allclose(gaps, [[-1.0, 1.0]], atol=1e-10)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import spaced_gap_system
 from finitegap import comb as cb
 from finitegap.errors import SolverError, ValidationError
 from finitegap.spectral_set import GapSystem, critical_points
@@ -86,6 +87,68 @@ class TestInverseMap:
         c = cb.CombData(teeth=((0.5, 0.3),))
         with pytest.raises(ValidationError):
             cb.gaps_from_comb(c, two_gap)
+
+
+def _perturbed_bracket(gs, rng):
+    """gs with every interior endpoint moved by up to 10 % of the shorter of
+    its two neighbouring segments, as the benchmark draws its brackets."""
+    pts = list(gs.endpoints)
+    moved = list(pts)
+    for i in range(1, len(pts) - 1):
+        room = min(pts[i] - pts[i - 1], pts[i + 1] - pts[i])
+        moved[i] = pts[i] + room * rng.uniform(-0.1, 0.1)
+    inner = moved[1:-1]
+    return GapSystem(gs.b0, gs.a0, tuple(zip(inner[::2], inner[1::2])))
+
+
+class TestLevenbergMarquardt:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (0.25, -0.4), (4.0, 6.5)])
+    def test_moved_set_roundtrip(self, n, scale, shift):
+        rng = np.random.default_rng([n, int(100 * scale)])
+        for _ in range(2):
+            gs = spaced_gap_system(rng, n, scale=scale, shift=shift)
+            rec = cb.gaps_from_comb(cb.comb_from_gaps(gs), _perturbed_bracket(gs, rng))
+            err = np.max(np.abs(np.asarray(rec.gaps) - np.asarray(gs.gaps)))
+            assert err <= 1e-12 * gs.diameter
+
+    def test_unreachable_comb_raises_with_residual(self, monkeypatch):
+        # frequencies decrease from gap 1 to gap 2 on every 2-gap set
+        comb = cb.CombData(teeth=((0.3, 0.2), (0.6, 0.2)))
+        bracket = GapSystem(-2.0, 2.0, ((-1.0, -0.5), (0.5, 1.0)))
+        seen = _record_inner_sets(monkeypatch)
+        with pytest.raises(SolverError, match="did not reach tolerance") as info:
+            cb.gaps_from_comb(comb, bracket)
+        assert np.isfinite(info.value.residual) and info.value.residual > 1e-8
+        # one start, then per iteration one trial and at most one Jacobian of
+        # a forward and a backward point per endpoint
+        assert len(seen) <= 1 + (cb._LM_MAX_ITER + 1) * (1 + 4 * 2 * bracket.n_gaps)
+
+    def test_residual_sees_only_ordered_sets(self, monkeypatch, two_gap, two_gap_cp):
+        seen = _record_inner_sets(monkeypatch)
+        bracket = GapSystem(-2.0, 3.0, ((-1.1, -0.25), (0.7, 1.7)))
+        cb.gaps_from_comb(cb.comb_from_gaps(two_gap, two_gap_cp), bracket)
+        with pytest.raises(SolverError):
+            cb.gaps_from_comb(cb.CombData(teeth=((0.3, 0.2), (0.6, 0.2))), bracket)
+        with pytest.raises(SolverError):  # pushes the gap against both band edges
+            cb.gaps_from_comb(cb.CombData(teeth=((0.4, 50.0),)),
+                              GapSystem(-2.0, 3.0, ((0.0, 1.0),)))
+        assert seen
+        for gs in seen:  # GapSystem itself enforces a_1 < b_1 < ... < a_N < b_N
+            margin = 1e-8 * gs.diameter
+            assert gs.gaps[0][0] > gs.b0 + margin and gs.gaps[-1][1] < gs.a0 - margin
+
+
+def _record_inner_sets(monkeypatch):
+    """Every gap system the comb inverse hands to critical_points."""
+    seen = []
+
+    def recording(gs, *args, **kwargs):
+        seen.append(gs)
+        return critical_points(gs, *args, **kwargs)
+
+    monkeypatch.setattr(cb, "critical_points", recording)
+    return seen
 
 
 class TestTruncation:

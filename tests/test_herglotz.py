@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_divisor
+from conftest import random_divisor, spaced_gap_system
 from finitegap.errors import ValidationError
 from finitegap.herglotz import (
     Divisor,
@@ -89,6 +89,26 @@ class TestSplitResolvents:
         for j, (x, e) in enumerate(d.points, start=1):
             t = np.polynomial.polynomial.polyval(x, pair.t_coeffs)
             assert t == pytest.approx(e * sqrt_R_gap(two_gap, j, x), abs=1e-10)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e2, 1e3, 1e4])
+    def test_interpolation_on_translated_sets(self, shift):
+        # T is evaluated on the centred set; read from the raw monomial
+        # coefficients it misses these values by a relative 8 at shift 1e3
+        # and 1e5 at shift 1e4
+        from finitegap.spectral_set import sqrt_R_gap
+
+        rng = np.random.default_rng(7)
+        gs = spaced_gap_system(rng, 4, shift=shift)
+        d = random_divisor(gs, rng, margin=0.1)
+        pair = split_resolvents(gs, d)
+        for j, (x, e) in enumerate(d.points, start=1):
+            sr = sqrt_R_gap(gs, j, x)
+            assert abs(pair.t(x) - e * sr) <= 1e-10 * abs(sr)
+        lo, hi = gs.bands[1]
+        assert reflectionless_residual(gs, pair, 0.5 * (lo + hi)) < 1e-10
+        # u and v depend on T alone through its sign and size: both Herglotz
+        zs = rng.uniform(gs.b0, gs.a0, 20) + 1j * rng.uniform(0.05, 2.0, 20)
+        assert np.min(np.imag(pair.u(zs))) > 0 and np.min(np.imag(pair.v(zs))) > 0
 
     def test_eps_flip_preserves_p0sq_parity(self, one_gap):
         # both signs give valid positive p0^2
