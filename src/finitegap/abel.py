@@ -19,7 +19,7 @@ from .quad import DEFAULT_QTOL
 from .spectral_set import (
     _chebval_centred,
     _harmonic_poly_coeffs,
-    _rest_abs,
+    _rest_root,
     critical_points,
     gap_branch_sign,
     green,
@@ -134,9 +134,8 @@ def _abel_series(gs):
         m_idx = np.arange(1, half + 1)
         fhat = np.empty((n, n, half + 1))
         for k in range(n):
-            lo, hi = gs.gap(k + 1)
             x = mids[k] + halfs[k] * np.cos(phi_half)
-            root = np.sqrt(_rest_abs(gs, (lo, hi), x))
+            root = _rest_root(gs, *gs.gap(k + 1))(x)
             g_half = -0.5 * gap_branch_sign(gs, k + 1) * _chebval_centred(gs, coeffs.T, x) / root
             g = np.concatenate([g_half, g_half[:, -2:0:-1]], axis=1)  # even extension
             fhat[:, k] = np.fft.rfft(g, axis=1).real / m_grid

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .spectral_set import GapSystem, _centred, _frame, dos_density, gap_branch_sign, sqrt_R
+from .spectral_set import GapSystem, _centred, _frame, _prod, dos_density, gap_branch_sign, sqrt_R
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,7 @@ class HerglotzPair:
     q0: float
 
     def _pi(self, z):
-        out = np.ones_like(np.asarray(z, dtype=complex))
-        for x in self.divisor.xs:
-            out = out * (np.asarray(z, dtype=complex) - x)
-        return out
+        return _prod(np.asarray(z, dtype=complex), np.array(self.divisor.xs))
 
     def t(self, z):
         """T(z) = half^(N+1) T_c((z - mid) / half)."""
@@ -123,10 +120,7 @@ def r00(gs, divisor, z):
     """Diagonal resolvent element restored from the divisor: -Pi(z)/sqrt(R)."""
     divisor.validate(gs)
     z = np.asarray(z, dtype=complex)
-    num = np.ones_like(z)
-    for x in divisor.xs:
-        num = num * (z - x)
-    out = -num / sqrt_R(gs, z)
+    out = -_prod(z, np.array(divisor.xs)) / sqrt_R(gs, z)
     return out if out.shape else complex(out)
 
 

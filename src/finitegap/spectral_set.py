@@ -4,6 +4,12 @@ Green's function with respect to infinity, its critical points, harmonic
 measures of the right-tail pieces E_k = E cap [b_k, a0], the density of
 states, and the Thouless potential.  Everything is driven by the square
 root of R(z) = (z-a0)(z-b0) prod (z-a_j)(z-b_j) with branch cuts on E.
+
+Each of these is an integral of p(t) dt / sqrt(R(t)) for a polynomial p
+(times log|z - t| for the Thouless potential), taken on one of two paths:
+_edge_integral runs along a band or gap from its left edge with the weight
+1 / sqrt|R|, and _ray_integral runs from b0 or a0 straight to a point
+outside [b0, a0] or off the real axis with the complex branch of sqrt(R).
 """
 
 from dataclasses import dataclass
@@ -140,34 +146,55 @@ def sqrt_R(gs, z):
     return out if out.shape else complex(out)
 
 
-def _abs_R(gs, x):
-    out = np.ones_like(np.asarray(x, dtype=float))
-    for e in gs.endpoints:
-        out = out * np.abs(x - e)
-    return out
+def _prod(x, roots):
+    """prod_r (x - r) over the 1-D ndarray ``roots`` for an array x: one broadcast
+    product reduced along axis 0, so the factors multiply in the order of roots."""
+    x = np.asarray(x)
+    return np.multiply.reduce(x - roots.reshape((-1,) + (1,) * x.ndim), axis=0)
 
 
-def _rest_abs(gs, pair, x):
-    """|R(x)| with the two endpoints of ``pair`` factored out."""
-    lo, hi = pair
-    out = np.ones_like(np.asarray(x, dtype=float))
-    for e in gs.endpoints:
-        if e == lo or e == hi:
-            continue
-        out = out * np.abs(x - e)
-    return out
+def _rest_root(gs, lo, hi):
+    """t -> sqrt|R(t) / ((t - lo)(t - hi))| for two branch points lo, hi of gs."""
+    rest = np.array([e for e in gs.endpoints if e != lo and e != hi])
+    return lambda t: np.sqrt(np.abs(_prod(t, rest)))
 
 
 def sqrt_R_gap(gs, j, x):
     """Real boundary value of sqrt(R) on gap j."""
-    return gap_branch_sign(gs, j) * np.sqrt(_abs_R(gs, x))
+    return gap_branch_sign(gs, j) * np.sqrt(np.abs(_prod(x, np.array(gs.endpoints))))
 
 
-def _prod_c(c, x):
-    out = np.ones_like(np.asarray(x, dtype=float))
-    for ck in c:
-        out = out * (x - ck)
-    return out
+def _edge_integral(gs, num, lo, hi, x, qtol):
+    """int_lo^x num(t) dt / sqrt|R(t)| over the band or gap [lo, hi] of gs, for
+    lo <= x <= hi: one Chebyshev rule at x = hi, theta_partial_quad otherwise.
+    A num of shape (m, n) on n nodes gives m integrals."""
+    root = _rest_root(gs, lo, hi)
+
+    def g(t):
+        return num(t) / root(t)
+
+    if x == hi:
+        return chebyshev_quad(g, lo, hi, qtol)
+    return theta_partial_quad(g, lo, hi, x, qtol)
+
+
+def _ray_integral(gs, num, edge, z, qtol):
+    """Re int_edge^z num(t) dt / sqrt(R(t)) from the branch point edge, in the
+    branch of sqrt_R, along t = edge + s^2 (z - edge), s in [0, 1].
+
+    The factor sqrt(t - edge) of sqrt(R) is s sqrt(z - edge) exactly; it
+    cancels against dt = 2 s (z - edge) ds, so the integrand is smooth and
+    never divides by the rounded difference t - edge.
+    """
+    span = complex(z) - edge
+    rest = np.array([[e] for e in gs.endpoints if e != edge])
+    scale = 2.0 * np.sqrt(span)
+
+    def f(s):
+        t = edge + s * s * span
+        return np.real(scale * num(t) / np.multiply.reduce(np.sqrt(t - rest), axis=0))
+
+    return gl_quad(f, 0.0, 1.0, qtol)
 
 
 def _frame(gs):
@@ -194,14 +221,9 @@ def _gap_moments(cs, qtol):
     """M[j-1, m] = int_{gap j} T_m(s) ds / sqrt|R(s)|, m = 0..N, on the centred set cs, one
     vector quadrature per gap; for gs, dt / sqrt|R(t)| = half^-N ds / sqrt|R_cs(s)|."""
     n = cs.n_gaps
-    ends = np.array(cs.endpoints)
-    mom = np.empty((n, n + 1))
-    for j, (lo, hi) in enumerate(cs.gaps):
-        rest = np.concatenate((ends[: 2 * j + 1], ends[2 * j + 3 :]))[:, None]
-        mom[j] = chebyshev_quad(
-            lambda s: chebvander(s, n).T / np.sqrt(np.prod(np.abs(s - rest), axis=0)), lo, hi, qtol
-        )
-    return mom
+    return np.array([
+        _edge_integral(cs, lambda s: chebvander(s, n).T, lo, hi, hi, qtol) for lo, hi in cs.gaps
+    ])
 
 
 def critical_points(gs, qtol=DEFAULT_QTOL):
@@ -227,10 +249,7 @@ def critical_points(gs, qtol=DEFAULT_QTOL):
     s = np.sort(chebroots(p).real)
     mid, half = _frame(gs)
     lo, hi = np.array(gs.gaps).T
-    res = np.array([
-        chebyshev_quad(lambda t: _prod_c(s, t) / np.sqrt(_rest_abs(cs, (a, b), t)), a, b, qtol)
-        for a, b in cs.gaps
-    ])
+    res = np.array([_edge_integral(cs, partial(_prod, roots=s), a, b, b, qtol) for a, b in cs.gaps])
     # prod(s - s_k) = 2^(1-N) P and |T_m| <= 1 on the centred set, so the integral
     # of |prod(s - s_k)| / sqrt|R| over gap j is at most 2^(1-N) M[j, 0] sum |p_m|
     if np.any(np.abs(res) > 1e3 * qtol * 2.0 ** (1 - n) * mom[:, 0] * np.abs(p).sum()):
@@ -243,56 +262,34 @@ def critical_points(gs, qtol=DEFAULT_QTOL):
     c = mid + half * s
     if not np.all((lo < c) & (c < hi)):
         raise SolverError("critical point outside its gap", iterate=c)
-    h = tuple(_gap_green_value(cs, s, j, s[j - 1]) for j in range(1, n + 1))
-    return CriticalPoints(c=tuple(c), h=h)
-
-
-def _gap_green_value(gs, c, j, x):
-    """G(x) for real x inside gap j, by integrating from the left gap edge."""
-    lo, hi = gs.gap(j)
-    val = theta_partial_quad(
-        lambda t: _prod_c(c, t) / np.sqrt(_rest_abs(gs, (lo, hi), t)), lo, hi, x
+    h = tuple(
+        abs(_edge_integral(cs, partial(_prod, roots=s), a, b, sj, qtol))
+        for (a, b), sj in zip(cs.gaps, s)
     )
-    return abs(val)
+    return CriticalPoints(c=tuple(c), h=h)
 
 
 def green(gs, cp, z, qtol=DEFAULT_QTOL):
     """Green's function G(z) of the complement of E, pole at infinity.
 
-    Real part of the abelian integral of prod(z - c_j) dz / sqrt(R) from a0;
-    zero on E by construction of the critical points.
+    Real part of the abelian integral of prod(z - c_j) dz / sqrt(R) from a
+    branch point: in a gap from its left edge, left of b0 from b0, otherwise
+    from a0; zero on E by construction of the critical points.
     """
-    c = np.asarray(cp.c)
+    num = partial(_prod, roots=np.asarray(cp.c))
     z = complex(z)
+    edge = gs.a0
     if z.imag == 0.0:
-        x = z.real
-        if gs.on_set(x):
+        z = z.real
+        if gs.on_set(z):
             return 0.0
-        kind = gs.locate(x)
+        kind = gs.locate(z)
         if kind[0] == "gap":
-            return _gap_green_value(gs, c, kind[1], x)
-        if kind[0] == "right":
-            edge = gs.a0
-        else:
+            lo, hi = gs.gap(kind[1])
+            return abs(_edge_integral(gs, num, lo, hi, z, qtol))
+        if kind[0] == "left":
             edge = gs.b0
-        span = x - edge
-
-        def integrand(s):
-            t = edge + s * s * span
-            return np.real(
-                _prod_c(c, t) / np.real(sqrt_R(gs, t + 0.0j)) * 2.0 * s * span
-            )
-
-        return abs(gl_quad(integrand, 0.0, 1.0, qtol))
-    # complex z: straight path from a0 with the endpoint singularity removed
-    span = z - gs.a0
-
-    def fre(s):
-        t = gs.a0 + s * s * span
-        vals = np.prod([t - ck for ck in c], axis=0) if len(c) else np.ones_like(t)
-        return np.real(vals / sqrt_R(gs, t) * 2.0 * s * span)
-
-    return max(0.0, gl_quad(fre, 0.0, 1.0, qtol))
+    return max(0.0, _ray_integral(gs, num, edge, z, qtol))
 
 
 @lru_cache(maxsize=32)
@@ -318,13 +315,13 @@ def _harmonic_poly_coeffs(gs, qtol):
     return coeffs.T  # row k-1 = coefficients of P_k
 
 
-def _band_index_base(k, j):
-    """Boundary value of omega_k on the band just left of gap j."""
-    return 1.0 if j > k else 0.0
-
-
 def harmonic_measure(gs, cp, k, x, qtol=DEFAULT_QTOL):
-    """Harmonic measure omega_k(x) of E_k = E cap [b_k, a0] at real x."""
+    """Harmonic measure omega_k(x) of E_k = E cap [b_k, a0] at real x.
+
+    omega_k is 1 on E_k and 0 on the rest of E; off E it is that boundary
+    value at a branch point plus int P_k(t) dt / sqrt(R(t)) from there, with
+    P_k from _harmonic_poly_coeffs.
+    """
     if not 1 <= k <= gs.n_gaps:
         raise ValidationError(f"gap index {k} out of range")
     kind = gs.locate(x)
@@ -335,21 +332,10 @@ def harmonic_measure(gs, cp, k, x, qtol=DEFAULT_QTOL):
         j = kind[1]
         lo, hi = gs.gap(j)
         sj = gap_branch_sign(gs, j)
-        val = theta_partial_quad(
-            lambda t: sj * poly(t) / np.sqrt(_rest_abs(gs, (lo, hi), t)), lo, hi, x, qtol
-        )
-        return _band_index_base(k, j) + val
+        return float(j > k) + _edge_integral(gs, lambda t: sj * poly(t), lo, hi, x, qtol)
     if kind[0] == "right":
-        edge, base, sign = gs.a0, 1.0, 1.0
-    else:
-        edge, base, sign = gs.b0, 0.0, (-1.0) ** (gs.n_gaps + 1)
-    span = x - edge
-
-    def integrand(s):
-        t = edge + s * s * span
-        return poly(t) / (sign * np.sqrt(_abs_R(gs, t) / np.abs(t - edge))) * 2.0 * s * span
-
-    return base + gl_quad(integrand, 0.0, 1.0, qtol)
+        return 1.0 + _ray_integral(gs, poly, gs.a0, x, qtol)
+    return _ray_integral(gs, poly, gs.b0, x, qtol)
 
 
 def harmonic_measure_density(gs, cp, k, x):
@@ -375,21 +361,14 @@ def dos_density(gs, cp, x):
     scale = max(1.0, gs.diameter)
     if min(abs(x - lo), abs(hi - x)) < _EDGE_TOL * scale:
         raise ValidationError("integrable singularity at band endpoint")
-    return float(np.abs(_prod_c(np.asarray(cp.c), x)) / (np.pi * np.sqrt(_abs_R(gs, x))))
+    root = np.sqrt(np.abs(_prod(x, np.array(gs.endpoints))))
+    return float(_dos_numerator(cp)(x) / (np.pi * root))
 
 
-def _band_mass(gs, cp, m, qtol=DEFAULT_QTOL):
-    lo, hi = gs.bands[m]
+def _dos_numerator(cp):
+    """t -> |prod(t - c_j)|: pi times the dos density is this over sqrt|R|."""
     c = np.asarray(cp.c)
-    return (
-        chebyshev_quad(
-            lambda t: np.abs(_prod_c(c, t)) / np.sqrt(_rest_abs(gs, (lo, hi), t)),
-            lo,
-            hi,
-            qtol,
-        )
-        / np.pi
-    )
+    return lambda t: np.abs(_prod(t, c))
 
 
 def frequencies(gs, cp, qtol=DEFAULT_QTOL):
@@ -397,49 +376,30 @@ def frequencies(gs, cp, qtol=DEFAULT_QTOL):
     n = gs.n_gaps
     if n == 0:
         return np.zeros(0)
-    masses = np.array([_band_mass(gs, cp, m, qtol) for m in range(n + 1)])
+    num = _dos_numerator(cp)
+    masses = np.array([_edge_integral(gs, num, lo, hi, hi, qtol) / np.pi for lo, hi in gs.bands])
     return np.array([masses[k:].sum() for k in range(1, n + 1)])
 
 
 def dos_cdf(gs, cp, x, qtol=DEFAULT_QTOL):
     """Integrated density of states: dos mass of E cap (-inf, x]."""
+    num = _dos_numerator(cp)
     total = 0.0
-    c = np.asarray(cp.c)
-    for m, (lo, hi) in enumerate(gs.bands):
-        if x >= hi:
-            total += _band_mass(gs, cp, m, qtol)
-        elif x > lo:
-            total += (
-                theta_partial_quad(
-                    lambda t: np.abs(_prod_c(c, t)) / np.sqrt(_rest_abs(gs, (lo, hi), t)),
-                    lo,
-                    hi,
-                    x,
-                    qtol,
-                )
-                / np.pi
-            )
+    for lo, hi in gs.bands:
+        if x > lo:
+            total += _edge_integral(gs, num, lo, hi, min(x, hi), qtol) / np.pi
     return min(1.0, total)
 
 
 def thouless_potential(gs, cp, z, qtol=DEFAULT_QTOL):
     """Logarithmic potential int_E log|z - x| d omega(x) by quadrature."""
     z = complex(z)
-    c = np.asarray(cp.c)
-    total = 0.0
-    for lo, hi in gs.bands:
-        total += (
-            chebyshev_quad(
-                lambda t: np.log(np.abs(z - t))
-                * np.abs(_prod_c(c, t))
-                / np.sqrt(_rest_abs(gs, (lo, hi), t)),
-                lo,
-                hi,
-                qtol,
-            )
-            / np.pi
-        )
-    return total
+    dos = _dos_numerator(cp)
+
+    def num(t):
+        return np.log(np.abs(z - t)) * dos(t)
+
+    return sum(_edge_integral(gs, num, lo, hi, hi, qtol) / np.pi for lo, hi in gs.bands)
 
 
 def robin_constant(gs, cp, qtol=DEFAULT_QTOL):

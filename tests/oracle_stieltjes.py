@@ -27,8 +27,17 @@ def halfline_measure(gs, divisor, nodes_per_band=400):
         imr = np.imag(pair.r_plus(x + 0.0j))
         xs.append(x)
         ws.append(imr / np.pi * rad * np.sin(theta) * wth)
-    tpoly = np.polynomial.Polynomial(pair.t_coeffs)
-    dt = tpoly.deriv()
+    # T and T' from the centred coefficients: T(x) = half^(N+1) T_c(s) and
+    # T'(x) = half^N T_c'(s) at s = (x - mid) / half
+    mid, half = 0.5 * (gs.a0 + gs.b0), 0.5 * (gs.a0 - gs.b0)
+    dtc = np.polynomial.Polynomial(pair.t_centred).deriv()
+
+    def tpoly(x):
+        return pair.t(x).real
+
+    def dt(x):
+        return half ** gs.n_gaps * dtc((x - mid) / half)
+
     for j, (xj, _) in enumerate(divisor.points, start=1):
         a, b = gs.gap(j)
         width = b - a

@@ -80,3 +80,44 @@ def test_install_read_resolves(name):
 def test_cleared_cache_resolves(key, expr):
     assert key == expr
     assert callable(_resolve(key).cache_clear)
+
+
+# bench/tracer.py counts quad.calls and quad.points by replacing the rules
+# that spectral_set holds as module attributes; a helper that bound a rule at
+# definition time would run uncounted
+_CALLERS = [
+    pytest.param(lambda ss, gs, cp: ss.critical_points(gs), "chebyshev_quad",
+                 id="critical_points-moments"),
+    pytest.param(lambda ss, gs, cp: ss.critical_points(gs), "theta_partial_quad",
+                 id="critical_points-heights"),
+    pytest.param(lambda ss, gs, cp: ss.green(gs, cp, -0.6), "theta_partial_quad", id="green-gap"),
+    pytest.param(lambda ss, gs, cp: ss.green(gs, cp, 4.0), "gl_quad", id="green-outside"),
+    pytest.param(lambda ss, gs, cp: ss.green(gs, cp, 1.0j), "gl_quad", id="green-complex"),
+    pytest.param(lambda ss, gs, cp: ss.harmonic_measure(gs, cp, 1, -0.6), "theta_partial_quad",
+                 id="harmonic_measure-gap"),
+    pytest.param(lambda ss, gs, cp: ss.harmonic_measure(gs, cp, 1, 4.0), "gl_quad",
+                 id="harmonic_measure-outside"),
+    pytest.param(lambda ss, gs, cp: ss.dos_cdf(gs, cp, 0.0), "theta_partial_quad", id="dos_cdf"),
+    pytest.param(lambda ss, gs, cp: ss.frequencies(gs, cp), "chebyshev_quad", id="frequencies"),
+    pytest.param(lambda ss, gs, cp: ss.thouless_potential(gs, cp, 4.0), "chebyshev_quad",
+                 id="thouless_potential"),
+]
+
+
+@pytest.mark.parametrize("call, rule", _CALLERS)
+def test_quadrature_rule_looked_up_at_call_time(call, rule, two_gap, two_gap_cp, monkeypatch):
+    ss = importlib.import_module("finitegap.spectral_set")
+    seen = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            seen.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("chebyshev_quad", "theta_partial_quad", "gl_quad"):
+        monkeypatch.setattr(ss, name, spy(name, getattr(ss, name)))
+    ss._harmonic_poly_coeffs.cache_clear()
+    call(ss, two_gap, two_gap_cp)
+    assert rule in seen

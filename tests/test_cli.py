@@ -43,6 +43,11 @@ class TestBasicCommands:
         doc = run_json(capsys, ["harmonic", "--k", "1", "--z", "1.5"], ONE_GAP, tmp_path)
         assert doc["omega"] == 1.0
 
+    def test_harmonic_outside_the_set(self, capsys, tmp_path):
+        two_gap = {"band": [-2.0, 3.0], "gaps": [[-1.0, -0.3], [0.8, 1.6]]}
+        doc = run_json(capsys, ["harmonic", "--k", "1", "--z=4.0"], two_gap, tmp_path)
+        assert doc["omega"] == pytest.approx(0.8413, abs=1e-4)
+
     def test_dos(self, capsys, tmp_path):
         doc = run_json(capsys, ["dos", "--z", "1.5"], ONE_GAP, tmp_path)
         assert 0.0 < doc["cdf"] < 1.0

@@ -238,6 +238,18 @@ class TestStieltjesOracle:
             assert po[n] == pytest.approx(seg.p_at(-n - 1), abs=tol)
         _assert_as_at_512_bits(gs, d, seg)
 
+    @pytest.mark.parametrize("shift", [0.0, 1e2, 1e3])
+    def test_measure_on_translated_sets(self, shift):
+        # T and T' of the oracle come from the centred coefficients; read from
+        # the raw monomials they found 5 atoms at shift 1e2 and a negative one
+        # at 1e3
+        rng = np.random.default_rng(7)
+        gs = spaced_gap_system(rng, 4, shift=shift)
+        xs, ws = halfline_measure(gs, random_divisor(gs, rng, margin=0.1))
+        assert ws.sum() == pytest.approx(1.0, abs=1e-9)
+        atoms = ws[400 * (gs.n_gaps + 1):]
+        assert len(atoms) == 3 and np.all(atoms > 0)
+
 
 class TestTransfer:
     def test_orthogonal_poly_start(self, one_gap, rng):

@@ -202,19 +202,63 @@ class TestHarmonicMeasure:
 
     def test_qtol_reaches_period_matrix(self, two_gap, two_gap_cp, monkeypatch):
         # in a gap the only Chebyshev quadratures are the period matrix's:
-        # one vector quadrature of the N + 1 moments per gap
-        seen = []
-        quad = spectral_set.chebyshev_quad
+        # one vector quadrature of the N + 1 moments per gap; the partial
+        # integrals of h, of G in a gap and of omega in a gap take qtol too
+        seen, seen_partial = [], []
+        quad, partial = spectral_set.chebyshev_quad, spectral_set.theta_partial_quad
 
         def spy(g, lo, hi, qtol):
             seen.append(qtol)
             return quad(g, lo, hi, qtol)
 
+        def spy_partial(g, lo, hi, x, qtol=None):
+            seen_partial.append(qtol)
+            return partial(g, lo, hi, x, qtol)
+
         monkeypatch.setattr(spectral_set, "chebyshev_quad", spy)
+        monkeypatch.setattr(spectral_set, "theta_partial_quad", spy_partial)
         spectral_set._harmonic_poly_coeffs.cache_clear()
         loose = harmonic_measure(two_gap, two_gap_cp, 1, -0.6, qtol=1e-6)
         assert seen == [1e-6] * 2
+        assert seen_partial == [1e-6]
         assert loose == pytest.approx(harmonic_measure(two_gap, two_gap_cp, 1, -0.6), abs=1e-6)
+        seen_partial.clear()
+        cp = critical_points(two_gap, qtol=1e-6)
+        green(two_gap, cp, -0.6, qtol=1e-6)
+        assert seen_partial == [1e-6] * 3
+        assert cp.h == pytest.approx(two_gap_cp.h, abs=1e-6)
+
+    @pytest.mark.parametrize("x", [-3.0, -2.1, 3.1, 4.0, 50.0])
+    def test_outside_the_set(self, two_gap, two_gap_cp, x):
+        # omega_k(x) = omega_k(edge) + int_edge^x P_k / sqrt(R) from the nearest
+        # edge, where sqrt(R) = +-sqrt|R| (+ right of a0, (-1)^(N+1) left of
+        # b0); scipy's algebraic weight takes the edge singularity
+        from scipy.integrate import quad
+
+        ends = np.array(two_gap.endpoints)
+        for k in (1, 2):
+            coeffs = spectral_set._harmonic_poly_coeffs(two_gap, 1e-12)[k - 1]
+            if x > two_gap.a0:
+                rest = ends[ends != two_gap.a0]
+                f = lambda t: spectral_set._chebval_centred(two_gap, coeffs, t) / np.sqrt(
+                    np.prod(np.abs(t - rest)))
+                ref = 1.0 + quad(f, two_gap.a0, x, weight="alg", wvar=(-0.5, 0.0),
+                                 epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            else:
+                rest = ends[ends != two_gap.b0]
+                f = lambda t: spectral_set._chebval_centred(two_gap, coeffs, t) / np.sqrt(
+                    np.prod(np.abs(t - rest)))
+                ref = quad(f, x, two_gap.b0, weight="alg", wvar=(0.0, -0.5),
+                           epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            assert harmonic_measure(two_gap, two_gap_cp, k, x) == pytest.approx(ref, rel=1e-10)
+
+    def test_tends_to_frequencies(self, two_gap, two_gap_cp):
+        # harmonic measure at infinity of E_k is the dos mass of bands k..N,
+        # which frequencies computes from band integrals
+        om = frequencies(two_gap, two_gap_cp)
+        for x in (-1e6 * two_gap.diameter, 1e6 * two_gap.diameter):
+            for k in (1, 2):
+                assert abs(harmonic_measure(two_gap, two_gap_cp, k, x) - om[k - 1]) < 1e-5
 
     def test_density_sign(self, two_gap, two_gap_cp):
         # omega_1 decreases through gap 2 toward the right tail piece E_2 complement
