@@ -5,16 +5,25 @@ The pair u = -1/r_plus and v = p0^2 r_minus is represented as
 (sqrt(R) +- T) / (2 Pi) with a monic polynomial T of degree N+1 and
 Pi(z) = prod (z - x_j) over the divisor points.  T has a closed form
 (t_poly) with no linear solve.  It is evaluated on the set centred by
-s = (t - mid) / half of [b0, a0], in float64 by split_resolvents and in
-mpmath by jacobi_cf.initial_state.
+s = (t - mid) / half of [b0, a0], where |s| <= 1, in fixed point: an
+integer v stands for v / 2^w.  A sum of products is summed exactly and
+shifted once, square roots are `math.isqrt`, floats enter exactly through
+`float.as_integer_ratio` and leave through one correctly rounded integer
+true division.  split_resolvents runs t_poly at w = _T_BITS and rounds to
+float64; jacobi_cf.initial_state runs it at w = prec.
 """
 
 from dataclasses import dataclass
+from math import isqrt, prod
+from operator import mul
 
 import numpy as np
 
 from .errors import SolverError, ValidationError
 from .spectral_set import GapSystem, _centred, _frame, _prod, dos_density, gap_branch_sign, sqrt_R
+
+# fixed-point bits of T in split_resolvents; at 64 T missed float64 by 1.5e-11
+_T_BITS = 128
 
 
 @dataclass(frozen=True)
@@ -124,17 +133,39 @@ def r00(gs, divisor, z):
     return out if out.shape else complex(out)
 
 
-def _mul_linear(p, r):
-    """Ascending coefficients of p(z) (z - r)."""
-    return [-r * p[0]] + [p[i - 1] - r * p[i] for i in range(1, len(p))] + [p[-1]]
+def _to_fixed(x, w):
+    """The fixed-point integer of float x at w fractional bits, round(x 2^w)
+    floored; exact when 2^w x is an integer."""
+    num, den = float(x).as_integer_ratio()
+    return (num << w) // den
 
 
-def _pfromroots(roots):
-    """Ascending coefficients of the monic polynomial prod (z - r), in plain
-    arithmetic: floats for floats, mpf at the working precision for mpf."""
-    out = [1]
+def _from_fixed(v, w, half=1.0, k=1, mid=0.0):
+    """mid + half^k v / 2^w for fixed-point v, correctly rounded to float64
+    by one integer true division."""
+    hn, hd = float(half).as_integer_ratio()
+    mn, md = float(mid).as_integer_ratio()
+    den = hd ** k << w
+    return (mn * den + md * hn ** k * v) / (md * den)
+
+
+def _conv(a, b, k):
+    """Exact z^k coefficient of a * b for integer coefficients: the sum of
+    the products a_i b_(k-i), at the sum of the two scales."""
+    lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
+    return sum(map(mul, a[lo:hi + 1], b[k - hi:k - lo + 1][::-1]))
+
+
+def _mul_linear(p, r, w):
+    """Ascending fixed-point coefficients of p(z) (z - r) at w bits."""
+    return [-(r * p[0] >> w)] + [p[i - 1] - (r * p[i] >> w) for i in range(1, len(p))] + [p[-1]]
+
+
+def _pfromroots(roots, w):
+    """Ascending fixed-point coefficients of the monic prod (z - r) at w bits."""
+    out = [1 << w]
     for r in roots:
-        out = _mul_linear(out, r)
+        out = _mul_linear(out, r, w)
     return out
 
 
@@ -150,10 +181,10 @@ def centred_divisor(gs, divisor):
     return divisor, _centred(gs), pts
 
 
-def t_poly(ends, points):
-    """Ascending coefficients of T for the branch points ``ends`` and the
-    divisor ``points`` (x_j, sigma_j) of centred_divisor, in plain
-    arithmetic, so that floats give float64 and mpf the working precision.
+def t_poly(ends, points, w):
+    """Ascending fixed-point coefficients of T at w bits, for the branch
+    points ``ends`` and the divisor ``points`` (x_j, sigma_j) of
+    centred_divisor, both in fixed point.
 
     With y_j = sigma_j sqrt|R(x_j)|, zero at a gap endpoint, and
     s1 = -sum(ends) / 2,
@@ -162,49 +193,51 @@ def t_poly(ends, points):
 
     is the unique monic T of degree N+1 with T(x_j) = y_j and z^N
     coefficient s1; each Pi / (z - x_j) is a synthetic division of Pi.
+    |R(x_j)| and Pi'(x_j) are exact integer products, at 2^(w(2N+2)) and
+    2^(w(N-1)), so y_j / Pi'(x_j) is one integer square root and one
+    division.
     """
     xs = [x for x, _ in points]
     n = len(xs)
-    pi = _pfromroots(xs)
-    t = _mul_linear(pi, sum(ends) / 2 - sum(xs))
+    pi = _pfromroots(xs, w)
+    t = _mul_linear(pi, (sum(ends) >> 1) - sum(xs), w)
     for j, (x, sigma) in enumerate(points):
-        rabs = 1
-        for e in ends:
-            rabs *= abs(x - e)
-        w = sigma * rabs ** 0.5
-        for k, xk in enumerate(xs):
-            if k != j:
-                w /= x - xk
+        y = isqrt(prod(abs(x - e) for e in ends))
+        c = (-y if sigma < 0 else y) // (prod(x - xk for k, xk in enumerate(xs) if k != j) << w)
         q = pi[n]
         for k in range(n - 1, -1, -1):
-            t[k] += w * q
-            q = pi[k] + x * q
+            t[k] += c * q >> w
+            q = pi[k] + (x * q >> w)
     return t
 
 
 def split_resolvents(gs, divisor):
     """Construct the resolvent pair (u, v) = ((sqrt R + T)/2Pi, (sqrt R - T)/2Pi).
 
-    T comes from t_poly in float64 on the centred set s = (t - mid) / half,
-    where p0^2 is -[z^2N](R - T^2) / 4; in raw coordinates T scales by
-    half^(N+1) and p0^2 by half^2.  q0 is read from the expansion of u at
-    infinity.
+    T comes from t_poly at _T_BITS on the centred set s = (t - mid) / half,
+    rounded to float64, and p0^2 = -[z^2N](R - T^2) / 4 there from the exact
+    fixed-point sum; in raw coordinates T scales by half^(N+1) and p0^2 by
+    half^2.  q0 is read from the expansion of u at infinity.
     """
     divisor, cs, pts = centred_divisor(gs, divisor)
     n = gs.n_gaps
     mid, half = _frame(gs)
-    t = t_poly(cs.endpoints, pts)
-    p0sq = half ** 2 * (np.convolve(t, t)[2 * n] - _pfromroots(cs.endpoints)[2 * n]) / 4
+    w = _T_BITS
+    ends = [_to_fixed(e, w) for e in cs.endpoints]
+    t = t_poly(ends, [(_to_fixed(s, w), sigma) for s, sigma in pts], w)
+    # 4 p0^2 at scale 2^(2w)
+    p0sq = _from_fixed(_conv(t, t, 2 * n) - (_pfromroots(ends, w)[2 * n] << w), 2 * w + 2, half, 2)
     if p0sq <= 0.0:
         raise SolverError(f"nonpositive p0^2 = {p0sq}: invalid divisor data")
+    t = [_from_fixed(c, w) for c in t]
     # half^(N+1) T((z - mid) / half) by Horner in z - mid
-    t_raw = [t[-1]]
+    t_raw = np.array(t[-1:])
     for k, c in enumerate(reversed(t[:-1]), start=1):
-        t_raw = _mul_linear(t_raw, mid)
+        t_raw = np.convolve(t_raw, [-mid, 1.0])
         t_raw[0] += half ** k * c
     q0 = -sum(divisor.xs) + 0.5 * sum(gs.endpoints)
     return HerglotzPair(gs=gs, divisor=divisor, t_coeffs=tuple(map(float, t_raw)),
-                        t_centred=tuple(map(float, t)), p0sq=p0sq, q0=q0)
+                        t_centred=tuple(t), p0sq=p0sq, q0=q0)
 
 
 def reflectionless_residual(gs, pair, x):

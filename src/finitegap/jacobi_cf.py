@@ -4,28 +4,34 @@ polynomials, transfer matrices and Christoffel-Darboux checks.
 
 The iteration state is the polynomial pair (T, Pi) of the current
 resolvent splitting; one step peels off (q_n, p_{n+1}^2) and advances the
-divisor.  All state arithmetic runs at a configurable binary precision
-(mpmath), since errors accumulate linearly in the number of steps.
+divisor.
 
 The iteration runs on the centred set s = (t - mid) / half of [b0, a0]
-(`spectral_set._centred`), where |s| <= 1 keeps the monomial coefficients
-well scaled.  `initial_state` maps the divisor in, with T from
-`herglotz.t_poly`; q_n = mid + half q, p_n = half p and the divisor
-x = mid + half s are mapped back where they leave the iteration.
+(`spectral_set._centred`), where |s| <= 1 and every coefficient of R, T
+and Pi is O(2^(2N+2)).  There all state arithmetic is in fixed point on
+plain Python integers: v stands for v / 2^W with W = prec bits, since
+errors accumulate linearly in the number of steps.  `initial_state` maps
+the divisor in exactly (`float.as_integer_ratio`), with T from
+`herglotz.t_poly`; q_n = mid + half q, p_n^2 = half^2 p^2 and the divisor
+x = mid + half s leave through one correctly rounded integer true division
+each.
 
 R(z) = prod (z - e) over the 2N+2 endpoints is built once per window, by
 `initial_state`, and carried with every state.  A step reads only the
 coefficients it needs: each coefficient of a product, of R - T^2 and of its
-quotient by Pi is one `mp.fdot` over the pairs of factors that form it.
+quotient by Pi is one exact sum of integer products over the pairs of
+factors that form it, shifted once; quotients are `(a << W) // b`.
 """
 
 from dataclasses import dataclass, replace
+from math import isqrt
+from operator import mul
 
-import mpmath as mp
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .herglotz import Divisor, _pfromroots, centred_divisor, t_poly
+from .herglotz import (Divisor, _conv, _from_fixed, _pfromroots, _to_fixed, centred_divisor,
+                       split_resolvents, t_poly)
 from .spectral_set import _frame, gap_branch_sign
 
 DEFAULT_PREC = 128
@@ -38,24 +44,30 @@ _NEWTON_MAX = 50
 
 
 # ---------------------------------------------------------------------------
-# polynomials over mpmath reals (ascending coefficients)
+# polynomials in fixed point (ascending integer coefficients, v = v / 2^w)
 
 
-def _pairs(a, b, k):
-    """The pairs (a_i, b_{k-i}) whose products sum to the z^k coefficient of a*b."""
-    return [(a[i], b[k - i]) for i in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1)]
-
-
-def _powers(x, n):
-    """[1, x, ..., x^n]."""
-    pw = [mp.mpf(1)]
+def _powers(x, n, w):
+    """[1, x, ..., x^n] in fixed point."""
+    pw = [1 << w]
     for _ in range(n):
-        pw.append(pw[-1] * x)
+        pw.append(pw[-1] * x >> w)
     return pw
 
 
-def _peval(p, x):
-    return mp.fdot(p, _powers(x, len(p) - 1))
+def _peval(p, x, w):
+    """p(x) at scale 2^(2w): the exact sum, unshifted."""
+    return sum(map(mul, p, _powers(x, len(p) - 1, w)))
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def _times(v, c):
+    """v * c for a fixed-point v and a float c, floored."""
+    num, den = float(c).as_integer_ratio()
+    return v * num // den
 
 
 # ---------------------------------------------------------------------------
@@ -65,10 +77,11 @@ def _peval(p, x):
 class CFState:
     """Divisor window of the continued-fraction iteration at one site.
 
-    xs, t_coeffs and r_coeffs live on the centred set cs of gs; p0sq is in
-    raw coordinates.  r_coeffs are the coefficients of R, built once per
-    window at the window's precision and shared by every state derived from
-    the first one, also by the 2 x prec retry of a step.
+    xs, t_coeffs, ends, r_coeffs and four_p0sq = 4 p0^2 live on the centred
+    set cs of gs, in fixed point at prec bits.  ends are the endpoints of cs,
+    b0, a_1, b_1, ..., a0, and r_coeffs the coefficients of R; both are built
+    once per window and shared by every state derived from the first one.
+    The 2 x prec retry of a step shifts them left by prec.
     """
 
     gs: object
@@ -76,17 +89,28 @@ class CFState:
     xs: tuple
     eps: tuple
     t_coeffs: tuple
+    ends: tuple
     r_coeffs: tuple
-    p0sq: object
+    four_p0sq: int
     prec: int = DEFAULT_PREC
+
+    @property
+    def p0sq(self):
+        """p0^2 in raw coordinates, correctly rounded."""
+        return _from_fixed(self.four_p0sq, self.prec + 2, _frame(self.gs)[1], 2)
+
+    @property
+    def p0(self):
+        """p0 = half sqrt(four_p0sq) / 2 in raw coordinates, the square root taken to 2 prec bits."""
+        w = self.prec
+        return _from_fixed(isqrt(self.four_p0sq << 3 * w), 2 * w + 1, _frame(self.gs)[1])
 
     @property
     def divisor(self):
         """The divisor at this site: x = mid + half s, clamped into its closed gap."""
         mid, half = _frame(self.gs)
-        with mp.workprec(self.prec):
-            pts = tuple((min(max(float(mid + half * s), a), b), e)
-                        for s, e, (a, b) in zip(self.xs, self.eps, self.gs.gaps))
+        pts = tuple((min(max(_from_fixed(s, self.prec, half, mid=mid), a), b), e)
+                    for s, e, (a, b) in zip(self.xs, self.eps, self.gs.gaps))
         return Divisor(pts).normalized(self.gs)
 
 
@@ -122,93 +146,101 @@ class JacobiSegment:
 
 
 def initial_state(gs, divisor, prec=DEFAULT_PREC):
-    """CFState at site 0 from a divisor, with T and R built in working
-    precision on the centred set."""
+    """CFState at site 0 from a divisor, with T and R built in fixed point
+    at prec bits on the centred set."""
     divisor, cs, pts = centred_divisor(gs, divisor)
     n = gs.n_gaps
-    _, half = _frame(gs)
-    with mp.workprec(prec):
-        ends = [mp.mpf(e) for e in cs.endpoints]
-        pts = [(mp.mpf(s), sigma) for s, sigma in pts]
-        t = t_poly(ends, pts)
-        r = _pfromroots(ends)
-        # p0^2 = -[z^2N](R - T^2) / 4 on cs, times half^2 in raw coordinates
-        p0sq = -mp.fdot([(r[2 * n], 1)] + _pairs([-c for c in t], t, 2 * n)) / 4 * half * half
-        if p0sq <= 0:
-            raise SolverError(f"nonpositive p0^2 = {float(p0sq)}: invalid divisor data")
-        return CFState(gs=gs, cs=cs, xs=tuple(s for s, _ in pts), eps=divisor.eps,
-                       t_coeffs=tuple(t), r_coeffs=tuple(r), p0sq=p0sq, prec=prec)
+    w = prec
+    ends = [_to_fixed(e, w) for e in cs.endpoints]
+    pts = [(_to_fixed(s, w), sigma) for s, sigma in pts]
+    t = t_poly(ends, pts, w)
+    r = _pfromroots(ends, w)
+    # 4 p0^2 = -[z^2N](R - T^2) on cs
+    state = CFState(gs=gs, cs=cs, xs=tuple(s for s, _ in pts), eps=divisor.eps,
+                    t_coeffs=tuple(t), ends=tuple(ends), r_coeffs=tuple(r),
+                    four_p0sq=(_conv(t, t, 2 * n) - (r[2 * n] << w)) >> w, prec=prec)
+    if state.four_p0sq <= 0:
+        raise SolverError(f"nonpositive p0^2 = {state.p0sq}: invalid divisor data")
+    return state
 
 
-def _reduce_divide(r, t, xs, pi):
-    """(p^2, quotient) of (R - T^2) / (-4 p^2 Pi), with -4 p^2 the z^2N
-    coefficient of R - T^2 and Pi = prod (z - x_j) given by its coefficients.
+def _reduce_divide(r, t, xs, pi, w, prec):
+    """(4 p^2, quotient) of (R - T^2) / (-4 p^2 Pi), with -4 p^2 the z^2N
+    coefficient of R - T^2 and Pi = prod (z - x_j) given by its coefficients,
+    all in fixed point at w bits.
 
     R - T^2 has degree 2N by construction of T: its monic leading terms
     cancel, and q cancels the z^(2N+1) term.  Pi must divide it to
-    2^(-prec+30) max |r_k|: the test reads the remainders of dividing the
-    quotient-scaled R - T^2 by z - x_1, then by z - x_2, and so on.  Each
+    2^(30 - prec) max |r_k|, with prec <= w the bits the state carries: the
+    test reads the remainders of dividing the quotient-scaled R - T^2 by
+    z - x_1, then by z - x_2, and so on.  Each
     coefficient of R - T^2 and of the top-down long division by Pi is one
-    fdot; the remainders come from the division's remainder polynomial,
-    which has degree N - 1.
+    exact sum of products, shifted once; the remainders come from the
+    division's remainder polynomial, which has degree N - 1.
     """
     n = len(xs)
-    one = mp.mpf(1)
-    neg_t = [-c for c in t]
-    num = [mp.fdot([(r[k], one)] + _pairs(neg_t, t, k)) for k in range(2 * n + 1)]
-    div_tol = mp.ldexp(max(abs(c) for c in r), 30 - mp.mp.prec)
-    psq = -num[2 * n] / 4
-    if psq <= 0:
-        raise SolverError(f"nonpositive p^2 = {float(psq)}")
-    neg_pi = [-c for c in pi]
-    quot = [one] * (n + 1)
-    for m in range(n, -1, -1):
-        quot[m] = mp.fdot([(num[m + n], one)]
-                          + [(neg_pi[m + n - i], quot[i]) for i in range(m + 1, n + 1)])
-    rem = [mp.fdot([(num[k], one)] + [(neg_pi[k - i], quot[i]) for i in range(k + 1)])
-           for k in range(n)]
-    rem_max = mp.mpf(0)
+    num = [((r[k] << w) - _conv(t, t, k)) >> w for k in range(2 * n + 1)]
+    lead = num[2 * n]
+    if lead >= 0:
+        raise SolverError(f"nonpositive p^2 = {-lead / (4 << w)}")
+    quot = [0] * n + [lead]
+    for m in range(n - 1, -1, -1):
+        quot[m] = ((num[m + n] << w) - sum(map(mul, pi[m:n], quot[n:m:-1]))) >> w
+    rem = [((num[k] << w) - sum(map(mul, pi[k::-1], quot))) >> w for k in range(n)]
+    rem_max = 0
     for x in xs:
         acc, low = rem[-1], rem[:-1]
         rem = []
         for c in reversed(low):
             rem.append(acc)
-            acc = c + acc * x
+            acc = c + (acc * x >> w)
         rem.reverse()
         rem_max = max(rem_max, abs(acc))
-    scale = -1 / (4 * psq)
-    if rem_max * abs(scale) > div_tol:
+    # rem_max / |lead| > 2^(30 - prec) max |r_k|, in integers
+    if rem_max << (w + prec - 30) > max(map(abs, r)) * -lead:
         raise SolverError("polynomial division remainder above tolerance",
-                          residual=float(rem_max * abs(scale)))
-    return psq, [c * scale for c in quot]
+                          residual=rem_max / -lead)
+    return -lead, [(c << w) // lead for c in quot]
 
 
-def _gap_roots(gs, coeffs, tol_escape=1e-9):
-    """The root in each closed gap of a monic mpf polynomial of degree N.
+def _gap_roots(ends, coeffs, w, tol_escape=1e-9):
+    """The root in each closed gap of a monic polynomial of degree N with
+    fixed-point coefficients at w bits, as fixed-point integers; ends are the
+    fixed-point endpoints b0, a_1, b_1, ..., a_N, b_N, a0.
 
-    Newton from the np.roots seed, clipped to the gap, with f and f' from one
-    power vector.  It has converged when a step s_k, or the next step
-    predicted from the quadratic rate, |s_k|^3 / |s_(k-1)|^2, is below
-    2^-prec times the largest |endpoint|; the prediction also stops the
-    iteration when the steps reach the rounding floor of evaluating f.  Where
-    Newton does not converge inside the gap, the root is bisected if f
-    changes sign over the gap, else clamped to the nearer endpoint if within
-    tol_escape gap widths of it, else an error.
+    Newton from the float64 eigenvalues of the companion matrix (the exact
+    root when N = 1), clipped to the gap, with f and f' from one power
+    vector.  It has converged when a step s_k, or the next step predicted
+    from the quadratic rate, |s_k|^3 / |s_(k-1)|^2, is below 2^-w times the
+    largest |endpoint|; the prediction also stops the iteration when the
+    steps reach the rounding floor of evaluating f.  Where Newton does not converge inside the gap,
+    the root is bisected if f changes sign over the gap, else clamped to the
+    nearer endpoint if within tol_escape gap widths of it, else an error.
     """
-    n = gs.n_gaps
-    seeds = np.sort(np.roots([float(c) for c in reversed(coeffs)]).real)
+    n = len(coeffs) - 1
+    # seeding is a large share of a step: the exact root at N = 1 and the
+    # companion eigenvalues without np.roots' input handling each raise
+    # coeffs work_per_s end to end (CHANGES.md)
+    if n < 2:
+        seeds = [-c for c in coeffs[:-1]]
+    else:
+        one = 1 << w
+        comp = np.eye(n, k=-1)
+        comp[:, -1] = [-c / one for c in coeffs[:-1]]
+        seeds = [_to_fixed(x, w) for x in np.sort(np.linalg.eigvals(comp).real)]
     dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
-    tol = mp.ldexp(max(abs(gs.b0), abs(gs.a0)), -mp.mp.prec)
+    # 2^-w max |endpoint| in units of 2^-w, rounded up
+    tol = -(-max(abs(ends[0]), abs(ends[-1])) >> w)
     roots = []
-    for j, (a, b) in enumerate(gs.gaps, start=1):
-        x = mp.mpf(min(max(seeds[j - 1], a), b))
+    for j, (seed, a, b) in enumerate(zip(seeds, ends[1:-1:2], ends[2:-1:2]), start=1):
+        x = min(max(seed, a), b)
         prev, converged = None, False
         for _ in range(_NEWTON_MAX):
-            pw = _powers(x, n)
-            dfx = mp.fdot(dcoeffs, pw)
+            pw = _powers(x, n, w)
+            dfx = sum(map(mul, dcoeffs, pw))
             if not dfx:
                 break
-            step = mp.fdot(coeffs, pw) / dfx
+            step = (sum(map(mul, coeffs, pw)) << w) // dfx
             x -= step
             size = abs(step)
             if size <= tol or (prev is not None and size ** 3 <= tol * prev ** 2):
@@ -216,21 +248,21 @@ def _gap_roots(gs, coeffs, tol_escape=1e-9):
                 break
             prev = size
         if not (converged and a <= x <= b):
-            lo, hi = mp.mpf(a), mp.mpf(b)
-            flo, fhi = _peval(coeffs, lo), _peval(coeffs, hi)
-            if mp.sign(flo) * mp.sign(fhi) <= 0:
-                for _ in range(mp.mp.prec + 10):
-                    mid = (lo + hi) / 2
-                    fm = _peval(coeffs, mid)
-                    if mp.sign(fm) == mp.sign(flo):
+            lo, hi = a, b
+            flo, fhi = _peval(coeffs, lo, w), _peval(coeffs, hi, w)
+            escape = _times(b - a, tol_escape)
+            if _sign(flo) * _sign(fhi) <= 0:
+                for _ in range(w + 10):
+                    mid = (lo + hi) >> 1
+                    fm = _peval(coeffs, mid, w)
+                    if _sign(fm) == _sign(flo):
                         lo, flo = mid, fm
                     else:
                         hi = mid
-                x = (lo + hi) / 2
-            elif x < a - tol_escape * (b - a) or x > b + tol_escape * (b - a):
-                raise SolverError(
-                    f"divisor root escaped gap {j}", residual=float(min(abs(x - a), abs(x - b)))
-                )
+                x = (lo + hi) >> 1
+            elif x < a - escape or x > b + escape:
+                raise SolverError(f"divisor root escaped gap {j}",
+                                  residual=min(abs(x - a), abs(x - b)) / (1 << w))
             elif not converged:
                 raise SolverError(f"divisor root did not converge in gap {j}")
             else:
@@ -239,50 +271,57 @@ def _gap_roots(gs, coeffs, tol_escape=1e-9):
     return roots
 
 
-def _eps_from_t(gs, t_coeffs, roots):
+def _eps_from_t(gs, ends, t_coeffs, roots, w):
     """Sheet signs of new divisor points.  There T^2 = R, so eps_j is the
     sign of T(x_j) on the branch gap_branch_sign(j) of sqrt(R); points
     within 1e-12 gap widths of an endpoint get +1."""
     eps = []
-    for j, x in enumerate(roots, start=1):
-        a, b = gs.gap(j)
-        if min(x - a, b - x) < 1e-12 * (b - a):
+    for j, (x, a, b) in enumerate(zip(roots, ends[1:-1:2], ends[2:-1:2]), start=1):
+        if min(x - a, b - x) < _times(b - a, 1e-12):
             eps.append(1)
             continue
-        eps.append(1 if _peval(t_coeffs, x) * gap_branch_sign(gs, j) >= 0 else -1)
+        val = _peval(t_coeffs, x, w)
+        eps.append(1 if (val if gap_branch_sign(gs, j) > 0 else -val) >= 0 else -1)
     return tuple(eps)
 
 
 def _cf_step_at_prec(state, prec):
+    """cf_step at prec >= state.prec bits; the state is shifted up to prec
+    for the step and the next state back down to state.prec.  The remainder
+    test keeps the tolerance of state.prec, the bits the state carries."""
     cs = state.cs
     n = cs.n_gaps
     mid, half = _frame(state.gs)
-    with mp.workprec(prec):
-        t, r = state.t_coeffs, state.r_coeffs
-        pi = _pfromroots(state.xs)
-        # q from the vanishing z^(2N+1) coefficient of R - (A + qB)^2 with
-        # A = T - 2z Pi and B = 2 Pi; B^2 has degree 2N and, T and Pi being
-        # monic, the z^(2N+1) coefficient of 2AB is -4, so q is explicit
-        a = [t[0]] + [t[i] - 2 * pi[i - 1] for i in range(1, n + 2)]
-        b = [2 * c for c in pi]
-        k = 2 * n + 1
-        q = (mp.fdot(_pairs(a, a, k)) - r[k]) / 4
-        # the next T is -(A + qB)
-        t_next = [-(ai + bi * q) for ai, bi in zip(a, b)] + [-a[-1]]
-        p1sq, quot = _reduce_divide(r, t_next, state.xs, pi)
-        roots = _gap_roots(cs, quot)
-        nxt = replace(state, xs=tuple(roots), eps=_eps_from_t(cs, t_next, roots),
-                      t_coeffs=tuple(t_next), p0sq=p1sq * half * half)
-        return float(mid + half * q), float(nxt.p0sq), nxt
+    w, up = prec, prec - state.prec
+    xs, t, ends, r = state.xs, state.t_coeffs, state.ends, state.r_coeffs
+    if up:
+        xs, t, ends, r = ([c << up for c in v] for v in (xs, t, ends, r))
+    pi = _pfromroots(xs, w)
+    # q from the vanishing z^(2N+1) coefficient of R - (A + qB)^2 with
+    # A = T - 2z Pi and B = 2 Pi; B^2 has degree 2N and, T and Pi being
+    # monic, the z^(2N+1) coefficient of 2AB is -4, so q is explicit
+    a = [t[0]] + [t[i] - 2 * pi[i - 1] for i in range(1, n + 2)]
+    k = 2 * n + 1
+    q = (_conv(a, a, k) - (r[k] << w)) >> (w + 2)
+    # the next T is -(A + qB)
+    t_next = [-(ai + (2 * pii * q >> w)) for ai, pii in zip(a, pi)] + [-a[-1]]
+    four_p1sq, quot = _reduce_divide(r, t_next, xs, pi, w, state.prec)
+    roots = _gap_roots(ends, quot, w)
+    nxt = replace(state, xs=tuple(x >> up for x in roots), eps=_eps_from_t(cs, ends, t_next, roots, w),
+                  t_coeffs=tuple(c >> up for c in t_next), four_p0sq=four_p1sq >> up)
+    return _from_fixed(q, w, half, mid=mid), _from_fixed(four_p1sq, w + 2, half, 2), nxt
 
 
 def cf_step(state):
     """One continued-fraction step: returns (q_n, p_{n+1}^2, next state)."""
     try:
         return _cf_step_at_prec(state, state.prec)
-    except SolverError:
+    except SolverError as first:
         # escalate once before giving up
-        return _cf_step_at_prec(state, 2 * state.prec)
+        try:
+            return _cf_step_at_prec(state, 2 * state.prec)
+        except SolverError as second:
+            raise second from first
 
 
 def dual_state(state):
@@ -291,11 +330,10 @@ def dual_state(state):
     The dual divisor consists of the roots of (R - T^2) / (-4 p0^2 Pi);
     T and p0^2 are unchanged.
     """
-    cs = state.cs
-    with mp.workprec(state.prec):
-        _, quot = _reduce_divide(state.r_coeffs, state.t_coeffs, state.xs, _pfromroots(state.xs))
-        roots = _gap_roots(cs, quot)
-        return replace(state, xs=tuple(roots), eps=_eps_from_t(cs, state.t_coeffs, roots))
+    cs, w = state.cs, state.prec
+    _, quot = _reduce_divide(state.r_coeffs, state.t_coeffs, state.xs, _pfromroots(state.xs, w), w, w)
+    roots = _gap_roots(state.ends, quot, w)
+    return replace(state, xs=tuple(roots), eps=_eps_from_t(cs, state.ends, state.t_coeffs, roots, w))
 
 
 def iterate(state, nsteps):
@@ -313,8 +351,6 @@ def coefficients(gs, divisor, n0, n1, prec=DEFAULT_PREC):
     if not n0 <= 0 <= n1:
         raise ValidationError("window must contain the origin: n0 <= 0 <= n1")
     state = initial_state(gs, divisor, prec=prec)
-    with mp.workprec(prec):
-        p0 = float(mp.sqrt(state.p0sq))
     qs_fwd, psqs_fwd, _ = iterate(state, n1 + 1)
     if n0 < 0:
         dual = dual_state(state)
@@ -324,7 +360,7 @@ def coefficients(gs, divisor, n0, n1, prec=DEFAULT_PREC):
     p, q = [], []
     for nn in range(n0, n1 + 1):
         if nn == 0:
-            p.append(p0)
+            p.append(state.p0)
         elif nn > 0:
             p.append(float(np.sqrt(psqs_fwd[nn - 1])))
         else:
@@ -395,21 +431,28 @@ def j_expanding_min_eig(seg, z, n):
     return float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
 
 
-def hat_check_normalization(seg, z=1e8 + 1e8j):
-    """Normalization of the transfer matrix between the two boundary bases.
+def hat_check_normalization(gs, divisor, seg):
+    """Normalization of a segment against the resolvent data of its divisor.
 
-    For a finite-gap set the two Hardy-space bases at the origin coincide and
-    the coupling constant is lambda = 1; the (1,2) entry of z * A at the base
-    index then reproduces 1/lambda - lambda = 0.
+    u = -1/r_plus of split_resolvents is the continued fraction
+    z - q_0 - p_1^2 / (z - q_1 - p_2^2 / (z - q_2 - ...)) of the forward
+    coefficients.  At z = mid + 4i diameter, the fraction cut after n sites
+    misses u by about |w|^(-2n) relative, |w| = 16.06 the conformal radius
+    of z for [b0, a0], so below 1e-28 at the 12 sites required.  The
+    residual is |u - u_segment| relative to |z - q_0 - u_segment|, the part
+    of u that the coefficients beyond q_0 form; rescaling p_1 by 1 + d moves
+    it by 2d.
     """
-    lam = 1.0
-    a = transfer_matrix(seg, complex(z), 0)
-    val = complex(z) * a[0, 1]
-    return {
-        "lambda": lam,
-        "z_a12_at_infinity": complex(val),
-        "residual": abs(val - (1.0 / lam - lam)),
-    }
+    if seg.n0 > 0 or seg.n1 < 12:
+        raise ValidationError("segment must cover indices 0..12")
+    mid = 0.5 * (gs.a0 + gs.b0)
+    z = complex(mid, 4.0 * gs.diameter)
+    frac = z - seg.q_at(seg.n1)
+    for k in range(seg.n1 - 1, -1, -1):
+        frac = z - seg.q_at(k) - seg.p_at(k + 1) ** 2 / frac
+    u = complex(split_resolvents(gs, divisor).u(z))
+    return {"z": z, "u_resolvent": u, "u_segment": frac,
+            "residual": abs(u - frac) / abs(z - seg.q_at(0) - frac)}
 
 
 def truncation_matrix(seg):

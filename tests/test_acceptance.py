@@ -146,7 +146,7 @@ def test_criterion_06_transfer_suite(two_gap, rng):
     worst_psd = max(
         max(0.0, -jc.j_expanding_min_eig(seg, z, n)) for z in zs for n in (5, 15)
     )
-    norm = jc.hat_check_normalization(seg)["residual"]
+    norm = jc.hat_check_normalization(two_gap, d, seg)["residual"]
     assert worst_det <= 1e-10
     assert worst_cd <= 1e-8
     assert worst_ju <= 1e-8
@@ -156,7 +156,7 @@ def test_criterion_06_transfer_suite(two_gap, rng):
     _report(6, "Christoffel-Darboux n<=20", worst_cd, 1e-8)
     _report(6, "j-unitarity on E", worst_ju, 1e-8)
     _report(6, "j-expanding PSD", worst_psd, 1e-10)
-    _report(6, "degenerate normalization 1/lambda - lambda", norm, 1e-8)
+    _report(6, "segment normalization against u(z)", norm, 1e-8)
 
 
 def test_criterion_07_abel_shift_covariance():

@@ -169,9 +169,9 @@ class TestContract:
 
 
 class TestRuntimeDependencies:
-    """numpy and mpmath are the runtime dependencies; scipy serves the tests
+    """numpy is the one runtime dependency; scipy and mpmath serve the tests
     and the benchmark only.  Each check runs in a fresh interpreter, where
-    nothing has imported scipy yet."""
+    nothing has imported either yet."""
 
     SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -187,6 +187,28 @@ class TestRuntimeDependencies:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_mpmath(self):
+        proc = self._python(
+            "import sys, finitegap.cli\n"
+            "print([m for m in sys.modules if m.startswith('mpmath')])"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [["coeffs", "--from", "-3", "--to", "12"],
+                                      ["transfer", "--n", "8", "--z=0.3,0.4"]])
+    def test_coefficients_without_mpmath(self, tmp_path, argv):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(ONE_GAP_DIV))
+        proc = self._python(
+            "import sys\n"
+            "sys.modules['mpmath'] = None\n"
+            "from finitegap.cli import main\n"
+            f"sys.exit(main({argv + ['--input', str(path)]!r}))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)
 
     def test_comb_inverse_without_scipy(self, tmp_path):
         doc = {"teeth": [{"omega": 0.5, "h": float(np.log(np.sqrt(3.0)))}],

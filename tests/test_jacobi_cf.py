@@ -1,4 +1,6 @@
-import mpmath as mp
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,33 @@ class TestCfStep:
             _, _, st = jc.cf_step(st)
             for (a, b), x in zip(three_gap.gaps, st.divisor.xs):
                 assert a <= x <= b
+
+    def test_retry_at_twice_the_bits(self, three_gap, rng):
+        # the 2 x prec retry shifts the state up by prec for the step and the
+        # next state back down; it gives the same coefficients and a next
+        # state at prec bits that steps on like the first attempt's.  The
+        # remainder of a state rounded to prec bits is about 2^-prec (2.5e-39
+        # here), so the retry must test it at the state's 2^(30 - prec)
+        # max |r_k|, not at 2^(30 - 2 prec)
+        st = jc.initial_state(three_gap, random_divisor(three_gap, rng))
+        q, psq, nxt = jc._cf_step_at_prec(st, st.prec)
+        q2, psq2, nxt2 = jc._cf_step_at_prec(st, 2 * st.prec)
+        assert (q2, psq2) == pytest.approx((q, psq), rel=1e-15, abs=1e-15)
+        assert nxt2.prec == st.prec
+        assert max(abs(a - b) for a, b in zip(nxt.xs + nxt.t_coeffs, nxt2.xs + nxt2.t_coeffs)) < 2**20
+        assert nxt2.eps == nxt.eps and nxt2.r_coeffs == st.r_coeffs and nxt2.ends == st.ends
+        assert jc.iterate(nxt2, 4)[:2] == pytest.approx(jc.iterate(nxt, 4)[:2], rel=1e-14, abs=1e-14)
+
+    def test_failed_retry_keeps_the_first_error(self, three_gap, rng, monkeypatch):
+        st = jc.initial_state(three_gap, random_divisor(three_gap, rng))
+
+        def fail(state, prec):
+            raise SolverError(f"failed at {prec} bits")
+
+        monkeypatch.setattr(jc, "_cf_step_at_prec", fail)
+        with pytest.raises(SolverError, match=f"at {2 * st.prec} bits") as info:
+            jc.cf_step(st)
+        assert str(info.value.__cause__) == f"failed at {st.prec} bits"
 
     def test_advanced_divisor_matches_resolvent_data(self, two_gap, rng):
         # p^2 produced by the step equals p0^2 of the advanced divisor
@@ -103,26 +132,47 @@ def test_affine_covariance(seed, n_gaps, log_scale, shift_share):
     assert np.max(np.abs(p_img - scale * p)) <= tol
 
 
+# p_n, q_n on -8..8 of one set each at N = 1, 2, 3, 4, 6, 8, the sets at
+# N = 2, 4, 8 scaled and moved as the benchmark moves its sets, frozen from
+# the multiprecision-float continued fraction that preceded the fixed-point
+# one; it gave the same floats at 128 and 256 bits
+_PINNED = json.loads((Path(__file__).parent / "cf_pinned.json").read_text())
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+@pytest.mark.parametrize("doc", _PINNED, ids=[f"n{len(d['gaps'])}" for d in _PINNED])
+def test_pinned_window(doc, prec):
+    seg = jc.coefficients(GapSystem.from_json(doc), Divisor.from_json(doc), -8, 8, prec=prec)
+    for got, want in ((seg.p, doc["p"]), (seg.q, doc["q"])):
+        got, want = np.array(got), np.array(want)
+        assert np.all(np.abs(got - want) <= np.spacing(np.maximum(np.abs(got), np.abs(want))))
+
+
 class TestGapRoots:
     # the root polisher at 256 bits on quotients with a root at the edge of
-    # gap 1 = [-1, -0.5], and one more root in gap 2
-    @staticmethod
-    def _roots(root):
-        gs = GapSystem(b0=-2.0, a0=2.0, gaps=((-1.0, -0.5), (0.5, 1.0)))
-        return jc._gap_roots(gs, jc._pfromroots([root, mp.mpf("0.7")]))
+    # gap 1 = [-1, -0.5], and one more root in gap 2; roots are fixed-point
+    # integers v standing for v / 2^256
+    W = 256
+
+    @classmethod
+    def _roots(cls, root):
+        ends = [cls._fixed(e, 2) for e in (-4, -2, -1, 1, 2, 4)]  # [-2, 2] with gaps [-1, -0.5], [0.5, 1]
+        return jc._gap_roots(ends, jc._pfromroots([root, cls._fixed(7, 10)], cls.W), cls.W)
+
+    @classmethod
+    def _fixed(cls, num, den):
+        return (num << cls.W) // den
 
     @pytest.mark.parametrize("edge, inward", [(-1.0, 1), (-0.5, -1)])
     def test_root_just_inside_endpoint(self, edge, inward):
-        with mp.workprec(256):
-            want = [edge + inward * mp.mpf("1e-30") * 0.5, mp.mpf("0.7")]
-            for got, root in zip(self._roots(want[0]), want):
-                assert abs(got - root) <= mp.ldexp(abs(root), -200)
+        want = [self._fixed(int(2 * edge), 2) + inward * self._fixed(1, 2 * 10**30), self._fixed(7, 10)]
+        for got, root in zip(self._roots(want[0]), want):
+            assert abs(got - root) <= abs(root) >> 200
 
     @pytest.mark.parametrize("edge, outward", [(-1.0, -1), (-0.5, 1)])
     def test_root_outside_gap_raises(self, edge, outward):
-        with mp.workprec(256):
-            with pytest.raises(SolverError, match="divisor root escaped gap 1"):
-                self._roots(edge + outward * mp.mpf("1e-6") * 0.5)
+        with pytest.raises(SolverError, match="divisor root escaped gap 1"):
+            self._roots(self._fixed(int(2 * edge), 2) + outward * self._fixed(1, 2 * 10**6))
 
 
 class TestDualState:
@@ -315,10 +365,25 @@ class TestTransfer:
             assert jc.j_expanding_min_eig(seg, z, 10) >= -1e-10
 
     def test_hat_check_normalization(self, one_gap, rng):
-        seg = jc.coefficients(one_gap, random_divisor(one_gap, rng), 0, 2)
-        rep = jc.hat_check_normalization(seg)
-        assert rep["lambda"] == 1.0
+        d = random_divisor(one_gap, rng)
+        seg = jc.coefficients(one_gap, d, 0, 16)
+        rep = jc.hat_check_normalization(one_gap, d, seg)
         assert rep["residual"] < 1e-8
+
+    @pytest.mark.parametrize("scale_p1, shift_q0", [(1.0 + 1e-6, 0.0), (1.0, 1e-6)])
+    def test_hat_check_flags_a_perturbed_segment(self, one_gap, rng, scale_p1, shift_q0):
+        # p_1 scaled by 1 + 1e-6 moves the residual to 2e-6, q_0 moved by
+        # 1e-6 to 3.6e-5
+        d = random_divisor(one_gap, rng)
+        seg = jc.coefficients(one_gap, d, 0, 16)
+        bad = jc.JacobiSegment(n0=0, n1=16, p=(seg.p[0], seg.p[1] * scale_p1) + seg.p[2:],
+                               q=(seg.q[0] + shift_q0,) + seg.q[1:])
+        assert jc.hat_check_normalization(one_gap, d, bad)["residual"] > 1e-8
+
+    def test_hat_check_needs_twelve_sites(self, one_gap, rng):
+        d = random_divisor(one_gap, rng)
+        with pytest.raises(ValidationError):
+            jc.hat_check_normalization(one_gap, d, jc.coefficients(one_gap, d, 0, 11))
 
 
 class TestTruncationSpectrum:
