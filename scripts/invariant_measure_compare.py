@@ -19,7 +19,7 @@ import json
 from finitegap import abel
 from finitegap import jacobi_cf as jc
 from finitegap.herglotz import Divisor
-from finitegap.spectral_set import GapSystem, critical_points
+from finitegap.spectral_set import GapSystem
 
 
 def orbit_frequency(gs, divisor, box_entries, steps):
@@ -52,10 +52,9 @@ def main() -> int:
     gs = GapSystem.from_json(doc)
     divisor = Divisor.from_json(doc).validate(gs)
     box = doc["box"]
-    cp = critical_points(gs)
 
-    exact = abel.measure_box(gs, cp, box)
-    est, se = abel.measure_mc(gs, cp, box, samples=args.mc_samples, seed=args.seed)
+    exact = abel.measure_box(gs, box)
+    est, se = abel.measure_mc(gs, box, samples=args.mc_samples, seed=args.seed)
     entries = [(int(b["gap"]), float(b["a"]), float(b["b"]), int(b["eps"])) for b in box]
     freq = orbit_frequency(gs, divisor, entries, args.orbit_steps)
 

@@ -5,9 +5,12 @@ The divisor space is a product of N circles (one per gap, endpoints
 identified across the sign flip).  In the angle chart the Abel map has
 rapidly converging Fourier series, which makes Newton inversion and
 Monte-Carlo sampling over the torus cheap; the series are checked against
-direct harmonic-measure quadrature.
+direct harmonic-measure quadrature.  The Abel map and the invariant measure
+are built from the harmonic measures of E alone; only the kernel values and
+the shift frequencies need the critical points.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -15,15 +18,16 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .herglotz import Divisor
-from .quad import DEFAULT_QTOL
+from .jacobi_cf import DEFAULT_PREC, cf_step, initial_state
+from .quad import DEFAULT_QTOL, _chart_angle, _chart_point
 from .spectral_set import (
     _chebval_centred,
+    _gap_increment,
     _harmonic_poly_coeffs,
     _rest_root,
-    critical_points,
+    frequencies,
     gap_branch_sign,
     green,
-    harmonic_measure,
 )
 
 _SERIES_MIN_NODES = 512
@@ -75,34 +79,21 @@ def torus_distance(a, b):
     return float(np.max(d)) if d.size else 0.0
 
 
-def _gap_geometry(gs):
-    mids = np.array([0.5 * (a + b) for a, b in gs.gaps])
-    halfs = np.array([0.5 * (b - a) for a, b in gs.gaps])
-    return mids, halfs
-
-
 def chart_from_divisor(gs, divisor):
+    """Chart angles of a divisor, exact at the gap endpoints: a_k has angle pi, b_k angle 0."""
     divisor = divisor.validate(gs)
-    mids, halfs = _gap_geometry(gs)
     phis = []
-    for k, (x, e) in enumerate(divisor.points):
-        u = np.clip((x - mids[k]) / halfs[k], -1.0, 1.0)
-        phi = float(np.arccos(u))
-        if e < 0 and 0.0 < phi < np.pi:
+    for (a, b), (x, e) in zip(gs.gaps, divisor.points):
+        phi = _chart_angle(a, b, x)
+        if e < 0 and 0.0 < phi < math.pi:
             phi = _TWO_PI - phi
         phis.append(phi)
     return DivisorChart(angles=tuple(phis))
 
 
 def divisor_from_chart(gs, chart):
-    mids, halfs = _gap_geometry(gs)
-    pts = []
-    for k, phi in enumerate(chart.angles):
-        x = mids[k] + halfs[k] * np.cos(phi)
-        a, b = gs.gap(k + 1)
-        x = min(max(x, a), b)
-        e = 1 if np.sin(phi) >= 0.0 else -1
-        pts.append((x, e))
+    pts = [(_chart_point(a, b, phi), 1 if math.sin(phi) >= 0.0 else -1)
+           for (a, b), phi in zip(gs.gaps, chart.angles)]
     return Divisor(points=tuple(pts)).normalized(gs)
 
 
@@ -125,7 +116,6 @@ def _abel_series(gs):
     grows with N while b_m = a_m / m stays below it.
     """
     n = gs.n_gaps
-    mids, halfs = _gap_geometry(gs)
     coeffs = _harmonic_poly_coeffs(gs, DEFAULT_QTOL)
     m_grid = _SERIES_MIN_NODES
     while True:
@@ -133,9 +123,9 @@ def _abel_series(gs):
         phi_half = np.arange(half + 1) * (_TWO_PI / m_grid)
         m_idx = np.arange(1, half + 1)
         fhat = np.empty((n, n, half + 1))
-        for k in range(n):
-            x = mids[k] + halfs[k] * np.cos(phi_half)
-            root = _rest_root(gs, *gs.gap(k + 1))(x)
+        for k, (a, b) in enumerate(gs.gaps):
+            x = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(phi_half)
+            root = _rest_root(gs, a, b)(x)
             g_half = -0.5 * gap_branch_sign(gs, k + 1) * _chebval_centred(gs, coeffs.T, x) / root
             g = np.concatenate([g_half, g_half[:, -2:0:-1]], axis=1)  # even extension
             fhat[:, k] = np.fft.rfft(g, axis=1).real / m_grid
@@ -157,22 +147,18 @@ def _abel_series(gs):
     return m_idx, a_cos, b_sin
 
 
-def abel_map(gs, cp, divisor, qtol=DEFAULT_QTOL):
+def abel_map(gs, divisor, qtol=DEFAULT_QTOL):
     """Character of a divisor: alpha_j = (1/2) sum_k eps_k (omega_j(x_k) - omega_j(a_k)) mod 1.
 
-    Direct harmonic-measure quadrature; the base divisor {(a_k, +1)} maps to 0.
+    Direct harmonic-measure quadrature: one vector edge integral per gap k
+    gives omega_j(x_k) - omega_j(a_k) for every j.  The base divisor
+    {(a_k, +1)} maps to 0.
     """
     divisor = divisor.normalized(gs)
-    n = gs.n_gaps
-    alpha = np.zeros(n)
-    for j in range(1, n + 1):
-        total = 0.0
-        for k, (x, e) in enumerate(divisor.points, start=1):
-            a, _ = gs.gap(k)
-            total += 0.5 * e * (
-                harmonic_measure(gs, cp, j, x, qtol) - harmonic_measure(gs, cp, j, a, qtol)
-            )
-        alpha[j - 1] = total
+    coeffs = _harmonic_poly_coeffs(gs, qtol).T
+    alpha = np.zeros(gs.n_gaps)
+    for k, (x, e) in enumerate(divisor.points, start=1):
+        alpha += 0.5 * e * _gap_increment(gs, coeffs, k, x, qtol)
     return Character(alpha=tuple(alpha % 1.0))
 
 
@@ -189,7 +175,6 @@ def abel_map_angles(gs, phis):
 
     phis: array of shape (..., N); returns torus coordinates of the same shape.
     """
-    n = gs.n_gaps
     phis = np.atleast_2d(np.asarray(phis, dtype=float)) % _TWO_PI
     m_idx, _, b_sin = _abel_series(gs)
     sines = _harmonics(phis, len(m_idx)).imag  # (..., N, M)
@@ -209,7 +194,7 @@ def abel_jacobian_angles(gs, phis):
     return jac - eye
 
 
-def abel_jacobian(gs, cp, divisor):
+def abel_jacobian(gs, divisor):
     """Jacobian of the Abel map at a divisor, in the angle chart."""
     chart = chart_from_divisor(gs, divisor)
     return abel_jacobian_angles(gs, np.asarray(chart.angles))[0]
@@ -272,7 +257,7 @@ def _newton_invert(gs, targets, phis, iters=60, tol=1e-11):
     return phis, res
 
 
-def invert_abel(gs, cp, alpha, guess=None):
+def invert_abel(gs, alpha, guess=None):
     """Divisor with the given character, by Newton on the torus in the angle chart.
 
     Newton starts from the chart angles of ``guess`` when one is given, then
@@ -309,21 +294,16 @@ def invert_abel(gs, cp, alpha, guess=None):
     raise SolverError("Abel inversion did not converge", residual=best[0], iterate=best[1])
 
 
-def shift_covariance_residual(gs, cp, divisor, prec=None, steps=1, qtol=DEFAULT_QTOL):
+def shift_covariance_residual(gs, cp, divisor, prec=DEFAULT_PREC, steps=1, qtol=DEFAULT_QTOL):
     """Torus distance between the Abel image of the divisor advanced by the
     coefficient stripping iteration and the frequency translate
     alpha(D) - steps * omega."""
-    from .jacobi_cf import DEFAULT_PREC, cf_step, initial_state
-    from .spectral_set import frequencies
-
-    if prec is None:
-        prec = DEFAULT_PREC
     omega = frequencies(gs, cp, qtol)
     state = initial_state(gs, divisor, prec=prec)
     for _ in range(steps):
         _, _, state = cf_step(state)
-    a0 = abel_map(gs, cp, divisor, qtol)
-    a1 = abel_map(gs, cp, state.divisor, qtol)
+    a0 = abel_map(gs, divisor, qtol)
+    a1 = abel_map(gs, state.divisor, qtol)
     expected = a0.translate(-steps * omega)
     return a1.distance(expected)
 
@@ -364,21 +344,23 @@ def _parse_box(gs, box):
     return entries
 
 
-def measure_box(gs, cp, box, qtol=DEFAULT_QTOL):
+def measure_box(gs, box, qtol=DEFAULT_QTOL):
     """Invariant measure of a product of gap arcs:
-    2^(-l) |det[ omega_{j_r}(b_s) - omega_{j_r}(a_s) ]|."""
+    2^(-l) |det[ omega_{j_r}(b_s) - omega_{j_r}(a_s) ]|, from two vector edge integrals per arc."""
     entries = _parse_box(gs, box)
     if not entries:
         return 1.0
-    ell = len(entries)
-    mat = np.empty((ell, ell))
-    for r, (jr, _, _, _) in enumerate(entries):
-        for s, (_, a, b, _) in enumerate(entries):
-            mat[r, s] = harmonic_measure(gs, cp, jr, b, qtol) - harmonic_measure(gs, cp, jr, a, qtol)
-    return float(2.0 ** (-ell) * abs(np.linalg.det(mat)))
+    coeffs = _harmonic_poly_coeffs(gs, qtol).T
+    rows = [j - 1 for j, _, _, _ in entries]
+    cols = np.array([
+        _gap_increment(gs, coeffs, j, b, qtol) - _gap_increment(gs, coeffs, j, a, qtol)
+        for j, a, b, _ in entries
+    ])
+    # cols[s, j - 1] = omega_j(b_s) - omega_j(a_s), the transpose of the matrix above
+    return float(2.0 ** (-len(entries)) * abs(np.linalg.det(cols[:, rows])))
 
 
-def measure_mc(gs, cp, box, samples=100_000, seed=0, chunk=4096):
+def measure_mc(gs, box, samples=100_000, seed=0, chunk=4096):
     """Monte-Carlo oracle for measure_box: sample characters uniformly,
     invert the Abel map, count divisors landing in the box.
 
@@ -394,7 +376,12 @@ def measure_mc(gs, cp, box, samples=100_000, seed=0, chunk=4096):
     if n == 0 or not entries:
         return 1.0, 0.0
     rng = np.random.Generator(np.random.Philox(seed))
-    mids, halfs = _gap_geometry(gs)
+    # the arc (a, b) with sign eps is the chart-angle interval [theta(b), theta(a)],
+    # reflected to [2 pi - theta(a), 2 pi - theta(b)] for eps = -1
+    arcs = []
+    for j, a, b, e in entries:
+        th_a, th_b = (_chart_angle(*gs.gap(j), x) for x in (a, b))
+        arcs.append((j - 1, th_b, th_a) if e > 0 else (j - 1, _TWO_PI - th_a, _TWO_PI - th_b))
     hits = 0
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
@@ -404,14 +391,11 @@ def measure_mc(gs, cp, box, samples=100_000, seed=0, chunk=4096):
         if np.any(bad):
             # retry strays one by one with full restarts
             for i in np.nonzero(bad)[0]:
-                div = invert_abel(gs, cp, Character(tuple(alpha[i])))
+                div = invert_abel(gs, Character(tuple(alpha[i])))
                 phis[i] = np.asarray(chart_from_divisor(gs, div).angles)
-        xs = mids + halfs * np.cos(phis)
-        eps = np.where(np.sin(phis) >= 0.0, 1, -1)
         inside = np.ones(count, dtype=bool)
-        for j, a, b, e in entries:
-            col = j - 1
-            inside &= (xs[:, col] >= a) & (xs[:, col] <= b) & (eps[:, col] == e)
+        for col, lo, hi in arcs:
+            inside &= (phis[:, col] >= lo) & (phis[:, col] <= hi)
         hits += int(np.count_nonzero(inside))
     p = hits / samples
     stderr = float(np.sqrt(max(p * (1.0 - p), 1e-300) / samples))

@@ -71,11 +71,7 @@ def _default_precision():
 def _parser():
     """The argument parser, built on first use and reused by every main call."""
     p = argparse.ArgumentParser(prog="finitegap", description=__doc__)
-    p.add_argument("command", choices=[
-        "critical", "green", "harmonic", "dos", "resolvents", "coeffs", "transfer",
-        "abel", "invert", "shift-check", "kernel0", "measure", "measure-mc",
-        "comb", "truncate", "verify",
-    ])
+    p.add_argument("command", choices=list(_COMMANDS))
     p.add_argument("--input", help="input JSON file (default: standard input)")
     p.add_argument("--prec", type=int, default=None, help="working precision in bits")
     p.add_argument("--qtol", type=float, default=1e-12, help="quadrature tolerance")
@@ -162,11 +158,10 @@ def _cmd_green(args, cfg, doc):
 
 def _cmd_harmonic(args, cfg, doc):
     gs = _need_gs(doc)
-    cp = critical_points(gs, cfg.qtol)
     z = _parse_z(args)
     if z.imag != 0.0:
         raise ValidationError("harmonic measure evaluation point must be real")
-    return {"k": args.k, "x": z.real, "omega": harmonic_measure(gs, cp, args.k, z.real, cfg.qtol)}
+    return {"k": args.k, "x": z.real, "omega": harmonic_measure(gs, args.k, z.real, cfg.qtol)}
 
 
 def _cmd_dos(args, cfg, doc):
@@ -232,17 +227,15 @@ def _cmd_transfer(args, cfg, doc):
 def _cmd_abel(args, cfg, doc):
     gs = _need_gs(doc)
     d = _need_divisor(doc, gs)
-    cp = critical_points(gs, cfg.qtol)
-    return abel.abel_map(gs, cp, d, cfg.qtol).to_json()
+    return abel.abel_map(gs, d, cfg.qtol).to_json()
 
 
 def _cmd_invert(args, cfg, doc):
     gs = _need_gs(doc)
-    cp = critical_points(gs, cfg.qtol)
     alpha = abel.Character.from_json(doc)
-    d = abel.invert_abel(gs, cp, alpha)
+    d = abel.invert_abel(gs, alpha)
     out = d.to_json()
-    out["residual"] = abel.abel_map(gs, cp, d, cfg.qtol).distance(alpha)
+    out["residual"] = abel.abel_map(gs, d, cfg.qtol).distance(alpha)
     return out
 
 
@@ -266,16 +259,14 @@ def _cmd_kernel0(args, cfg, doc):
 
 def _cmd_measure(args, cfg, doc):
     gs = _need_gs(doc)
-    cp = critical_points(gs, cfg.qtol)
     box = doc.get("box", [])
-    return {"measure": abel.measure_box(gs, cp, box, cfg.qtol)}
+    return {"measure": abel.measure_box(gs, box, cfg.qtol)}
 
 
 def _cmd_measure_mc(args, cfg, doc):
     gs = _need_gs(doc)
-    cp = critical_points(gs, cfg.qtol)
     box = doc.get("box", [])
-    est, se = abel.measure_mc(gs, cp, box, samples=args.mc_samples, seed=cfg.seed)
+    est, se = abel.measure_mc(gs, box, samples=args.mc_samples, seed=cfg.seed)
     return {"estimate": est, "stderr": se, "samples": args.mc_samples, "seed": cfg.seed}
 
 
@@ -363,10 +354,9 @@ def _verify_instance(name, doc, cfg, rng):
         delta0 = abel.widom_delta(cp)
         k0 = abel.kernel_at_origin(gs, cp, d, cfg.qtol)
         record("kernel_bounds", max(0.0, k0 - 1.0, delta0 ** 2 - k0), 1e-12)
-        alpha = abel.abel_map(gs, cp, d, cfg.qtol)
+        alpha = abel.abel_map(gs, d, cfg.qtol)
         record("abel_roundtrip",
-               abel.abel_map(gs, cp, abel.invert_abel(gs, cp, alpha), cfg.qtol).distance(alpha),
-               1e-9)
+               abel.abel_map(gs, abel.invert_abel(gs, alpha), cfg.qtol).distance(alpha), 1e-9)
     if 1 <= gs.n_gaps <= 2:
         comb = comb_mod.comb_from_gaps(gs, cp, cfg.qtol)
         rec = comb_mod.gaps_from_comb(comb, gs, cfg.qtol)

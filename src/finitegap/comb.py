@@ -11,7 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .abel import kernel_at_origin
 from .errors import SolverError, ValidationError
+from .herglotz import Divisor
 from .quad import DEFAULT_QTOL
 from .spectral_set import GapSystem, critical_points, frequencies, green
 
@@ -242,9 +244,6 @@ def kernel_truncation_report(base_gs, n_list, eps=-1, rel_positions=None, qtol=D
     diagnostic: the two envelope cases eps = -1 / eps = +1 at the critical
     points give exactly 1 and Delta_n(0)^2.
     """
-    from .abel import kernel_at_origin
-    from .herglotz import Divisor
-
     comb = comb_from_gaps(base_gs, qtol=qtol)
     eps_arr = np.broadcast_to(np.asarray(eps, dtype=int), (len(comb.teeth),))
     report = []

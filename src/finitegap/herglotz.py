@@ -249,16 +249,13 @@ def reflectionless_residual(gs, pair, x):
     return abs(-u - np.conj(v))
 
 
-def wronskian_residual(gs, pair, x, cp=None):
+def wronskian_residual(gs, pair, x, cp):
     """Wronskian/modulus identity residual at x in the interior of E.
 
     Checks the reflectionless boundary relation together with the density
-    identity Im R00(x+i0)/pi = W(x) * dos(x), W = prod (x-x_j)/(x-c_j).
+    identity Im R00(x+i0)/pi = W(x) * dos(x), W = prod (x-x_j)/(x-c_j), at the
+    critical points cp of gs.
     """
-    if cp is None:
-        from .spectral_set import critical_points
-
-        cp = critical_points(gs)
     refl = reflectionless_residual(gs, pair, x)
     w = 1.0
     for xj, cj in zip(pair.divisor.xs, cp.c):

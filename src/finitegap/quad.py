@@ -2,8 +2,11 @@
 
 All routines work on vectorized integrands ``f(x: ndarray) -> ndarray`` and
 refine by node doubling until two successive estimates agree to ``qtol``.
+An integrand of shape (..., n) on n nodes gives one integral per row, all
+converged together.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -27,15 +30,15 @@ def _leggauss(n):
 def gl_quad(f, a, b, qtol=DEFAULT_QTOL):
     """Adaptive-order Gauss-Legendre on [a, b] for a smooth integrand, up to _GL_N_MAX nodes."""
     if a == b:
-        return 0.0 * f(np.array([0.5 * (a + b)]))[0]
+        return 0.0 * f(np.array([0.5 * (a + b)]))[..., 0]
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     prev = np.inf
     n = _N_START
     while n <= _GL_N_MAX:
         x, w = _leggauss(n)
-        val = half * np.sum(w * f(mid + half * x))
-        if (diff := abs(val - prev)) <= qtol * max(1.0, abs(val)):
+        val = half * np.sum(w * f(mid + half * x), axis=-1)
+        if (diff := np.max(np.abs(val - prev))) <= qtol * max(1.0, np.max(np.abs(val))):
             return val
         prev = val
         n *= 2
@@ -46,8 +49,7 @@ def chebyshev_quad(g, lo, hi, qtol=DEFAULT_QTOL):
     """Compute int_lo^hi g(t) / sqrt((t-lo)(hi-t)) dt.
 
     Uses t = m + r cos(theta); the Gauss-Chebyshev rule is exact for the
-    singular weight, so only smoothness of ``g`` matters.  A ``g`` returning
-    shape (..., n) on n nodes gives one integral per row, all converged.
+    singular weight, so only smoothness of ``g`` matters.
     """
     m = 0.5 * (lo + hi)
     r = 0.5 * (hi - lo)
@@ -71,14 +73,30 @@ def chebyshev_quad_fixed(g, lo, hi, n):
     return (np.pi / n) * np.sum(g(m + r * np.cos(theta)), axis=-1)
 
 
+def _chart_angle(lo, hi, x):
+    """theta in [0, pi] with x = m + r cos(theta), from the nearer edge: hi - x = w sin^2(theta/2)
+    or x - lo = w cos^2(theta/2), w = hi - lo.  Exact at both edges, unlike arccos((x - m)/r)."""
+    w = hi - lo
+    if hi - x <= x - lo:
+        return 2.0 * math.asin(math.sqrt(max(hi - x, 0.0) / w))
+    return math.pi - 2.0 * math.asin(math.sqrt(max(x - lo, 0.0) / w))
+
+
+def _chart_point(lo, hi, theta):
+    """Inverse of _chart_angle for any real theta: x = m + r cos(theta), from the nearer edge."""
+    w = hi - lo
+    if math.cos(theta) >= 0.0:
+        return hi - w * math.sin(0.5 * theta) ** 2
+    return lo + w * math.cos(0.5 * theta) ** 2
+
+
 def theta_partial_quad(g, lo, hi, x, qtol=DEFAULT_QTOL):
     """Compute int_lo^x g(t) / sqrt((t-lo)(hi-t)) dt for lo <= x <= hi.
 
-    Same cosine substitution; the integral becomes a smooth one over
-    [theta(x), pi] handled by Gauss-Legendre.
+    With t = m - r cos(phi) the integral becomes a smooth one over [0, phi(x)],
+    handled by Gauss-Legendre.  phi(x) = pi - theta(x) is the chart angle of
+    -x on [-hi, -lo], so it is exact in x at both edges.
     """
     m = 0.5 * (lo + hi)
     r = 0.5 * (hi - lo)
-    u = np.clip((x - m) / r, -1.0, 1.0)
-    theta_x = np.arccos(u)
-    return gl_quad(lambda th: g(m + r * np.cos(th)), theta_x, np.pi, qtol)
+    return gl_quad(lambda ph: g(m - r * np.cos(ph)), 0.0, _chart_angle(-hi, -lo, -x), qtol)

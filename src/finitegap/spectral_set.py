@@ -167,7 +167,7 @@ def sqrt_R_gap(gs, j, x):
 def _edge_integral(gs, num, lo, hi, x, qtol):
     """int_lo^x num(t) dt / sqrt|R(t)| over the band or gap [lo, hi] of gs, for
     lo <= x <= hi: one Chebyshev rule at x = hi, theta_partial_quad otherwise.
-    A num of shape (m, n) on n nodes gives m integrals."""
+    A num of shape (m, n) on n nodes gives m integrals on either rule, converged together."""
     root = _rest_root(gs, lo, hi)
 
     def g(t):
@@ -315,30 +315,38 @@ def _harmonic_poly_coeffs(gs, qtol):
     return coeffs.T  # row k-1 = coefficients of P_k
 
 
-def harmonic_measure(gs, cp, k, x, qtol=DEFAULT_QTOL):
+def _gap_increment(gs, coeffs, j, x, qtol):
+    """omega_k(x) - omega_k(a_j) = s_j int_{a_j}^x P_k(t) dt / sqrt|R(t)| for x in gap j,
+    s_j its branch sign, from centred Chebyshev coefficients of P_k (degree along axis
+    0): one value for a row of _harmonic_poly_coeffs, all k at once for its transpose."""
+    lo, hi = gs.gap(j)
+    poly = partial(_chebval_centred, gs, coeffs)
+    return gap_branch_sign(gs, j) * _edge_integral(gs, poly, lo, hi, x, qtol)
+
+
+def harmonic_measure(gs, k, x, qtol=DEFAULT_QTOL):
     """Harmonic measure omega_k(x) of E_k = E cap [b_k, a0] at real x.
 
     omega_k is 1 on E_k and 0 on the rest of E; off E it is that boundary
     value at a branch point plus int P_k(t) dt / sqrt(R(t)) from there, with
-    P_k from _harmonic_poly_coeffs.
+    P_k from _harmonic_poly_coeffs.  It depends on E alone, not on the
+    critical points.
     """
     if not 1 <= k <= gs.n_gaps:
         raise ValidationError(f"gap index {k} out of range")
     kind = gs.locate(x)
     if kind[0] == "band":
         return 1.0 if kind[1] >= k else 0.0
-    poly = partial(_chebval_centred, gs, _harmonic_poly_coeffs(gs, qtol)[k - 1])
+    coeffs = _harmonic_poly_coeffs(gs, qtol)[k - 1]
     if kind[0] == "gap":
-        j = kind[1]
-        lo, hi = gs.gap(j)
-        sj = gap_branch_sign(gs, j)
-        return float(j > k) + _edge_integral(gs, lambda t: sj * poly(t), lo, hi, x, qtol)
+        return float(kind[1] > k) + _gap_increment(gs, coeffs, kind[1], x, qtol)
+    poly = partial(_chebval_centred, gs, coeffs)
     if kind[0] == "right":
         return 1.0 + _ray_integral(gs, poly, gs.a0, x, qtol)
     return _ray_integral(gs, poly, gs.b0, x, qtol)
 
 
-def harmonic_measure_density(gs, cp, k, x):
+def harmonic_measure_density(gs, k, x):
     """d omega_k / dx at a point strictly inside a gap."""
     kind = gs.locate(x)
     if kind[0] != "gap":

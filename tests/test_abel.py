@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_divisor, random_gap_system
+from conftest import random_divisor, random_gap_system, spaced_gap_system
 from finitegap import abel as ab
 from finitegap.errors import SolverError, ValidationError
 from finitegap.herglotz import Divisor
-from finitegap.spectral_set import GapSystem, critical_points
+from finitegap.spectral_set import GapSystem, harmonic_measure
 
 # round-trip characters per set; random_<N> is a random set with N gaps
 ROUNDTRIP_COUNTS = {
@@ -24,6 +24,22 @@ def _named_set(request, name):
         n = int(name.split("_")[1])
         return random_gap_system(np.random.default_rng(n), n_gaps=n)
     return request.getfixturevalue(name)
+
+
+def _moved_set(n):
+    """N gaps on [1e4 - 500, 1e4 + 500], far from [-2, 2]."""
+    return spaced_gap_system(np.random.default_rng(n), n, scale=250.0, shift=1e4)
+
+
+def _edge_points(a, b):
+    """The ends of gap (a, b) and the points 1e-9 widths inside them."""
+    d = 1e-9 * (b - a)
+    return a, a + d, b - d, b
+
+
+def _edge_arcs(a, b):
+    pts = _edge_points(a, b)
+    return list(zip(pts, pts[1:])) + [(a, b)]
 
 
 class TestCharacter:
@@ -54,28 +70,41 @@ class TestChart:
 
 
 class TestAbelMap:
-    def test_base_divisor_is_zero(self, two_gap, two_gap_cp):
+    def test_base_divisor_is_zero(self, two_gap):
         base = Divisor(tuple((a, 1) for a, _ in two_gap.gaps))
-        alpha = ab.abel_map(two_gap, two_gap_cp, base)
+        alpha = ab.abel_map(two_gap, base)
         assert np.allclose(alpha.alpha, 0.0, atol=1e-12)
 
-    def test_symmetric_center_quarter(self, sym_one_gap, sym_one_gap_cp):
-        alpha = ab.abel_map(sym_one_gap, sym_one_gap_cp, Divisor(((0.0, 1),)))
+    def test_symmetric_center_quarter(self, sym_one_gap):
+        alpha = ab.abel_map(sym_one_gap, Divisor(((0.0, 1),)))
         assert alpha.alpha[0] == pytest.approx(0.25, abs=1e-12)
 
-    def test_eps_flip_negates_increment(self, one_gap, one_gap_cp):
-        up = np.asarray(ab.abel_map(one_gap, one_gap_cp, Divisor(((0.2, 1),))).alpha)
-        dn = np.asarray(ab.abel_map(one_gap, one_gap_cp, Divisor(((0.2, -1),))).alpha)
+    def test_eps_flip_negates_increment(self, one_gap):
+        up = np.asarray(ab.abel_map(one_gap, Divisor(((0.2, 1),))).alpha)
+        dn = np.asarray(ab.abel_map(one_gap, Divisor(((0.2, -1),))).alpha)
         assert ab.torus_distance(up, -dn) < 1e-12
 
-    def test_series_matches_quadrature(self, three_gap, three_gap_cp, thin_band, rng):
-        for gs, cp in ((three_gap, three_gap_cp), (thin_band, critical_points(thin_band))):
+    def test_series_matches_quadrature(self, three_gap, thin_band, rng):
+        for gs in (three_gap, thin_band):
             for _ in range(5):
                 d = random_divisor(gs, rng)
-                direct = np.asarray(ab.abel_map(gs, cp, d).alpha)
+                direct = np.asarray(ab.abel_map(gs, d).alpha)
                 chart = ab.chart_from_divisor(gs, d)
                 fast = ab.abel_map_angles(gs, np.asarray(chart.angles)[None, :])[0]
                 assert ab.torus_distance(direct, fast) < 1e-11
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_per_pair_formula(self, n):
+        # one vector edge integral per gap against the N^2 scalar differences
+        # sum_k eps_k (omega_j(x_k) - omega_j(a_k)) / 2, endpoint divisors included
+        gs = _moved_set(n)
+        rng = np.random.default_rng(n)
+        for pos in range(4):
+            pts = tuple((_edge_points(a, b)[pos], int(rng.choice([-1, 1]))) for a, b in gs.gaps)
+            d = Divisor(pts).normalized(gs)
+            ref = [sum(0.5 * e * (harmonic_measure(gs, j, x) - harmonic_measure(gs, j, a))
+                       for (x, e), (a, _) in zip(d.points, gs.gaps)) for j in range(1, n + 1)]
+            assert ab.torus_distance(ab.abel_map(gs, d).alpha, ref) < 1e-13
 
     def test_continuity_through_endpoints(self, two_gap):
         # the map mod 1 is continuous across phi = 0 and pi (eps flips)
@@ -86,10 +115,10 @@ class TestAbelMap:
 
 
 class TestJacobian:
-    def test_matches_finite_differences(self, two_gap, two_gap_cp, rng):
+    def test_matches_finite_differences(self, two_gap, rng):
         d = random_divisor(two_gap, rng, margin=0.05)
         phi = np.asarray(ab.chart_from_divisor(two_gap, d).angles)
-        jac = ab.abel_jacobian(two_gap, two_gap_cp, d)
+        jac = ab.abel_jacobian(two_gap, d)
         h = 1e-6
         for k in range(2):
             dphi = np.zeros(2)
@@ -100,40 +129,38 @@ class TestJacobian:
             ) / (2 * h)
             assert np.allclose(jac[:, k], fd, atol=1e-6)
 
-    def test_nonsingular_interior(self, three_gap, three_gap_cp, rng):
+    def test_nonsingular_interior(self, three_gap, rng):
         d = random_divisor(three_gap, rng, margin=0.05)
-        jac = ab.abel_jacobian(three_gap, three_gap_cp, d)
+        jac = ab.abel_jacobian(three_gap, d)
         assert np.linalg.cond(jac) < 1e6
 
 
 class TestInversion:
-    def test_zero_maps_to_base(self, two_gap, two_gap_cp):
-        d = ab.invert_abel(two_gap, two_gap_cp, ab.Character((0.0, 0.0)))
+    def test_zero_maps_to_base(self, two_gap):
+        d = ab.invert_abel(two_gap, ab.Character((0.0, 0.0)))
         for (x, _), (a, _) in zip(d.points, two_gap.gaps):
             assert x == pytest.approx(a, abs=1e-8)
 
     @pytest.mark.parametrize("name", list(ROUNDTRIP_COUNTS))
     def test_roundtrip(self, request, rng, name):
         gs = _named_set(request, name)
-        cp = critical_points(gs)
         alphas = [ab.Character(tuple(rng.random(gs.n_gaps))) for _ in range(ROUNDTRIP_COUNTS[name])]
         # divisors 1e-9 of a gap width inside the left / right gap endpoints
         for side, e in ((0, 1), (1, -1)):
             pts = tuple(((a, b)[side] + (1 - 2 * side) * 1e-9 * (b - a), e) for a, b in gs.gaps)
-            alphas.append(ab.abel_map(gs, cp, Divisor(pts)))
+            alphas.append(ab.abel_map(gs, Divisor(pts)))
         for alpha in alphas:
-            d = ab.invert_abel(gs, cp, alpha)
-            assert ab.abel_map(gs, cp, d).distance(alpha) < 1e-9
+            d = ab.invert_abel(gs, alpha)
+            assert ab.abel_map(gs, d).distance(alpha) < 1e-9
 
     def test_thin_gap_chart_loss_raises(self):
         # on a gap of width 1e-9 the divisor's float x cannot hold the angle
         # Newton finds: these four characters miss by 2.4e-9 to 2.0e-8
         gs = GapSystem(b0=-2.0, a0=2.0, gaps=((-0.3, -0.3 + 1e-9), (0.5, 1.0)))
-        cp = critical_points(gs)
         rng = np.random.default_rng(0)
         for _ in range(4):
             with pytest.raises(SolverError, match="misses the character") as exc:
-                ab.invert_abel(gs, cp, ab.Character(tuple(rng.random(2))))
+                ab.invert_abel(gs, ab.Character(tuple(rng.random(2))))
             assert exc.value.residual > 1e-9
 
     @pytest.mark.parametrize(
@@ -145,7 +172,7 @@ class TestInversion:
             (1.0, 1e4),
         ],
     )
-    def test_affine_image(self, three_gap, three_gap_cp, rng, scale, shift):
+    def test_affine_image(self, three_gap, rng, scale, shift):
         # harmonic measures are invariant under x -> ax + b (a > 0), so the
         # image set has the same character at the image divisor
         img = GapSystem(
@@ -153,16 +180,15 @@ class TestInversion:
             a0=scale * three_gap.a0 + shift,
             gaps=tuple((scale * a + shift, scale * b + shift) for a, b in three_gap.gaps),
         )
-        img_cp = critical_points(img)
         for _ in range(3):
             alpha = ab.Character(tuple(rng.random(3)))
-            d = ab.invert_abel(three_gap, three_gap_cp, alpha)
-            d_img = ab.invert_abel(img, img_cp, alpha)
-            assert ab.abel_map(img, img_cp, d_img).distance(alpha) < 1e-9
+            d = ab.invert_abel(three_gap, alpha)
+            d_img = ab.invert_abel(img, alpha)
+            assert ab.abel_map(img, d_img).distance(alpha) < 1e-9
             assert d_img.eps == d.eps
             assert np.allclose(d_img.xs, scale * np.asarray(d.xs) + shift, rtol=0, atol=1e-9 * scale)
 
-    def test_restarts_are_capped(self, three_gap, three_gap_cp, monkeypatch):
+    def test_restarts_are_capped(self, three_gap, monkeypatch):
         starts = []
 
         def stuck(gs, targets, phis):
@@ -173,7 +199,7 @@ class TestInversion:
         alpha = ab.Character((0.1, 0.2, 0.3))
         guess = Divisor(tuple((a, 1) for a, _ in three_gap.gaps))
         with pytest.raises(SolverError) as err:
-            ab.invert_abel(three_gap, three_gap_cp, alpha, guess=guess)
+            ab.invert_abel(three_gap, alpha, guess=guess)
         assert err.value.residual == 0.25
         # the guess, the diagonal seed, then 2N restarts
         assert len(starts) == 2 + 2 * three_gap.n_gaps
@@ -211,57 +237,73 @@ class TestKernel:
 
 
 class TestMeasure:
-    def test_full_gap_both_signs(self, two_gap, two_gap_cp):
+    def test_full_gap_both_signs(self, two_gap):
         a, b = two_gap.gap(1)
         total = sum(
-            ab.measure_box(two_gap, two_gap_cp, [{"gap": 1, "a": a, "b": b, "eps": e}])
+            ab.measure_box(two_gap, [{"gap": 1, "a": a, "b": b, "eps": e}])
             for e in (1, -1)
         )
         assert total == pytest.approx(1.0, abs=1e-10)
 
-    def test_eps_independent_halves(self, two_gap, two_gap_cp):
+    def test_eps_independent_halves(self, two_gap):
         box = {"gap": 2, "a": 0.9, "b": 1.3}
-        v1 = ab.measure_box(two_gap, two_gap_cp, [dict(box, eps=1)])
-        v2 = ab.measure_box(two_gap, two_gap_cp, [dict(box, eps=-1)])
+        v1 = ab.measure_box(two_gap, [dict(box, eps=1)])
+        v2 = ab.measure_box(two_gap, [dict(box, eps=-1)])
         assert v1 == pytest.approx(v2, abs=1e-12)
 
-    def test_row_order_invariance(self, two_gap, two_gap_cp):
+    def test_row_order_invariance(self, two_gap):
         arcs = [
             {"gap": 1, "a": -0.9, "b": -0.5, "eps": 1},
             {"gap": 2, "a": 1.0, "b": 1.5, "eps": -1},
         ]
-        assert ab.measure_box(two_gap, two_gap_cp, arcs) == pytest.approx(
-            ab.measure_box(two_gap, two_gap_cp, arcs[::-1]), abs=1e-12
+        assert ab.measure_box(two_gap, arcs) == pytest.approx(
+            ab.measure_box(two_gap, arcs[::-1]), abs=1e-12
         )
 
-    def test_box_validation(self, two_gap, two_gap_cp):
+    def test_box_validation(self, two_gap):
         with pytest.raises(ValidationError):
-            ab.measure_box(two_gap, two_gap_cp, [{"gap": 1, "a": -2.0, "b": 0.0, "eps": 1}])
+            ab.measure_box(two_gap, [{"gap": 1, "a": -2.0, "b": 0.0, "eps": 1}])
         with pytest.raises(ValidationError):
             ab.measure_box(
                 two_gap,
-                two_gap_cp,
                 [
                     {"gap": 1, "a": -0.9, "b": -0.7, "eps": 1},
                     {"gap": 1, "a": -0.6, "b": -0.4, "eps": 1},
                 ],
             )
 
-    def test_monte_carlo_matches_determinant(self, one_gap, one_gap_cp):
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_per_pair_formula(self, n):
+        # the N-arc box and each of its arcs alone against the l^2 scalar differences
+        gs = _moved_set(n)
+
+        def omega_diff(j, arc):
+            return harmonic_measure(gs, j, arc["b"]) - harmonic_measure(gs, j, arc["a"])
+
+        for shift in range(4):
+            box = []
+            for k, (a, b) in enumerate(gs.gaps, start=1):
+                lo, hi = _edge_arcs(a, b)[(k + shift) % 4]
+                box.append({"gap": k, "a": lo, "b": hi, "eps": (-1) ** k})
+            for arcs in [box] + [[arc] for arc in box]:
+                mat = [[omega_diff(r["gap"], s) for s in arcs] for r in arcs]
+                ref = 2.0 ** -len(arcs) * abs(np.linalg.det(mat))
+                assert abs(ab.measure_box(gs, arcs) - ref) < 1e-13
+
+    def test_monte_carlo_matches_determinant(self, one_gap):
         box = [{"gap": 1, "a": -0.6, "b": 0.1, "eps": 1}]
-        det = ab.measure_box(one_gap, one_gap_cp, box)
-        est, se = ab.measure_mc(one_gap, one_gap_cp, box, samples=20_000, seed=7)
+        det = ab.measure_box(one_gap, box)
+        est, se = ab.measure_mc(one_gap, box, samples=20_000, seed=7)
         assert abs(est - det) <= 3.0 * se
 
     @pytest.mark.parametrize("n_gaps", [4, 6])
     def test_monte_carlo_beyond_three_gaps(self, n_gaps):
         gs = random_gap_system(np.random.default_rng(n_gaps), n_gaps=n_gaps)
-        cp = critical_points(gs)
         (a1, b1), (an, bn) = gs.gap(1), gs.gap(n_gaps)
         box = [
             {"gap": 1, "a": a1, "b": 0.5 * (a1 + b1), "eps": 1},
             {"gap": n_gaps, "a": an + 0.25 * (bn - an), "b": bn, "eps": -1},
         ]
-        det = ab.measure_box(gs, cp, box)
-        est, se = ab.measure_mc(gs, cp, box, samples=4000, seed=n_gaps)
+        det = ab.measure_box(gs, box)
+        est, se = ab.measure_mc(gs, box, samples=4000, seed=n_gaps)
         assert abs(est - det) <= 5.0 * se

@@ -180,19 +180,19 @@ def test_criterion_07_abel_shift_covariance():
     _report(7, "k-step linearity k<=10", worst_k, 1e-6)
 
 
-def test_criterion_08_invariant_measure_monte_carlo(one_gap, one_gap_cp, two_gap, two_gap_cp):
+def test_criterion_08_invariant_measure_monte_carlo(one_gap, two_gap):
     start = time.time()
     cases = [
-        (one_gap, one_gap_cp, [{"gap": 1, "a": -0.7, "b": 0.2, "eps": 1}], 100_000, 11),
-        (two_gap, two_gap_cp, [{"gap": 2, "a": 0.9, "b": 1.4, "eps": -1}], 100_000, 12),
-        (two_gap, two_gap_cp,
+        (one_gap, [{"gap": 1, "a": -0.7, "b": 0.2, "eps": 1}], 100_000, 11),
+        (two_gap, [{"gap": 2, "a": 0.9, "b": 1.4, "eps": -1}], 100_000, 12),
+        (two_gap,
          [{"gap": 1, "a": -0.9, "b": -0.5, "eps": 1}, {"gap": 2, "a": 1.0, "b": 1.5, "eps": -1}],
          100_000, 13),
     ]
     worst_sigma = 0.0
-    for gs, cp, box, samples, seed in cases:
-        det = ab.measure_box(gs, cp, box)
-        est, se = ab.measure_mc(gs, cp, box, samples=samples, seed=seed)
+    for gs, box, samples, seed in cases:
+        det = ab.measure_box(gs, box)
+        est, se = ab.measure_mc(gs, box, samples=samples, seed=seed)
         worst_sigma = max(worst_sigma, abs(est - det) / se)
     elapsed = time.time() - start
     assert worst_sigma <= 3.0

@@ -93,9 +93,9 @@ _CALLERS = [
     pytest.param(lambda ss, gs, cp: ss.green(gs, cp, -0.6), "theta_partial_quad", id="green-gap"),
     pytest.param(lambda ss, gs, cp: ss.green(gs, cp, 4.0), "gl_quad", id="green-outside"),
     pytest.param(lambda ss, gs, cp: ss.green(gs, cp, 1.0j), "gl_quad", id="green-complex"),
-    pytest.param(lambda ss, gs, cp: ss.harmonic_measure(gs, cp, 1, -0.6), "theta_partial_quad",
+    pytest.param(lambda ss, gs, cp: ss.harmonic_measure(gs, 1, -0.6), "theta_partial_quad",
                  id="harmonic_measure-gap"),
-    pytest.param(lambda ss, gs, cp: ss.harmonic_measure(gs, cp, 1, 4.0), "gl_quad",
+    pytest.param(lambda ss, gs, cp: ss.harmonic_measure(gs, 1, 4.0), "gl_quad",
                  id="harmonic_measure-outside"),
     pytest.param(lambda ss, gs, cp: ss.dos_cdf(gs, cp, 0.0), "theta_partial_quad", id="dos_cdf"),
     pytest.param(lambda ss, gs, cp: ss.frequencies(gs, cp), "chebyshev_quad", id="frequencies"),

@@ -7,10 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from finitegap import cli, comb
 from finitegap.cli import main
+from finitegap.spectral_set import critical_points
 
 ONE_GAP = {"band": [-2.0, 2.0], "gaps": [[-1.0, 1.0]]}
 ONE_GAP_DIV = dict(ONE_GAP, divisor=[{"x": 0.3, "eps": 1}])
+ONE_GAP_BOX = dict(ONE_GAP, box=[{"gap": 1, "a": -0.5, "b": 0.5, "eps": 1}])
 
 
 def run(capsys, argv, doc=None, tmp_path=None):
@@ -110,6 +113,37 @@ class TestTorusCommands:
         )
         assert abs(mc["estimate"] - det) <= 3.0 * mc["stderr"]
         assert mc["seed"] == 5
+
+
+# (argv, input, whether the command reads the critical points)
+SOLVE_CASES = [
+    (["harmonic", "--z", "0.3"], ONE_GAP, False),
+    (["abel"], ONE_GAP_DIV, False),
+    (["invert"], dict(ONE_GAP, alpha=[0.3]), False),
+    (["measure"], ONE_GAP_BOX, False),
+    (["measure-mc", "--mc-samples", "200"], ONE_GAP_BOX, False),
+    (["critical"], ONE_GAP, True),
+    (["green", "--z", "0.3"], ONE_GAP, True),
+    (["dos", "--z", "1.5"], ONE_GAP, True),
+    (["kernel0"], ONE_GAP_DIV, True),
+    (["comb"], ONE_GAP, True),
+    (["shift-check"], ONE_GAP_DIV, True),
+]
+
+
+@pytest.mark.parametrize("argv, doc, solves", [pytest.param(*c, id=c[0][0]) for c in SOLVE_CASES])
+def test_critical_points_solved_only_where_read(capsys, tmp_path, monkeypatch, argv, doc, solves):
+    # harmonic measures, the Abel map and the invariant measure depend on E alone
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return critical_points(*args, **kwargs)
+
+    for mod in (cli, comb):
+        monkeypatch.setattr(mod, "critical_points", spy)
+    run_json(capsys, argv, doc, tmp_path)
+    assert bool(calls) == solves
 
 
 class TestCombCommands:

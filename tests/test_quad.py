@@ -33,6 +33,17 @@ def test_theta_partial_half_symmetric():
     assert half == pytest.approx(0.5 * full, abs=1e-12)
 
 
+@pytest.mark.parametrize("share", [0.0, 1e-9, 0.5, 1.0])
+def test_theta_partial_closed_form_next_to_edges(share):
+    # int_lo^x dt / sqrt((t-lo)(hi-t)) = 2 asin sqrt((x-lo)/(hi-lo)), on an
+    # interval of width 1e-6 where the edges lie far below the rounding of x
+    lo, hi = -1.0, -1.0 + 1e-6
+    x = lo + share * (hi - lo)
+    exact = 2.0 * np.arcsin(np.sqrt((x - lo) / (hi - lo)))
+    part = theta_partial_quad(lambda t: np.ones_like(t), lo, hi, x)
+    assert part == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
 def test_gl_quad_order_is_capped():
     # a jump never converges; the doubling stops at 2048 nodes with the
     # last difference as residual instead of building ever larger rules

@@ -179,25 +179,23 @@ class TestGreen:
 
 
 class TestHarmonicMeasure:
-    def test_band_boundary_values(self, two_gap, two_gap_cp):
-        assert harmonic_measure(two_gap, two_gap_cp, 1, -1.5) == 0.0
-        assert harmonic_measure(two_gap, two_gap_cp, 1, 0.0) == 1.0
-        assert harmonic_measure(two_gap, two_gap_cp, 2, 0.0) == 0.0
-        assert harmonic_measure(two_gap, two_gap_cp, 2, 2.0) == 1.0
+    def test_band_boundary_values(self, two_gap):
+        assert harmonic_measure(two_gap, 1, -1.5) == 0.0
+        assert harmonic_measure(two_gap, 1, 0.0) == 1.0
+        assert harmonic_measure(two_gap, 2, 0.0) == 0.0
+        assert harmonic_measure(two_gap, 2, 2.0) == 1.0
 
-    def test_gap_increment_identity(self, two_gap, two_gap_cp):
+    def test_gap_increment_identity(self, two_gap):
         # omega_k(b_j) - omega_k(a_j) = delta_kj
         for k in (1, 2):
             for j in (1, 2):
                 a, b = two_gap.gap(j)
-                inc = harmonic_measure(two_gap, two_gap_cp, k, b) - harmonic_measure(
-                    two_gap, two_gap_cp, k, a
-                )
+                inc = harmonic_measure(two_gap, k, b) - harmonic_measure(two_gap, k, a)
                 assert inc == pytest.approx(1.0 if k == j else 0.0, abs=1e-10)
 
-    def test_range_in_unit_interval(self, two_gap, two_gap_cp):
+    def test_range_in_unit_interval(self, two_gap):
         for x in np.linspace(-3.0, 4.0, 41):
-            v = harmonic_measure(two_gap, two_gap_cp, 1, x)
+            v = harmonic_measure(two_gap, 1, x)
             assert -1e-10 <= v <= 1.0 + 1e-10
 
     def test_qtol_reaches_period_matrix(self, two_gap, two_gap_cp, monkeypatch):
@@ -218,10 +216,10 @@ class TestHarmonicMeasure:
         monkeypatch.setattr(spectral_set, "chebyshev_quad", spy)
         monkeypatch.setattr(spectral_set, "theta_partial_quad", spy_partial)
         spectral_set._harmonic_poly_coeffs.cache_clear()
-        loose = harmonic_measure(two_gap, two_gap_cp, 1, -0.6, qtol=1e-6)
+        loose = harmonic_measure(two_gap, 1, -0.6, qtol=1e-6)
         assert seen == [1e-6] * 2
         assert seen_partial == [1e-6]
-        assert loose == pytest.approx(harmonic_measure(two_gap, two_gap_cp, 1, -0.6), abs=1e-6)
+        assert loose == pytest.approx(harmonic_measure(two_gap, 1, -0.6), abs=1e-6)
         seen_partial.clear()
         cp = critical_points(two_gap, qtol=1e-6)
         green(two_gap, cp, -0.6, qtol=1e-6)
@@ -229,7 +227,7 @@ class TestHarmonicMeasure:
         assert cp.h == pytest.approx(two_gap_cp.h, abs=1e-6)
 
     @pytest.mark.parametrize("x", [-3.0, -2.1, 3.1, 4.0, 50.0])
-    def test_outside_the_set(self, two_gap, two_gap_cp, x):
+    def test_outside_the_set(self, two_gap, x):
         # omega_k(x) = omega_k(edge) + int_edge^x P_k / sqrt(R) from the nearest
         # edge, where sqrt(R) = +-sqrt|R| (+ right of a0, (-1)^(N+1) left of
         # b0); scipy's algebraic weight takes the edge singularity
@@ -250,7 +248,7 @@ class TestHarmonicMeasure:
                     np.prod(np.abs(t - rest)))
                 ref = quad(f, x, two_gap.b0, weight="alg", wvar=(0.0, -0.5),
                            epsabs=0.0, epsrel=1e-13, limit=200)[0]
-            assert harmonic_measure(two_gap, two_gap_cp, k, x) == pytest.approx(ref, rel=1e-10)
+            assert harmonic_measure(two_gap, k, x) == pytest.approx(ref, rel=1e-10)
 
     def test_tends_to_frequencies(self, two_gap, two_gap_cp):
         # harmonic measure at infinity of E_k is the dos mass of bands k..N,
@@ -258,15 +256,12 @@ class TestHarmonicMeasure:
         om = frequencies(two_gap, two_gap_cp)
         for x in (-1e6 * two_gap.diameter, 1e6 * two_gap.diameter):
             for k in (1, 2):
-                assert abs(harmonic_measure(two_gap, two_gap_cp, k, x) - om[k - 1]) < 1e-5
+                assert abs(harmonic_measure(two_gap, k, x) - om[k - 1]) < 1e-5
 
-    def test_density_sign(self, two_gap, two_gap_cp):
+    def test_density_sign(self, two_gap):
         # omega_1 decreases through gap 2 toward the right tail piece E_2 complement
-        d = harmonic_measure_density(two_gap, two_gap_cp, 1, 1.2)
-        fd = (
-            harmonic_measure(two_gap, two_gap_cp, 1, 1.201)
-            - harmonic_measure(two_gap, two_gap_cp, 1, 1.199)
-        ) / 0.002
+        d = harmonic_measure_density(two_gap, 1, 1.2)
+        fd = (harmonic_measure(two_gap, 1, 1.201) - harmonic_measure(two_gap, 1, 1.199)) / 0.002
         assert d == pytest.approx(fd, rel=1e-4)
 
 
