@@ -34,6 +34,12 @@ _SERIES_MIN_NODES = 512
 _SERIES_MAX_NODES = 1 << 15
 _SERIES_TAIL = 1e-13
 _TWO_PI = 2.0 * np.pi
+# _newton_invert stops a row below _NEWTON_TOL, a decade under invert_abel's
+# 1e-10, and _NEWTON_ITERS leaves room for many halvings of a row's step
+_NEWTON_ITERS = 60
+_NEWTON_TOL = 1e-11
+# samples per Newton call in measure_mc: an (N, N) Jacobian stack of 8 MB at N = 16
+_MC_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -220,10 +226,10 @@ def _restart_offsets(n):
     return _TWO_PI * ((np.arange(1, 2 * n + 1)[:, None] * step) % 1.0)
 
 
-def _newton_invert(gs, targets, phis, iters=60, tol=1e-11):
+def _newton_invert(gs, targets, phis):
     """Vectorized torus Newton for the chart Abel map; returns (phis, residuals).
 
-    Rows whose residual is below tol stop iterating; only the rest get a
+    Rows whose residual is below _NEWTON_TOL stop iterating; only the rest get a
     Jacobian and a solve.  A step is scaled down to at most one radian in
     its largest angle and is taken only if it lowers the row's residual;
     otherwise that row's step length is halved on the next iteration.
@@ -234,8 +240,8 @@ def _newton_invert(gs, targets, phis, iters=60, tol=1e-11):
     res = np.abs(res_vec).max(axis=-1)
     active = np.arange(len(phis))
     length = np.ones(len(phis))
-    for _ in range(iters):
-        live = res[active] >= tol
+    for _ in range(_NEWTON_ITERS):
+        live = res[active] >= _NEWTON_TOL
         active, res_vec, length = active[live], res_vec[live], length[live]
         if active.size == 0:
             break
@@ -298,6 +304,8 @@ def shift_covariance_residual(gs, cp, divisor, prec=DEFAULT_PREC, steps=1, qtol=
     """Torus distance between the Abel image of the divisor advanced by the
     coefficient stripping iteration and the frequency translate
     alpha(D) - steps * omega."""
+    if steps < 0:
+        raise ValidationError(f"shift steps must be nonnegative, got {steps}")
     omega = frequencies(gs, cp, qtol)
     state = initial_state(gs, divisor, prec=prec)
     for _ in range(steps):
@@ -360,7 +368,7 @@ def measure_box(gs, box, qtol=DEFAULT_QTOL):
     return float(2.0 ** (-len(entries)) * abs(np.linalg.det(cols[:, rows])))
 
 
-def measure_mc(gs, box, samples=100_000, seed=0, chunk=4096):
+def measure_mc(gs, box, samples=100_000, seed=0):
     """Monte-Carlo oracle for measure_box: sample characters uniformly,
     invert the Abel map, count divisors landing in the box.
 
@@ -371,6 +379,8 @@ def measure_mc(gs, box, samples=100_000, seed=0, chunk=4096):
 
     Returns (estimate, stderr).
     """
+    if samples < 1:
+        raise ValidationError(f"Monte-Carlo needs at least one sample, got {samples}")
     entries = _parse_box(gs, box)
     n = gs.n_gaps
     if n == 0 or not entries:
@@ -383,8 +393,8 @@ def measure_mc(gs, box, samples=100_000, seed=0, chunk=4096):
         th_a, th_b = (_chart_angle(*gs.gap(j), x) for x in (a, b))
         arcs.append((j - 1, th_b, th_a) if e > 0 else (j - 1, _TWO_PI - th_a, _TWO_PI - th_b))
     hits = 0
-    for start in range(0, samples, chunk):
-        count = min(chunk, samples - start)
+    for start in range(0, samples, _MC_CHUNK):
+        count = min(_MC_CHUNK, samples - start)
         alpha = rng.random((count, n))
         phis, res = _newton_invert(gs, alpha, _diagonal_seed(alpha))
         bad = res > 1e-8

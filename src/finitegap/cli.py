@@ -46,8 +46,10 @@ class RunConfig:
     def __post_init__(self):
         if self.precision < 53:
             raise ValidationError("precision must be at least 53 bits")
-        if self.qtol <= 0:
-            raise ValidationError("qtol must be positive")
+        if not 0 < self.qtol < float("inf"):
+            raise ValidationError("qtol must be positive and finite")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
         if self.fmt not in ("json", "csv"):
             raise ValidationError("format must be json or csv")
 

@@ -24,6 +24,9 @@ from .spectral_set import GapSystem, critical_points, frequencies, green
 _LM_MAX_ITER = 100
 _LM_MAX_DAMPING = 1e8
 _LM_RESIDUAL_TOL = 1e-15
+# qtol of the inner critical_points/frequencies solves: two decades under the
+# 1e-8 residual the inversion must reach, and cheap for 2N solves per Jacobian
+_INNER_QTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -131,19 +134,20 @@ def _endpoints_to_gaps(x):
     return pairs
 
 
-def gaps_from_comb(comb, bracket, qtol=DEFAULT_QTOL, inner_qtol=1e-10):
+def gaps_from_comb(comb, bracket, qtol=DEFAULT_QTOL):
     """Inverse parameter problem: gap endpoints from a finite comb.
 
     The outer band [b0, a0] is fixed by the bracket (normalization: scale and
     translation are not determined by the comb); the 2N interior endpoints x,
     started at the bracket's, solve critical_points/frequencies residuals at
-    inner_qtol by Levenberg-Marquardt.  The Jacobian is built once by forward
+    _INNER_QTOL by Levenberg-Marquardt.  The Jacobian is built once by forward
     differences and then kept by Broyden rank-1 updates; it is rebuilt by
     differences only after a rejected step, and only if it has been updated
     since it was built.  A step is rejected, and the damping raised, when
     it breaks b0 + margin < a_1 < b_1 < ... < b_N < a0 - margin (such a step
     is never evaluated), when the inner solve raises, or when it does not
     lower the residual.  SolverError if max |residual| stays above 1e-8.
+    qtol is not read: every inner solve runs at _INNER_QTOL.
     """
     n = len(comb.teeth)
     if comb.tail_bound != 0.0:
@@ -160,8 +164,8 @@ def gaps_from_comb(comb, bracket, qtol=DEFAULT_QTOL, inner_qtol=1e-10):
             return None
         try:
             gs = GapSystem(b0=b0, a0=a0, gaps=_endpoints_to_gaps(x))
-            cp = critical_points(gs, inner_qtol)
-            om = frequencies(gs, cp, inner_qtol)
+            cp = critical_points(gs, _INNER_QTOL)
+            om = frequencies(gs, cp, _INNER_QTOL)
         except (SolverError, ValidationError):
             return None
         return np.concatenate([om, cp.h]) - target

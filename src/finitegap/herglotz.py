@@ -9,8 +9,9 @@ s = (t - mid) / half of [b0, a0], where |s| <= 1, in fixed point: an
 integer v stands for v / 2^w.  A sum of products is summed exactly and
 shifted once, square roots are `math.isqrt`, floats enter exactly through
 `float.as_integer_ratio` and leave through one correctly rounded integer
-true division.  split_resolvents runs t_poly at w = _T_BITS and rounds to
-float64; jacobi_cf.initial_state runs it at w = prec.
+true division.  _fixed_state is the one build of (T, R, 4 p0^2):
+split_resolvents runs it at w = _T_BITS and rounds to float64;
+jacobi_cf.initial_state runs it at w = prec.
 """
 
 from dataclasses import dataclass
@@ -169,22 +170,10 @@ def _pfromroots(roots, w):
     return out
 
 
-def centred_divisor(gs, divisor):
-    """(normalized divisor, centred set cs, points) with points (s_j, sigma_j):
-    s_j = (x_j - mid) / half, in the closed gap j of cs = _centred(gs) because
-    rounding is monotone, and sigma_j = eps_j times the branch sign of
-    sqrt(R) on gap j."""
-    divisor = divisor.normalized(gs)
-    mid, half = _frame(gs)
-    pts = tuple(((x - mid) / half, e * gap_branch_sign(gs, j))
-                for j, (x, e) in enumerate(divisor.points, start=1))
-    return divisor, _centred(gs), pts
-
-
-def t_poly(ends, points, w):
+def t_poly(ends, xs, sigmas, w):
     """Ascending fixed-point coefficients of T at w bits, for the branch
-    points ``ends`` and the divisor ``points`` (x_j, sigma_j) of
-    centred_divisor, both in fixed point.
+    points ``ends`` and the divisor points ``xs``, both in fixed point, and
+    ``sigmas``, sigma_j = eps_j times the branch sign of sqrt(R) on gap j.
 
     With y_j = sigma_j sqrt|R(x_j)|, zero at a gap endpoint, and
     s1 = -sum(ends) / 2,
@@ -197,11 +186,10 @@ def t_poly(ends, points, w):
     2^(w(N-1)), so y_j / Pi'(x_j) is one integer square root and one
     division.
     """
-    xs = [x for x, _ in points]
     n = len(xs)
     pi = _pfromroots(xs, w)
     t = _mul_linear(pi, (sum(ends) >> 1) - sum(xs), w)
-    for j, (x, sigma) in enumerate(points):
+    for j, (x, sigma) in enumerate(zip(xs, sigmas)):
         y = isqrt(prod(abs(x - e) for e in ends))
         c = (-y if sigma < 0 else y) // (prod(x - xk for k, xk in enumerate(xs) if k != j) << w)
         q = pi[n]
@@ -211,33 +199,44 @@ def t_poly(ends, points, w):
     return t
 
 
+def _fixed_state(gs, divisor, w):
+    """(normalized divisor, ends, xs, T, R, 4 p0^2) in fixed point at w bits
+    on the set centred by s = (t - mid) / half: ends b0, a_1, b_1, ..., a0,
+    R their product, xs the s_j of the divisor (in their closed gaps, as
+    rounding is monotone), T from t_poly and 4 p0^2 = -[z^2N](R - T^2)."""
+    divisor = divisor.normalized(gs)
+    mid, half = _frame(gs)
+    ends = [_to_fixed(e, w) for e in _centred(gs).endpoints]
+    xs = [_to_fixed((x - mid) / half, w) for x in divisor.xs]
+    sigmas = [e * gap_branch_sign(gs, j) for j, e in enumerate(divisor.eps, start=1)]
+    t = t_poly(ends, xs, sigmas, w)
+    r = _pfromroots(ends, w)
+    n = len(xs)
+    four_p0sq = (_conv(t, t, 2 * n) - (r[2 * n] << w)) >> w
+    if four_p0sq <= 0:
+        raise SolverError(f"nonpositive p0^2 = {four_p0sq / (4 << w) * half**2}: invalid divisor data")
+    return divisor, ends, xs, t, r, four_p0sq
+
+
 def split_resolvents(gs, divisor):
     """Construct the resolvent pair (u, v) = ((sqrt R + T)/2Pi, (sqrt R - T)/2Pi).
 
-    T comes from t_poly at _T_BITS on the centred set s = (t - mid) / half,
-    rounded to float64, and p0^2 = -[z^2N](R - T^2) / 4 there from the exact
-    fixed-point sum; in raw coordinates T scales by half^(N+1) and p0^2 by
-    half^2.  q0 is read from the expansion of u at infinity.
+    T and 4 p0^2 come from _fixed_state at _T_BITS on the centred set
+    s = (t - mid) / half, rounded to float64; in raw coordinates T scales by
+    half^(N+1) and p0^2 by half^2.  q0 is read from the expansion of u at
+    infinity.
     """
-    divisor, cs, pts = centred_divisor(gs, divisor)
-    n = gs.n_gaps
+    divisor, _, _, t, _, four_p0sq = _fixed_state(gs, divisor, _T_BITS)
     mid, half = _frame(gs)
-    w = _T_BITS
-    ends = [_to_fixed(e, w) for e in cs.endpoints]
-    t = t_poly(ends, [(_to_fixed(s, w), sigma) for s, sigma in pts], w)
-    # 4 p0^2 at scale 2^(2w)
-    p0sq = _from_fixed(_conv(t, t, 2 * n) - (_pfromroots(ends, w)[2 * n] << w), 2 * w + 2, half, 2)
-    if p0sq <= 0.0:
-        raise SolverError(f"nonpositive p0^2 = {p0sq}: invalid divisor data")
-    t = [_from_fixed(c, w) for c in t]
+    t = [_from_fixed(c, _T_BITS) for c in t]
     # half^(N+1) T((z - mid) / half) by Horner in z - mid
     t_raw = np.array(t[-1:])
     for k, c in enumerate(reversed(t[:-1]), start=1):
         t_raw = np.convolve(t_raw, [-mid, 1.0])
         t_raw[0] += half ** k * c
     q0 = -sum(divisor.xs) + 0.5 * sum(gs.endpoints)
-    return HerglotzPair(gs=gs, divisor=divisor, t_coeffs=tuple(map(float, t_raw)),
-                        t_centred=tuple(t), p0sq=p0sq, q0=q0)
+    return HerglotzPair(gs=gs, divisor=divisor, t_coeffs=tuple(map(float, t_raw)), t_centred=tuple(t),
+                        p0sq=_from_fixed(four_p0sq, _T_BITS + 2, half, 2), q0=q0)
 
 
 def reflectionless_residual(gs, pair, x):

@@ -10,17 +10,17 @@ The iteration runs on the centred set s = (t - mid) / half of [b0, a0]
 (`spectral_set._centred`), where |s| <= 1 and every coefficient of R, T
 and Pi is O(2^(2N+2)).  There all state arithmetic is in fixed point on
 plain Python integers: v stands for v / 2^W with W = prec bits, since
-errors accumulate linearly in the number of steps.  `initial_state` maps
-the divisor in exactly (`float.as_integer_ratio`), with T from
-`herglotz.t_poly`; q_n = mid + half q, p_n^2 = half^2 p^2 and the divisor
-x = mid + half s leave through one correctly rounded integer true division
-each.
+errors accumulate linearly in the number of steps.  `initial_state` is
+`herglotz._fixed_state`, the one build of (T, R, 4 p0^2), at prec bits;
+q_n = mid + half q, p_n^2 = half^2 p^2 and the divisor x = mid + half s
+leave through one correctly rounded integer true division each.
 
-R(z) = prod (z - e) over the 2N+2 endpoints is built once per window, by
-`initial_state`, and carried with every state.  A step reads only the
-coefficients it needs: each coefficient of a product, of R - T^2 and of its
-quotient by Pi is one exact sum of integer products over the pairs of
-factors that form it, shifted once; quotients are `(a << W) // b`.
+R(z) = prod (z - e) over the 2N+2 endpoints is built once per window and
+carried with every state.  A step reads only the coefficients it needs:
+each coefficient of a product, of R - T^2 and of its quotient by Pi is one
+exact sum of integer products over the pairs of factors that form it,
+shifted once; quotients are `(a << W) // b`.  The orthogonal polynomials
+come from one pass of the three-term recurrence (`_polys`).
 """
 
 from dataclasses import dataclass, replace
@@ -30,8 +30,8 @@ from operator import mul
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .herglotz import (Divisor, _conv, _from_fixed, _pfromroots, _to_fixed, centred_divisor,
-                       split_resolvents, t_poly)
+from .herglotz import (Divisor, _conv, _fixed_state, _from_fixed, _pfromroots, _to_fixed,
+                       split_resolvents)
 from .spectral_set import _frame, gap_branch_sign
 
 DEFAULT_PREC = 128
@@ -41,6 +41,11 @@ _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 # Newton steps allowed per divisor root; from a float64 seed a simple root
 # needs about log2(prec / 50) + 1
 _NEWTON_MAX = 50
+
+# gap widths outside its gap within which a root, f of one sign over the gap,
+# is clamped to the nearer endpoint: far above the 2^-prec rounding of a
+# converged root, below the 1e-6 that TestGapRoots requires to raise
+_ESCAPE = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -77,15 +82,14 @@ def _times(v, c):
 class CFState:
     """Divisor window of the continued-fraction iteration at one site.
 
-    xs, t_coeffs, ends, r_coeffs and four_p0sq = 4 p0^2 live on the centred
-    set cs of gs, in fixed point at prec bits.  ends are the endpoints of cs,
-    b0, a_1, b_1, ..., a0, and r_coeffs the coefficients of R; both are built
-    once per window and shared by every state derived from the first one.
-    The 2 x prec retry of a step shifts them left by prec.
+    xs, t_coeffs, ends, r_coeffs and four_p0sq = 4 p0^2 come from
+    herglotz._fixed_state on the centred set, in fixed point at prec bits.
+    ends are the centred endpoints b0, a_1, b_1, ..., a0, and r_coeffs the
+    coefficients of R; both are shared by every state derived from the first
+    one.  The 2 x prec retry of a step shifts them left by prec.
     """
 
     gs: object
-    cs: object
     xs: tuple
     eps: tuple
     t_coeffs: tuple
@@ -146,22 +150,10 @@ class JacobiSegment:
 
 
 def initial_state(gs, divisor, prec=DEFAULT_PREC):
-    """CFState at site 0 from a divisor, with T and R built in fixed point
-    at prec bits on the centred set."""
-    divisor, cs, pts = centred_divisor(gs, divisor)
-    n = gs.n_gaps
-    w = prec
-    ends = [_to_fixed(e, w) for e in cs.endpoints]
-    pts = [(_to_fixed(s, w), sigma) for s, sigma in pts]
-    t = t_poly(ends, pts, w)
-    r = _pfromroots(ends, w)
-    # 4 p0^2 = -[z^2N](R - T^2) on cs
-    state = CFState(gs=gs, cs=cs, xs=tuple(s for s, _ in pts), eps=divisor.eps,
-                    t_coeffs=tuple(t), ends=tuple(ends), r_coeffs=tuple(r),
-                    four_p0sq=(_conv(t, t, 2 * n) - (r[2 * n] << w)) >> w, prec=prec)
-    if state.four_p0sq <= 0:
-        raise SolverError(f"nonpositive p0^2 = {state.p0sq}: invalid divisor data")
-    return state
+    """CFState at site 0 from a divisor: herglotz._fixed_state at prec bits."""
+    divisor, ends, xs, t, r, four_p0sq = _fixed_state(gs, divisor, prec)
+    return CFState(gs=gs, xs=tuple(xs), eps=divisor.eps, t_coeffs=tuple(t), ends=tuple(ends),
+                   r_coeffs=tuple(r), four_p0sq=four_p0sq, prec=prec)
 
 
 def _reduce_divide(r, t, xs, pi, w, prec):
@@ -203,7 +195,7 @@ def _reduce_divide(r, t, xs, pi, w, prec):
     return -lead, [(c << w) // lead for c in quot]
 
 
-def _gap_roots(ends, coeffs, w, tol_escape=1e-9):
+def _gap_roots(ends, coeffs, w):
     """The root in each closed gap of a monic polynomial of degree N with
     fixed-point coefficients at w bits, as fixed-point integers; ends are the
     fixed-point endpoints b0, a_1, b_1, ..., a_N, b_N, a0.
@@ -215,7 +207,7 @@ def _gap_roots(ends, coeffs, w, tol_escape=1e-9):
     largest |endpoint|; the prediction also stops the iteration when the
     steps reach the rounding floor of evaluating f.  Where Newton does not converge inside the gap,
     the root is bisected if f changes sign over the gap, else clamped to the
-    nearer endpoint if within tol_escape gap widths of it, else an error.
+    nearer endpoint if within _ESCAPE gap widths of it, else an error.
     """
     n = len(coeffs) - 1
     # seeding is a large share of a step: the exact root at N = 1 and the
@@ -250,7 +242,7 @@ def _gap_roots(ends, coeffs, w, tol_escape=1e-9):
         if not (converged and a <= x <= b):
             lo, hi = a, b
             flo, fhi = _peval(coeffs, lo, w), _peval(coeffs, hi, w)
-            escape = _times(b - a, tol_escape)
+            escape = _times(b - a, _ESCAPE)
             if _sign(flo) * _sign(fhi) <= 0:
                 for _ in range(w + 10):
                     mid = (lo + hi) >> 1
@@ -289,8 +281,7 @@ def _cf_step_at_prec(state, prec):
     """cf_step at prec >= state.prec bits; the state is shifted up to prec
     for the step and the next state back down to state.prec.  The remainder
     test keeps the tolerance of state.prec, the bits the state carries."""
-    cs = state.cs
-    n = cs.n_gaps
+    n = state.gs.n_gaps
     mid, half = _frame(state.gs)
     w, up = prec, prec - state.prec
     xs, t, ends, r = state.xs, state.t_coeffs, state.ends, state.r_coeffs
@@ -307,7 +298,7 @@ def _cf_step_at_prec(state, prec):
     t_next = [-(ai + (2 * pii * q >> w)) for ai, pii in zip(a, pi)] + [-a[-1]]
     four_p1sq, quot = _reduce_divide(r, t_next, xs, pi, w, state.prec)
     roots = _gap_roots(ends, quot, w)
-    nxt = replace(state, xs=tuple(x >> up for x in roots), eps=_eps_from_t(cs, ends, t_next, roots, w),
+    nxt = replace(state, xs=tuple(x >> up for x in roots), eps=_eps_from_t(state.gs, ends, t_next, roots, w),
                   t_coeffs=tuple(c >> up for c in t_next), four_p0sq=four_p1sq >> up)
     return _from_fixed(q, w, half, mid=mid), _from_fixed(four_p1sq, w + 2, half, 2), nxt
 
@@ -330,10 +321,10 @@ def dual_state(state):
     The dual divisor consists of the roots of (R - T^2) / (-4 p0^2 Pi);
     T and p0^2 are unchanged.
     """
-    cs, w = state.cs, state.prec
+    w = state.prec
     _, quot = _reduce_divide(state.r_coeffs, state.t_coeffs, state.xs, _pfromroots(state.xs, w), w, w)
     roots = _gap_roots(state.ends, quot, w)
-    return replace(state, xs=tuple(roots), eps=_eps_from_t(cs, state.ends, state.t_coeffs, roots, w))
+    return replace(state, xs=tuple(roots), eps=_eps_from_t(state.gs, state.ends, state.t_coeffs, roots, w))
 
 
 def iterate(state, nsteps):
@@ -351,83 +342,81 @@ def coefficients(gs, divisor, n0, n1, prec=DEFAULT_PREC):
     if not n0 <= 0 <= n1:
         raise ValidationError("window must contain the origin: n0 <= 0 <= n1")
     state = initial_state(gs, divisor, prec=prec)
+    # the forward lists hold q_0.., p_1..; the backward ones q_-1.., p_-1..
     qs_fwd, psqs_fwd, _ = iterate(state, n1 + 1)
-    if n0 < 0:
-        dual = dual_state(state)
-        qs_bwd, psqs_bwd, _ = iterate(dual, -n0)
-    else:
-        qs_bwd, psqs_bwd = [], []
-    p, q = [], []
-    for nn in range(n0, n1 + 1):
-        if nn == 0:
-            p.append(state.p0)
-        elif nn > 0:
-            p.append(float(np.sqrt(psqs_fwd[nn - 1])))
-        else:
-            p.append(float(np.sqrt(psqs_bwd[-nn - 1])))
-        q.append(qs_fwd[nn] if nn >= 0 else qs_bwd[-nn - 1])
-    return JacobiSegment(n0=n0, n1=n1, p=tuple(p), q=tuple(q))
+    qs_bwd, psqs_bwd, _ = iterate(dual_state(state), -n0) if n0 else ([], [], None)
+    p = np.sqrt(psqs_bwd[::-1]).tolist() + [state.p0] + np.sqrt(psqs_fwd[:n1]).tolist()
+    return JacobiSegment(n0=n0, n1=n1, p=tuple(p), q=tuple(qs_bwd[::-1] + qs_fwd))
 
 
 # ---------------------------------------------------------------------------
 # orthogonal polynomials, transfer matrices, Christoffel-Darboux
 
 
+def _polys(seg, z, n):
+    """Rows (P_k(z), Q_k(z)), k = 0..n, of the first and second kind
+    polynomials, from one pass of the three-term recurrence."""
+    if n < 0 or seg.n0 > 0 or seg.n1 < n:
+        raise ValidationError(f"segment must cover indices 0..{n}")
+    rows = [(1.0 + 0j, 0.0 + 0j)]  # P_0, Q_0
+    if n == 0:
+        return rows
+    rows.append(((z - seg.q_at(0)) / seg.p_at(1), 1.0 / seg.p_at(1)))
+    for k in range(2, n + 1):
+        (p_prev, q_prev), (p_cur, q_cur) = rows[-2:]
+        zq, a, b = z - seg.q_at(k - 1), seg.p_at(k - 1), seg.p_at(k)
+        rows.append(((zq * p_cur - a * p_prev) / b, (zq * q_cur - a * q_prev) / b))
+    return rows
+
+
+def _j_form(a):
+    """A^* j A - j for a transfer matrix A."""
+    return a.conj().T @ _J @ a - _J
+
+
+def _transfer(seg, z, n):
+    """(transfer_matrix(seg, z, n), the _polys rows 0..n+1 it is built from)."""
+    if n < 0:
+        raise ValidationError(f"transfer matrix index {n} is negative")
+    rows = _polys(seg, z, n + 1)
+    pp = seg.p_at(n + 1)
+    (pn, qn), (pn1, qn1) = rows[n:n + 2]
+    return np.array([[pn, qn], [pp * pn1, pp * qn1]], dtype=complex), rows
+
+
 def orthogonal_polys(seg, z, n):
     """First and second kind polynomials (P_n(z), Q_n(z)) from the recurrence."""
-    if n < 0 or seg.n0 > 0 or seg.n1 < n:
-        raise ValidationError("segment must cover indices 0..n")
-    p_prev, q_prev = 1.0 + 0j, 0.0 + 0j  # P_0, Q_0
-    if n == 0:
-        return p_prev, q_prev
-    p1 = seg.p_at(1)
-    p_cur = (z - seg.q_at(0)) / p1
-    q_cur = 1.0 / p1
-    for k in range(2, n + 1):
-        pk = seg.p_at(k)
-        p_cur, p_prev = ((z - seg.q_at(k - 1)) * p_cur - seg.p_at(k - 1) * p_prev) / pk, p_cur
-        q_cur, q_prev = ((z - seg.q_at(k - 1)) * q_cur - seg.p_at(k - 1) * q_prev) / pk, q_cur
-    return p_cur, q_cur
+    return _polys(seg, z, n)[-1]
 
 
 def transfer_matrix(seg, z, n):
     """2x2 transfer matrix with rows (P_n, Q_n), (p_{n+1} P_{n+1}, p_{n+1} Q_{n+1})."""
-    if seg.n1 < n + 1:
-        raise ValidationError("segment must cover index n+1")
-    pn, qn = orthogonal_polys(seg, z, n)
-    pn1, qn1 = orthogonal_polys(seg, z, n + 1)
-    pp = seg.p_at(n + 1)
-    return np.array([[pn, qn], [pp * pn1, pp * qn1]], dtype=complex)
+    return _transfer(seg, z, n)[0]
 
 
 def cd_residual(seg, z, n):
-    """Christoffel-Darboux identity residual at non-real z for the n-th
-    transfer matrix, relative to the size of the kernel sum."""
+    """Christoffel-Darboux identity residual at non-real z for the n-th transfer matrix,
+    relative to the size of the kernel sum Y^* Y over the rows (P_k, Q_k), k = 0..n."""
     z = complex(z)
     if z.imag == 0:
         raise ValidationError("Christoffel-Darboux quotient needs Im z != 0")
-    a = transfer_matrix(seg, z, n)
-    lhs = (a.conj().T @ _J @ a - _J) / (z - np.conj(z))
-    rhs = np.zeros((2, 2), dtype=complex)
-    for k in range(0, n + 1):
-        pk, qk = orthogonal_polys(seg, z, k)
-        vec = np.array([pk, qk], dtype=complex)
-        rhs += np.outer(vec.conj(), vec)
+    a, rows = _transfer(seg, z, n)
+    lhs = _j_form(a) / (z - np.conj(z))
+    y = np.array(rows[:n + 1])
+    rhs = y.conj().T @ y
     scale = max(1.0, float(np.max(np.abs(rhs))))
     return float(np.max(np.abs(lhs - rhs)) / scale)
 
 
 def j_unitarity_residual(seg, x, n):
     """|A^* j A - j| at real x (holds identically since det A = 1)."""
-    a = transfer_matrix(seg, complex(x), n)
-    return float(np.max(np.abs(a.conj().T @ _J @ a - _J)))
+    return float(np.max(np.abs(_j_form(transfer_matrix(seg, complex(x), n)))))
 
 
 def j_expanding_min_eig(seg, z, n):
     """Smallest eigenvalue of (A^* j A - j)/(z - conj z); >= 0 in the upper half-plane."""
     z = complex(z)
-    a = transfer_matrix(seg, z, n)
-    m = (a.conj().T @ _J @ a - _J) / (z - np.conj(z))
+    m = _j_form(transfer_matrix(seg, z, n)) / (z - np.conj(z))
     return float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
 
 
@@ -466,20 +455,14 @@ def almost_periodicity_report(seg, omega, delta, window):
     """Near-period scan: n with ||n omega|| < delta and the coefficient
     sup-discrepancy s(n) over a window of the given length."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    size = seg.n1 - seg.n0 + 1
+    qp = np.array([seg.q, seg.p])
     entries = []
-    for nshift in range(1, size - window + 1):
+    for nshift in range(1, qp.shape[1] - window + 1):
         frac = np.abs(omega * nshift - np.round(omega * nshift))
         dist = float(np.max(frac)) if omega.size else 0.0
         if dist >= delta:
             continue
-        s = 0.0
-        for k in range(seg.n0, seg.n0 + window):
-            s = max(
-                s,
-                abs(seg.q_at(k + nshift) - seg.q_at(k))
-                + abs(seg.p_at(k + nshift) - seg.p_at(k)),
-            )
-        entries.append({"n": nshift, "torus_distance": dist, "sup_discrepancy": s})
+        s = np.abs(qp[:, nshift:nshift + window] - qp[:, :window]).sum(axis=0).max(initial=0.0)
+        entries.append({"n": nshift, "torus_distance": dist, "sup_discrepancy": float(s)})
     entries.sort(key=lambda e: e["torus_distance"])
     return entries

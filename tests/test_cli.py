@@ -178,6 +178,20 @@ class TestContract:
         code, _ = run(capsys, ["comb"], doc, tmp_path)
         assert code == 3
 
+    @pytest.mark.parametrize("argv, doc", [
+        (["measure-mc", "--mc-samples", "0"], ONE_GAP_BOX),
+        (["measure-mc", "--mc-samples", "-5"], ONE_GAP_BOX),
+        (["measure-mc", "--mc-samples", "10", "--seed", "-1"], ONE_GAP_BOX),
+        (["verify", "--seed", "-1"], None),
+        (["critical", "--qtol", "inf"], ONE_GAP),
+        (["critical", "--qtol", "nan"], ONE_GAP),
+        (["shift-check", "--steps", "-3"], ONE_GAP_DIV),
+    ], ids=["samples-0", "samples-negative", "seed-negative", "verify-seed-negative",
+            "qtol-inf", "qtol-nan", "steps-negative"])
+    def test_out_of_range_option_exit_2(self, capsys, tmp_path, argv, doc):
+        code, out = run(capsys, argv, doc, tmp_path)
+        assert code == 2 and out == ""
+
     def test_precision_env_override(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("WIDOMSPEC_PREC", "192")
         doc = run_json(capsys, ["critical"], ONE_GAP, tmp_path)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.linalg import eigh_tridiagonal
 from conftest import random_divisor, random_gap_system, spaced_gap_system
 from finitegap import jacobi_cf as jc
 from finitegap.errors import SolverError, ValidationError
-from finitegap.herglotz import Divisor
+from finitegap.herglotz import Divisor, split_resolvents
 from finitegap.spectral_set import GapSystem, frequencies
 from oracle_stieltjes import halfline_measure, stieltjes_coefficients
 
@@ -146,6 +147,28 @@ def test_pinned_window(doc, prec):
     for got, want in ((seg.p, doc["p"]), (seg.q, doc["q"])):
         got, want = np.array(got), np.array(want)
         assert np.all(np.abs(got - want) <= np.spacing(np.maximum(np.abs(got), np.abs(want))))
+
+
+@pytest.mark.parametrize("doc", _PINNED, ids=[f"n{len(d['gaps'])}" for d in _PINNED])
+def test_split_resolvents_rounds_the_cf_state(doc):
+    # split_resolvents and initial_state read one fixed-point build of T and
+    # 4 p0^2, so at 128 bits the pair holds the CF state rounded to float64
+    gs, d = GapSystem.from_json(doc), Divisor.from_json(doc)
+    pair = split_resolvents(gs, d)
+    st = jc.initial_state(gs, d, prec=128)
+    half = Fraction(0.5 * (gs.a0 - gs.b0))
+    assert pair.t_centred == tuple(c / 2**128 for c in st.t_coeffs)
+    assert pair.p0sq == float(Fraction(st.four_p0sq, 2**130) * half**2)
+
+
+@pytest.mark.parametrize("doc", _PINNED, ids=[f"n{len(d['gaps'])}" for d in _PINNED])
+def test_window_is_a_slice_of_the_wide_window(doc):
+    gs, d = GapSystem.from_json(doc), Divisor.from_json(doc)
+    wide = jc.coefficients(gs, d, -8, 8)
+    for n0 in (-8, -1, 0):
+        for n1 in (0, 1, 8):
+            seg = jc.coefficients(gs, d, n0, n1)
+            assert seg.p == wide.p[n0 + 8:n1 + 9] and seg.q == wide.q[n0 + 8:n1 + 9]
 
 
 class TestGapRoots:
@@ -349,6 +372,18 @@ class TestTransfer:
         for n in (1, 7, 20):
             assert jc.cd_residual(seg, 0.3 + 0.9j, n) < 1e-8
 
+    def test_cd_residual_matches_per_row_kernel_sum(self, two_gap, rng):
+        # the kernel sum as Y^* Y against one outer product per row k
+        seg = jc.coefficients(two_gap, random_divisor(two_gap, rng), 0, 31)
+        z = 0.3 + 0.9j
+        for n in (0, 1, 7, 30):
+            a = jc.transfer_matrix(seg, z, n)
+            lhs = (a.conj().T @ jc._J @ a - jc._J) / (z - np.conj(z))
+            rows = [np.array(jc.orthogonal_polys(seg, z, k), dtype=complex) for k in range(n + 1)]
+            rhs = sum(np.outer(v.conj(), v) for v in rows)
+            want = np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(rhs)))
+            assert jc.cd_residual(seg, z, n) == pytest.approx(want, abs=1e-15)
+
     def test_cd_needs_nonreal(self, free_set):
         seg = jc.coefficients(free_set, Divisor(()), 0, 5)
         with pytest.raises(ValidationError):
@@ -407,6 +442,17 @@ class TestAlmostPeriodicity:
         rep = jc.almost_periodicity_report(seg, om, delta=1e-6, window=60)
         by_n = {e["n"]: e for e in rep}
         assert by_n[2]["sup_discrepancy"] < 1e-11
+
+    def test_matches_per_site_sup(self, one_gap, one_gap_cp, rng):
+        om = frequencies(one_gap, one_gap_cp)
+        seg = jc.coefficients(one_gap, random_divisor(one_gap, rng), -20, 99)
+        rep = jc.almost_periodicity_report(seg, om, delta=1.0, window=40)
+        assert sorted(e["n"] for e in rep) == list(range(1, 81))
+        for e in rep:
+            n = e["n"]
+            want = max(abs(seg.q_at(k + n) - seg.q_at(k)) + abs(seg.p_at(k + n) - seg.p_at(k))
+                       for k in range(-20, 20))
+            assert e["sup_discrepancy"] == want
 
     def test_discrepancy_scales_with_torus_distance(self, one_gap, one_gap_cp, rng):
         om = frequencies(one_gap, one_gap_cp)
