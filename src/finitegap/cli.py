@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import abel, comb as comb_mod, jacobi_cf
+from . import abel, comb as comb_mod, jacobi_cf, quad
 from .errors import SolverError, ValidationError
 from .herglotz import Divisor, r00, reflectionless_residual, split_resolvents
 from .spectral_set import (
@@ -38,8 +38,8 @@ _BASE_POINT_NOTE = "divisor base point {(a_k, +1)}; characters are relative to i
 class RunConfig:
     """Resolved run options; echoed verbatim in every output document."""
 
-    precision: int = 128
-    qtol: float = 1e-12
+    precision: int = jacobi_cf.DEFAULT_PREC
+    qtol: float = quad.DEFAULT_QTOL
     seed: int = 0
     fmt: str = "json"
 
@@ -62,7 +62,7 @@ class RunConfig:
 def _default_precision():
     env = os.environ.get("WIDOMSPEC_PREC")
     if env is None:
-        return 128
+        return jacobi_cf.DEFAULT_PREC
     try:
         return int(env)
     except ValueError:
@@ -76,7 +76,7 @@ def _parser():
     p.add_argument("command", choices=list(_COMMANDS))
     p.add_argument("--input", help="input JSON file (default: standard input)")
     p.add_argument("--prec", type=int, default=None, help="working precision in bits")
-    p.add_argument("--qtol", type=float, default=1e-12, help="quadrature tolerance")
+    p.add_argument("--qtol", type=float, default=quad.DEFAULT_QTOL, help="quadrature tolerance")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--csv", action="store_true", help="CSV output for sequences")
     p.add_argument("--z", help="evaluation point RE,IM (IM optional)")
@@ -278,7 +278,7 @@ def _cmd_comb(args, cfg, doc):
         if "bracket" not in doc:
             raise ValidationError("inverse comb problem needs a 'bracket' gap system")
         bracket = GapSystem.from_json(doc["bracket"])
-        gs = comb_mod.gaps_from_comb(comb, bracket, cfg.qtol)
+        gs = comb_mod.gaps_from_comb(comb, bracket)
         return gs.to_json()
     gs = _need_gs(doc)
     comb = comb_mod.comb_from_gaps(gs, qtol=cfg.qtol)
@@ -361,7 +361,7 @@ def _verify_instance(name, doc, cfg, rng):
                abel.abel_map(gs, abel.invert_abel(gs, alpha), cfg.qtol).distance(alpha), 1e-9)
     if 1 <= gs.n_gaps <= 2:
         comb = comb_mod.comb_from_gaps(gs, cp, cfg.qtol)
-        rec = comb_mod.gaps_from_comb(comb, gs, cfg.qtol)
+        rec = comb_mod.gaps_from_comb(comb, gs)
         err = max(
             abs(np.asarray(rec.gaps).ravel() - np.asarray(gs.gaps).ravel()),
             default=0.0,

@@ -134,7 +134,7 @@ def _endpoints_to_gaps(x):
     return pairs
 
 
-def gaps_from_comb(comb, bracket, qtol=DEFAULT_QTOL):
+def gaps_from_comb(comb, bracket):
     """Inverse parameter problem: gap endpoints from a finite comb.
 
     The outer band [b0, a0] is fixed by the bracket (normalization: scale and
@@ -147,7 +147,6 @@ def gaps_from_comb(comb, bracket, qtol=DEFAULT_QTOL):
     it breaks b0 + margin < a_1 < b_1 < ... < b_N < a0 - margin (such a step
     is never evaluated), when the inner solve raises, or when it does not
     lower the residual.  SolverError if max |residual| stays above 1e-8.
-    qtol is not read: every inner solve runs at _INNER_QTOL.
     """
     n = len(comb.teeth)
     if comb.tail_bound != 0.0:
@@ -260,7 +259,7 @@ def kernel_truncation_report(base_gs, n_list, eps=-1, rel_positions=None, qtol=D
         bracket = GapSystem(
             b0=base_gs.b0, a0=base_gs.a0, gaps=tuple(base_gs.gaps[j] for j in survivors)
         )
-        gs_n = gaps_from_comb(trunc, bracket, qtol=qtol)
+        gs_n = gaps_from_comb(trunc, bracket)
         cp_n = critical_points(gs_n, qtol)
         pts = []
         for i, j in enumerate(survivors):

@@ -3,8 +3,10 @@ algebraic continued-fraction step on the resolvent data, plus orthogonal
 polynomials, transfer matrices and Christoffel-Darboux checks.
 
 The iteration state is the polynomial pair (T, Pi) of the current
-resolvent splitting; one step peels off (q_n, p_{n+1}^2) and advances the
-divisor.
+resolvent splitting; one step peels off (q_n, p_{n+1}^2) and forms the
+next pair by polynomial algebra alone: T' = 2 (z - q) Pi - T and
+Pi' = (R - T'^2) / (-4 p^2 Pi).  The divisor, the roots of Pi with their
+sheets, is found only when `CFState.divisor` is read.
 
 The iteration runs on the centred set s = (t - mid) / half of [b0, a0]
 (`spectral_set._centred`), where |s| <= 1 and every coefficient of R, T
@@ -42,10 +44,10 @@ _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 # needs about log2(prec / 50) + 1
 _NEWTON_MAX = 50
 
-# gap widths outside its gap within which a root, f of one sign over the gap,
-# is clamped to the nearer endpoint: far above the 2^-prec rounding of a
-# converged root, below the 1e-6 that TestGapRoots requires to raise
-_ESCAPE = 1e-9
+# 1 / _ESCAPE gap widths outside its gap is where a root, f of one sign over
+# the gap, is clamped to the nearer endpoint: far above the 2^-prec rounding
+# of a converged root, below the 1e-6 that TestGapRoots requires to raise
+_ESCAPE = 10**9
 
 
 # ---------------------------------------------------------------------------
@@ -69,29 +71,23 @@ def _sign(v):
     return (v > 0) - (v < 0)
 
 
-def _times(v, c):
-    """v * c for a fixed-point v and a float c, floored."""
-    num, den = float(c).as_integer_ratio()
-    return v * num // den
-
-
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CFState:
-    """Divisor window of the continued-fraction iteration at one site.
+    """Resolvent data (T, Pi) of the continued-fraction iteration at one site.
 
-    xs, t_coeffs, ends, r_coeffs and four_p0sq = 4 p0^2 come from
-    herglotz._fixed_state on the centred set, in fixed point at prec bits.
-    ends are the centred endpoints b0, a_1, b_1, ..., a0, and r_coeffs the
-    coefficients of R; both are shared by every state derived from the first
-    one.  The 2 x prec retry of a step shifts them left by prec.
+    pi_coeffs are the ascending coefficients of the monic Pi = prod (z - x_j),
+    and t_coeffs those of T; with ends, r_coeffs and four_p0sq = 4 p0^2 they
+    come from herglotz._fixed_state on the centred set, in fixed point at
+    prec bits.  ends are the centred endpoints b0, a_1, b_1, ..., a0, and
+    r_coeffs the coefficients of R; both are shared by every state derived
+    from the first one.
     """
 
     gs: object
-    xs: tuple
-    eps: tuple
+    pi_coeffs: tuple
     t_coeffs: tuple
     ends: tuple
     r_coeffs: tuple
@@ -111,10 +107,15 @@ class CFState:
 
     @property
     def divisor(self):
-        """The divisor at this site: x = mid + half s, clamped into its closed gap."""
+        """The divisor at this site: the roots s of Pi, one per gap, with the
+        sheet signs T gives them, and x = mid + half s clamped into its
+        closed gap."""
+        w = self.prec
         mid, half = _frame(self.gs)
-        pts = tuple((min(max(_from_fixed(s, self.prec, half, mid=mid), a), b), e)
-                    for s, e, (a, b) in zip(self.xs, self.eps, self.gs.gaps))
+        roots = _gap_roots(self.ends, self.pi_coeffs, w)
+        eps = _eps_from_t(self.gs, self.ends, self.t_coeffs, roots, w)
+        pts = tuple((min(max(_from_fixed(s, w, half, mid=mid), a), b), e)
+                    for s, e, (a, b) in zip(roots, eps, self.gs.gaps))
         return Divisor(pts).normalized(self.gs)
 
 
@@ -151,26 +152,24 @@ class JacobiSegment:
 
 def initial_state(gs, divisor, prec=DEFAULT_PREC):
     """CFState at site 0 from a divisor: herglotz._fixed_state at prec bits."""
-    divisor, ends, xs, t, r, four_p0sq = _fixed_state(gs, divisor, prec)
-    return CFState(gs=gs, xs=tuple(xs), eps=divisor.eps, t_coeffs=tuple(t), ends=tuple(ends),
+    _, ends, xs, t, r, four_p0sq = _fixed_state(gs, divisor, prec)
+    return CFState(gs=gs, pi_coeffs=tuple(_pfromroots(xs, prec)), t_coeffs=tuple(t), ends=tuple(ends),
                    r_coeffs=tuple(r), four_p0sq=four_p0sq, prec=prec)
 
 
-def _reduce_divide(r, t, xs, pi, w, prec):
-    """(4 p^2, quotient) of (R - T^2) / (-4 p^2 Pi), with -4 p^2 the z^2N
-    coefficient of R - T^2 and Pi = prod (z - x_j) given by its coefficients,
-    all in fixed point at w bits.
+def _reduce_divide(r, t, pi, w, prec):
+    """(4 p^2, monic quotient) of (R - T^2) / (-4 p^2 Pi), with -4 p^2 the
+    z^2N coefficient of R - T^2 and Pi monic of degree N, all given by their
+    coefficients in fixed point at w bits.
 
     R - T^2 has degree 2N by construction of T: its monic leading terms
-    cancel, and q cancels the z^(2N+1) term.  Pi must divide it to
-    2^(30 - prec) max |r_k|, with prec <= w the bits the state carries: the
-    test reads the remainders of dividing the quotient-scaled R - T^2 by
-    z - x_1, then by z - x_2, and so on.  Each
-    coefficient of R - T^2 and of the top-down long division by Pi is one
-    exact sum of products, shifted once; the remainders come from the
-    division's remainder polynomial, which has degree N - 1.
+    cancel, and q cancels the z^(2N+1) term.  Pi must divide it: the largest
+    coefficient of the remainder, which has degree N - 1, must be at most
+    2^(26 - prec) max |r_k| times 4 p^2, with prec <= w the bits the state
+    carries.  Each coefficient of R - T^2 and of the top-down long division
+    by Pi is one exact sum of products, shifted once.
     """
-    n = len(xs)
+    n = len(pi) - 1
     num = [((r[k] << w) - _conv(t, t, k)) >> w for k in range(2 * n + 1)]
     lead = num[2 * n]
     if lead >= 0:
@@ -178,18 +177,10 @@ def _reduce_divide(r, t, xs, pi, w, prec):
     quot = [0] * n + [lead]
     for m in range(n - 1, -1, -1):
         quot[m] = ((num[m + n] << w) - sum(map(mul, pi[m:n], quot[n:m:-1]))) >> w
-    rem = [((num[k] << w) - sum(map(mul, pi[k::-1], quot))) >> w for k in range(n)]
-    rem_max = 0
-    for x in xs:
-        acc, low = rem[-1], rem[:-1]
-        rem = []
-        for c in reversed(low):
-            rem.append(acc)
-            acc = c + (acc * x >> w)
-        rem.reverse()
-        rem_max = max(rem_max, abs(acc))
-    # rem_max / |lead| > 2^(30 - prec) max |r_k|, in integers
-    if rem_max << (w + prec - 30) > max(map(abs, r)) * -lead:
+    rem_max = max((abs(((num[k] << w) - sum(map(mul, pi[k::-1], quot))) >> w) for k in range(n)),
+                  default=0)
+    # rem_max / |lead| > 2^(26 - prec) max |r_k|, in integers
+    if rem_max << (w + prec - 26) > max(map(abs, r)) * -lead:
         raise SolverError("polynomial division remainder above tolerance",
                           residual=rem_max / -lead)
     return -lead, [(c << w) // lead for c in quot]
@@ -200,33 +191,28 @@ def _gap_roots(ends, coeffs, w):
     fixed-point coefficients at w bits, as fixed-point integers; ends are the
     fixed-point endpoints b0, a_1, b_1, ..., a_N, b_N, a0.
 
-    Newton from the float64 eigenvalues of the companion matrix (the exact
-    root when N = 1), clipped to the gap, with f and f' from one power
-    vector.  It has converged when a step s_k, or the next step predicted
-    from the quadratic rate, |s_k|^3 / |s_(k-1)|^2, is below 2^-w times the
-    largest |endpoint|; the prediction also stops the iteration when the
-    steps reach the rounding floor of evaluating f.  Where Newton does not converge inside the gap,
-    the root is bisected if f changes sign over the gap, else clamped to the
-    nearer endpoint if within _ESCAPE gap widths of it, else an error.
+    Newton from the float64 roots, clipped to the gap, with f and f' from
+    one power vector.  It has converged when a step s_k, or the next step
+    predicted from the quadratic rate, |s_k|^3 / |s_(k-1)|^2, is below
+    2^-w times the largest |endpoint|, or when s_k is within the rounding
+    floor of f: each truncated power x^k is at most k units low, so f is
+    off by at most sum k |c_k| units and the step by that times 2^w / |f'|.
+    Where Newton does not converge inside the gap, the root is bisected if
+    f changes sign over the gap, else clamped to the nearer endpoint if
+    within 1 / _ESCAPE gap widths of it, else an error.  A root within its
+    error bound of an endpoint is that endpoint.
     """
     n = len(coeffs) - 1
-    # seeding is a large share of a step: the exact root at N = 1 and the
-    # companion eigenvalues without np.roots' input handling each raise
-    # coeffs work_per_s end to end (CHANGES.md)
-    if n < 2:
-        seeds = [-c for c in coeffs[:-1]]
-    else:
-        one = 1 << w
-        comp = np.eye(n, k=-1)
-        comp[:, -1] = [-c / one for c in coeffs[:-1]]
-        seeds = [_to_fixed(x, w) for x in np.sort(np.linalg.eigvals(comp).real)]
+    seeds = [_to_fixed(x, w) for x in np.sort(np.roots([c / (1 << w) for c in reversed(coeffs)]).real)]
     dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
     # 2^-w max |endpoint| in units of 2^-w, rounded up
     tol = -(-max(abs(ends[0]), abs(ends[-1])) >> w)
+    # the error bound of f from the truncated powers, at 2^(2w), times 2^w
+    floor = sum(k * abs(c) for k, c in enumerate(coeffs)) << w
     roots = []
     for j, (seed, a, b) in enumerate(zip(seeds, ends[1:-1:2], ends[2:-1:2]), start=1):
         x = min(max(seed, a), b)
-        prev, converged = None, False
+        prev, converged, err = None, False, tol
         for _ in range(_NEWTON_MAX):
             pw = _powers(x, n, w)
             dfx = sum(map(mul, dcoeffs, pw))
@@ -235,14 +221,15 @@ def _gap_roots(ends, coeffs, w):
             step = (sum(map(mul, coeffs, pw)) << w) // dfx
             x -= step
             size = abs(step)
-            if size <= tol or (prev is not None and size ** 3 <= tol * prev ** 2):
-                converged = True
+            if (size <= tol or size * abs(dfx) <= floor
+                    or (prev is not None and size ** 3 <= tol * prev ** 2)):
+                converged, err = True, max(tol, floor // abs(dfx))
                 break
             prev = size
-        if not (converged and a <= x <= b):
+        if not (converged and a - err <= x <= b + err):
             lo, hi = a, b
             flo, fhi = _peval(coeffs, lo, w), _peval(coeffs, hi, w)
-            escape = _times(b - a, _ESCAPE)
+            escape = (b - a) // _ESCAPE
             if _sign(flo) * _sign(fhi) <= 0:
                 for _ in range(w + 10):
                     mid = (lo + hi) >> 1
@@ -259,17 +246,17 @@ def _gap_roots(ends, coeffs, w):
                 raise SolverError(f"divisor root did not converge in gap {j}")
             else:
                 x = lo if x < a else hi
-        roots.append(x)
+        roots.append(a if abs(x - a) <= err else b if abs(b - x) <= err else x)
     return roots
 
 
 def _eps_from_t(gs, ends, t_coeffs, roots, w):
-    """Sheet signs of new divisor points.  There T^2 = R, so eps_j is the
-    sign of T(x_j) on the branch gap_branch_sign(j) of sqrt(R); points
-    within 1e-12 gap widths of an endpoint get +1."""
+    """Sheet signs of divisor points.  There T^2 = R, so eps_j is the sign
+    of T(x_j) on the branch gap_branch_sign(j) of sqrt(R); points on an
+    endpoint, where T(x_j) is rounding, get +1."""
     eps = []
     for j, (x, a, b) in enumerate(zip(roots, ends[1:-1:2], ends[2:-1:2]), start=1):
-        if min(x - a, b - x) < _times(b - a, 1e-12):
+        if x in (a, b):
             eps.append(1)
             continue
         val = _peval(t_coeffs, x, w)
@@ -278,16 +265,15 @@ def _eps_from_t(gs, ends, t_coeffs, roots, w):
 
 
 def _cf_step_at_prec(state, prec):
-    """cf_step at prec >= state.prec bits; the state is shifted up to prec
+    """cf_step at prec >= state.prec bits; (Pi, T, R) are shifted up to prec
     for the step and the next state back down to state.prec.  The remainder
     test keeps the tolerance of state.prec, the bits the state carries."""
     n = state.gs.n_gaps
     mid, half = _frame(state.gs)
     w, up = prec, prec - state.prec
-    xs, t, ends, r = state.xs, state.t_coeffs, state.ends, state.r_coeffs
+    pi, t, r = state.pi_coeffs, state.t_coeffs, state.r_coeffs
     if up:
-        xs, t, ends, r = ([c << up for c in v] for v in (xs, t, ends, r))
-    pi = _pfromroots(xs, w)
+        pi, t, r = ([c << up for c in v] for v in (pi, t, r))
     # q from the vanishing z^(2N+1) coefficient of R - (A + qB)^2 with
     # A = T - 2z Pi and B = 2 Pi; B^2 has degree 2N and, T and Pi being
     # monic, the z^(2N+1) coefficient of 2AB is -4, so q is explicit
@@ -296,10 +282,9 @@ def _cf_step_at_prec(state, prec):
     q = (_conv(a, a, k) - (r[k] << w)) >> (w + 2)
     # the next T is -(A + qB)
     t_next = [-(ai + (2 * pii * q >> w)) for ai, pii in zip(a, pi)] + [-a[-1]]
-    four_p1sq, quot = _reduce_divide(r, t_next, xs, pi, w, state.prec)
-    roots = _gap_roots(ends, quot, w)
-    nxt = replace(state, xs=tuple(x >> up for x in roots), eps=_eps_from_t(state.gs, ends, t_next, roots, w),
-                  t_coeffs=tuple(c >> up for c in t_next), four_p0sq=four_p1sq >> up)
+    four_p1sq, quot = _reduce_divide(r, t_next, pi, w, state.prec)
+    nxt = replace(state, pi_coeffs=tuple(c >> up for c in quot), t_coeffs=tuple(c >> up for c in t_next),
+                  four_p0sq=four_p1sq >> up)
     return _from_fixed(q, w, half, mid=mid), _from_fixed(four_p1sq, w + 2, half, 2), nxt
 
 
@@ -318,13 +303,11 @@ def cf_step(state):
 def dual_state(state):
     """State generating the negative-index coefficients of the same matrix.
 
-    The dual divisor consists of the roots of (R - T^2) / (-4 p0^2 Pi);
-    T and p0^2 are unchanged.
+    Its Pi is (R - T^2) / (-4 p0^2 Pi); T and p0^2 are unchanged.
     """
     w = state.prec
-    _, quot = _reduce_divide(state.r_coeffs, state.t_coeffs, state.xs, _pfromroots(state.xs, w), w, w)
-    roots = _gap_roots(state.ends, quot, w)
-    return replace(state, xs=tuple(roots), eps=_eps_from_t(state.gs, state.ends, state.t_coeffs, roots, w))
+    _, quot = _reduce_divide(state.r_coeffs, state.t_coeffs, state.pi_coeffs, w, w)
+    return replace(state, pi_coeffs=tuple(quot))
 
 
 def iterate(state, nsteps):

@@ -411,13 +411,21 @@ def thouless_potential(gs, cp, z, qtol=DEFAULT_QTOL):
 
 
 def robin_constant(gs, cp, qtol=DEFAULT_QTOL):
-    """The constant c in the Thouless identity G(z) = c + int log|z-x| d omega.
+    """The constant c in the Thouless identity G(z) = c + int log|z-x| d omega:
+    c = int_a0^inf (P/sqrt(R) - 1/(t - b0)) dt - log(a0 - b0), P = prod (t - c_j),
+    integrated on the centred set.  t = a0 + u^2 takes the edge factor out as
+    in _ray_integral, u = v / (1 - v) maps [0, inf) onto [0, 1), and P/sqrt(R)
+    is one factor (t - c_j) / sqrt((t - a_j)(t - b_j)) per gap, so no product
+    overflows."""
+    _, half = _frame(gs)
+    # a0 - x on the centred set for the c_j, the a_j and the b_j
+    dc, da, db = ((gs.a0 - np.array(x, dtype=float)[:, None]) / half
+                  for x in (cp.c, [a for a, _ in gs.gaps], [b for _, b in gs.gaps]))
 
-    G(y) - log y approaches c with an O(1/y) error; two Richardson steps on
-    a geometric ladder of evaluation points remove the 1/y and 1/y^2 terms.
-    """
-    base = 1e3 * max(abs(gs.a0), abs(gs.b0), 1.0)
-    vals = [green(gs, cp, base * 2.0 ** m, qtol) - np.log(base * 2.0 ** m) for m in range(3)]
-    # eliminate the 1/y term pairwise, then the 1/y^2 term
-    first = [2.0 * vals[m + 1] - vals[m] for m in range(2)]
-    return (4.0 * first[1] - first[0]) / 3.0
+    def f(v):
+        u = v / (1.0 - v)
+        uu = u * u
+        ratio = np.prod((uu + dc) / np.sqrt((uu + da) * (uu + db)), axis=0)
+        return 2.0 * (ratio / np.sqrt(uu + 2.0) - u / (uu + 2.0)) / (1.0 - v) ** 2
+
+    return gl_quad(f, 0.0, 1.0, qtol) - np.log(gs.a0 - gs.b0)

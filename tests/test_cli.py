@@ -155,6 +155,15 @@ class TestCombCommands:
         inv = run_json(capsys, ["comb"], inv_doc, tmp_path)
         assert inv["gaps"][0] == pytest.approx([-1.0, 1.0], abs=1e-7)
 
+    def test_inverse_does_not_read_qtol(self, capsys, tmp_path):
+        # the inverse runs its inner solves at comb._INNER_QTOL; --qtol sets
+        # the forward map only
+        doc = {"teeth": [{"omega": 0.3, "h": 0.4}], "tail_bound": 0.0,
+               "bracket": {"band": [-2.0, 2.0], "gaps": [[-0.5, 0.5]]}}
+        loose = run_json(capsys, ["comb", "--qtol", "1e-4"], doc, tmp_path)
+        assert loose["meta"]["qtol"] == 1e-4
+        assert loose["gaps"] == run_json(capsys, ["comb"], doc, tmp_path)["gaps"]
+
     def test_truncate(self, capsys, tmp_path):
         doc = {"teeth": [{"omega": 0.3, "h": 0.5}, {"omega": 0.6, "h": 0.05}], "tail_bound": 0.0}
         out = run_json(capsys, ["truncate", "--n", "10"], doc, tmp_path)

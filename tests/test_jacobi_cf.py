@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,9 +11,10 @@ from scipy.linalg import eigh_tridiagonal
 
 from conftest import random_divisor, random_gap_system, spaced_gap_system
 from finitegap import jacobi_cf as jc
+from finitegap.abel import shift_covariance_residual
 from finitegap.errors import SolverError, ValidationError
-from finitegap.herglotz import Divisor, split_resolvents
-from finitegap.spectral_set import GapSystem, frequencies
+from finitegap.herglotz import Divisor, _fixed_state, split_resolvents
+from finitegap.spectral_set import GapSystem, critical_points, frequencies
 from oracle_stieltjes import halfline_measure, stieltjes_coefficients
 
 # period-2 coefficients of the symmetric one-gap set with divisor (0.3, +1),
@@ -54,9 +56,45 @@ class TestCfStep:
         q2, psq2, nxt2 = jc._cf_step_at_prec(st, 2 * st.prec)
         assert (q2, psq2) == pytest.approx((q, psq), rel=1e-15, abs=1e-15)
         assert nxt2.prec == st.prec
-        assert max(abs(a - b) for a, b in zip(nxt.xs + nxt.t_coeffs, nxt2.xs + nxt2.t_coeffs)) < 2**20
-        assert nxt2.eps == nxt.eps and nxt2.r_coeffs == st.r_coeffs and nxt2.ends == st.ends
+        assert max(abs(a - b) for a, b in zip(nxt.pi_coeffs + nxt.t_coeffs, nxt2.pi_coeffs + nxt2.t_coeffs)) < 2**20
+        assert nxt2.divisor.eps == nxt.divisor.eps and nxt2.r_coeffs == st.r_coeffs and nxt2.ends == st.ends
         assert jc.iterate(nxt2, 4)[:2] == pytest.approx(jc.iterate(nxt, 4)[:2], rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_remainder_test_rejects_a_moved_t_coefficient(self, n):
+        # Pi no longer comes from polished roots, so the remainder test is
+        # the one check that (T, Pi) still satisfies Pi | R - T^2
+        gs = spaced_gap_system(np.random.default_rng(n), n)
+        st = jc.initial_state(gs, random_divisor(gs, np.random.default_rng(n + 1), margin=0.01))
+        for k in range(n + 1):
+            t = list(st.t_coeffs)
+            t[k] += abs(t[k]) >> 80
+            bad = replace(st, t_coeffs=tuple(t))
+            for step in (jc.cf_step, jc.dual_state):
+                with pytest.raises(SolverError, match="polynomial division remainder above tolerance"):
+                    step(bad)
+
+    def test_step_finds_no_divisor(self, three_gap, rng, monkeypatch):
+        # roots and sheet signs are found only when CFState.divisor is read
+        calls = []
+
+        def spy(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("_gap_roots", "_eps_from_t"):
+            monkeypatch.setattr(jc, name, spy(name, getattr(jc, name)))
+        d = random_divisor(three_gap, rng)
+        st = jc.initial_state(three_gap, d)
+        jc.cf_step(st)
+        jc.dual_state(st)
+        jc.transfer_matrix(jc.coefficients(three_gap, d, -4, 9), 0.3 + 0.5j, 8)
+        assert calls == []
+        st.divisor
+        assert calls == ["_gap_roots", "_eps_from_t"]
 
     def test_failed_retry_keeps_the_first_error(self, three_gap, rng, monkeypatch):
         st = jc.initial_state(three_gap, random_divisor(three_gap, rng))
@@ -197,6 +235,37 @@ class TestGapRoots:
         with pytest.raises(SolverError, match="divisor root escaped gap 1"):
             self._roots(self._fixed(int(2 * edge), 2) + outward * self._fixed(1, 2 * 10**6))
 
+    def test_root_on_an_edge_at_the_rounding_floor(self):
+        # x_1 = b_1: at 128 bits Newton's steps reach the rounding floor of f,
+        # 3 to 27 units, above the tolerance of 1 unit
+        gs = GapSystem(635.3469737832343, 684.3804613556226,
+                       ((646.4618208016293, 657.5378736626162), (658.8686782278693, 671.2939172855669),
+                        (675.2241015077735, 679.2965157625694)))
+        d = Divisor(((657.5378736626162, 1), (669.2514023776356, 1), (675.2241015077736, -1)))
+        _, ends, xs, _, _, _ = _fixed_state(gs, d, 128)
+        roots = jc._gap_roots(ends, jc._pfromroots(xs, 128), 128)
+        assert max(abs(r - x) for r, x in zip(roots, xs)) <= 2**5
+        assert jc.initial_state(gs, d).divisor == d.normalized(gs)
+
+
+class TestSiteZeroDivisor:
+    # on [-2, 2] the centred coordinate is exact, so the state at site 0
+    # holds the divisor's points exactly and must read them back, with the
+    # sign T gives a point however close to an edge it is, short of on it
+    GS = GapSystem(-2.0, 2.0, ((-1.0, -0.5), (0.5, 1.0)))
+
+    @pytest.mark.parametrize("share", [0.0, 1e-16, 1e-13, 1e-11])
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_points_next_to_an_edge_read_back(self, share, eps):
+        gs = self.GS
+        cp = critical_points(gs)
+        for j, (a, b) in enumerate(gs.gaps):
+            for x in (a + share * (b - a), b - share * (b - a)):
+                pts = [(x, eps) if k == j else (0.5 * (lo + hi), -eps) for k, (lo, hi) in enumerate(gs.gaps)]
+                d = Divisor(tuple(pts))
+                assert jc.initial_state(gs, d).divisor == d.normalized(gs)
+                assert shift_covariance_residual(gs, cp, d, steps=0) == 0.0
+
 
 class TestDualState:
     def test_free_self_dual(self, free_set):
@@ -209,7 +278,7 @@ class TestDualState:
         st = jc.initial_state(two_gap, d)
         back = jc.dual_state(jc.dual_state(st))
         assert np.max(np.abs(np.array(back.divisor.xs) - np.array(d.xs))) < 1e-9
-        assert back.eps == st.eps
+        assert back.divisor.eps == st.divisor.eps
 
 
 class TestCoefficients:

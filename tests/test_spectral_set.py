@@ -308,6 +308,35 @@ class TestThouless:
             -np.log(np.sqrt(3.0) / 2.0), abs=1e-10
         )
 
+    @pytest.mark.parametrize("scale, shift", [(1.0, 100.0), (1e-3, 0.0), (1e-3, 7.0), (250.0, 1e4)])
+    def test_moved_symmetric_one_gap_capacity(self, scale, shift):
+        # cap = sqrt(3)/2 scale for the image of [-2,-1] u [1,2]
+        gs = GapSystem(shift - 2.0 * scale, shift + 2.0 * scale, ((shift - scale, shift + scale),))
+        assert robin_constant(gs, critical_points(gs)) == pytest.approx(
+            -np.log(np.sqrt(3.0) / 2.0 * scale), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    def test_robin_constant_affine_covariance(self, n):
+        # c(alpha E + beta) = c(E) - log alpha; endpoints on a 2^-20 grid
+        # make every image exact in float64
+        def grid(x):
+            return round(x * 2**20) / 2**20
+
+        base = spaced_gap_system(np.random.default_rng(n), n)
+        ends = [grid(e) for e in base.endpoints]
+        c0 = robin_constant(*self._with_cp(ends, 1.0, 0.0))
+        for alpha, beta in ((2.0**-10, 0.0), (2.0**10, 0.0), (1.0, 100.0), (0.125, -7.0), (256.0, 1e4)):
+            assert robin_constant(*self._with_cp(ends, alpha, beta)) == pytest.approx(
+                c0 - np.log(alpha), abs=1e-12
+            )
+
+    @staticmethod
+    def _with_cp(ends, alpha, beta):
+        e = [alpha * x + beta for x in ends]
+        gs = GapSystem(e[0], e[-1], tuple(zip(e[1:-1:2], e[2:-1:2])))
+        return gs, critical_points(gs)
+
 
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
