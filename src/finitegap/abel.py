@@ -123,18 +123,17 @@ def _abel_series(gs):
     """
     n = gs.n_gaps
     coeffs = _harmonic_poly_coeffs(gs, DEFAULT_QTOL)
+    lo, hi = np.array(gs.gaps).T[..., None]
+    signs = np.array([[gap_branch_sign(gs, k)] for k in range(1, n + 1)])
     m_grid = _SERIES_MIN_NODES
     while True:
         half = m_grid // 2
         phi_half = np.arange(half + 1) * (_TWO_PI / m_grid)
         m_idx = np.arange(1, half + 1)
-        fhat = np.empty((n, n, half + 1))
-        for k, (a, b) in enumerate(gs.gaps):
-            x = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(phi_half)
-            root = _rest_root(gs, a, b)(x)
-            g_half = -0.5 * gap_branch_sign(gs, k + 1) * _chebval_centred(gs, coeffs.T, x) / root
-            g = np.concatenate([g_half, g_half[:, -2:0:-1]], axis=1)  # even extension
-            fhat[:, k] = np.fft.rfft(g, axis=1).real / m_grid
+        x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(phi_half)  # (N, half + 1), a row per gap
+        g_half = -0.5 * signs * _chebval_centred(gs, coeffs.T, x) / _rest_root(gs, lo, hi)(x)
+        g = np.concatenate([g_half, g_half[..., -2:0:-1]], axis=-1)  # even extension
+        fhat = np.fft.rfft(g, axis=-1).real / m_grid  # fhat[j, k]: omega_j' on gap k
         max_b = np.abs(fhat[:, :, 1:]).max(axis=(0, 1), initial=0.0) * 2.0 / m_idx
         top = float(max_b[(3 * half) // 4 :].sum())
         if top < _SERIES_TAIL:
@@ -156,15 +155,18 @@ def _abel_series(gs):
 def abel_map(gs, divisor, qtol=DEFAULT_QTOL):
     """Character of a divisor: alpha_j = (1/2) sum_k eps_k (omega_j(x_k) - omega_j(a_k)) mod 1.
 
-    Direct harmonic-measure quadrature: one vector edge integral per gap k
-    gives omega_j(x_k) - omega_j(a_k) for every j.  The base divisor
-    {(a_k, +1)} maps to 0.
+    Direct harmonic-measure quadrature: one edge integral over the stack of
+    gaps gives omega_j(x_k) - omega_j(a_k) for every j and k.  The base
+    divisor {(a_k, +1)} maps to 0.
     """
+    n = gs.n_gaps
     divisor = divisor.normalized(gs)
+    if n == 0:
+        return Character(alpha=())
     coeffs = _harmonic_poly_coeffs(gs, qtol).T
-    alpha = np.zeros(gs.n_gaps)
-    for k, (x, e) in enumerate(divisor.points, start=1):
-        alpha += 0.5 * e * _gap_increment(gs, coeffs, k, x, qtol)
+    xs, eps = np.array(divisor.points).T
+    inc = _gap_increment(gs, coeffs, range(1, n + 1), xs, qtol)  # inc[j, k]
+    alpha = np.sum(0.5 * eps * inc, axis=1)
     return Character(alpha=tuple(alpha % 1.0))
 
 
@@ -354,17 +356,17 @@ def _parse_box(gs, box):
 
 def measure_box(gs, box, qtol=DEFAULT_QTOL):
     """Invariant measure of a product of gap arcs:
-    2^(-l) |det[ omega_{j_r}(b_s) - omega_{j_r}(a_s) ]|, from two vector edge integrals per arc."""
+    2^(-l) |det[ omega_{j_r}(b_s) - omega_{j_r}(a_s) ]|, from one edge integral over
+    the stack of the 2l arc ends."""
     entries = _parse_box(gs, box)
     if not entries:
         return 1.0
     coeffs = _harmonic_poly_coeffs(gs, qtol).T
-    rows = [j - 1 for j, _, _, _ in entries]
-    cols = np.array([
-        _gap_increment(gs, coeffs, j, b, qtol) - _gap_increment(gs, coeffs, j, a, qtol)
-        for j, a, b, _ in entries
-    ])
+    js, a, b, _ = zip(*entries)
+    inc = _gap_increment(gs, coeffs, js + js, b + a, qtol)
     # cols[s, j - 1] = omega_j(b_s) - omega_j(a_s), the transpose of the matrix above
+    cols = (inc[:, : len(js)] - inc[:, len(js) :]).T
+    rows = [j - 1 for j in js]
     return float(2.0 ** (-len(entries)) * abs(np.linalg.det(cols[:, rows])))
 
 

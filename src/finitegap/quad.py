@@ -4,6 +4,12 @@ All routines work on vectorized integrands ``f(x: ndarray) -> ndarray`` and
 refine by node doubling until two successive estimates agree to ``qtol``.
 An integrand of shape (..., n) on n nodes gives one integral per row, all
 converged together.
+
+The interval can be a stack: limits of shape (K, 1) put the nodes of K
+intervals on one (K, n) array, so a single call integrates over K bands or
+gaps at once and returns (..., K).  Convergence is judged on the whole
+stack, and a stack that cannot converge raises SolverError with the last
+difference as its residual.
 """
 
 import math
@@ -28,17 +34,19 @@ def _leggauss(n):
 
 
 def gl_quad(f, a, b, qtol=DEFAULT_QTOL):
-    """Adaptive-order Gauss-Legendre on [a, b] for a smooth integrand, up to _GL_N_MAX nodes."""
-    if a == b:
-        return 0.0 * f(np.array([0.5 * (a + b)]))[..., 0]
+    """Adaptive-order Gauss-Legendre on [a, b] for a smooth integrand, up to _GL_N_MAX nodes;
+    a and b may be stacks of shape (K, 1)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
+    if not np.any(half):
+        return 0.0 * f(mid + np.zeros(1))[..., 0]
+    rows = half[..., 0] if np.ndim(half) else half  # one scale per row of a stack
     prev = np.inf
     n = _N_START
     while n <= _GL_N_MAX:
         x, w = _leggauss(n)
-        val = half * np.sum(w * f(mid + half * x), axis=-1)
-        if (diff := np.max(np.abs(val - prev))) <= qtol * max(1.0, np.max(np.abs(val))):
+        val = rows * np.add.reduce(w * f(mid + half * x), axis=-1)
+        if (diff := np.abs(val - prev).max()) <= qtol * max(1.0, np.abs(val).max()):
             return val
         prev = val
         n *= 2
@@ -46,7 +54,8 @@ def gl_quad(f, a, b, qtol=DEFAULT_QTOL):
 
 
 def chebyshev_quad(g, lo, hi, qtol=DEFAULT_QTOL):
-    """Compute int_lo^hi g(t) / sqrt((t-lo)(hi-t)) dt.
+    """Compute int_lo^hi g(t) / sqrt((t-lo)(hi-t)) dt, for each row when lo and hi
+    are stacks of shape (K, 1).
 
     Uses t = m + r cos(theta); the Gauss-Chebyshev rule is exact for the
     singular weight, so only smoothness of ``g`` matters.
@@ -57,8 +66,8 @@ def chebyshev_quad(g, lo, hi, qtol=DEFAULT_QTOL):
     n = _N_START
     while n <= _N_MAX:
         theta = (2 * np.arange(1, n + 1) - 1) * (np.pi / (2 * n))
-        val = (np.pi / n) * np.sum(g(m + r * np.cos(theta)), axis=-1)
-        if (diff := np.max(np.abs(val - prev))) <= qtol * max(1.0, np.max(np.abs(val))):
+        val = (np.pi / n) * np.add.reduce(g(m + r * np.cos(theta)), axis=-1)
+        if (diff := np.abs(val - prev).max()) <= qtol * max(1.0, np.abs(val).max()):
             return val
         prev = val
         n *= 2
@@ -91,12 +100,16 @@ def _chart_point(lo, hi, theta):
 
 
 def theta_partial_quad(g, lo, hi, x, qtol=DEFAULT_QTOL):
-    """Compute int_lo^x g(t) / sqrt((t-lo)(hi-t)) dt for lo <= x <= hi.
+    """Compute int_lo^x g(t) / sqrt((t-lo)(hi-t)) dt for lo <= x <= hi, for each row
+    when lo, hi and x are stacks of shape (K, 1), each row with its own upper limit.
 
-    With t = m - r cos(phi) the integral becomes a smooth one over [0, phi(x)],
-    handled by Gauss-Legendre.  phi(x) = pi - theta(x) is the chart angle of
-    -x on [-hi, -lo], so it is exact in x at both edges.
+    With t = m - r cos(phi) the integral becomes a smooth one over [0, phi(x)].
+    One Gauss-Legendre rule on [0, 1], scaled by each row's phi, takes the
+    whole stack.  phi(x) = pi - theta(x) is the chart angle of -x on
+    [-hi, -lo], so it is exact in x at both edges.
     """
+    rows = np.broadcast(lo, hi, x)
+    phi = np.reshape([_chart_angle(-h, -l, -y) for l, h, y in rows], rows.shape)
     m = 0.5 * (lo + hi)
     r = 0.5 * (hi - lo)
-    return gl_quad(lambda ph: g(m - r * np.cos(ph)), 0.0, _chart_angle(-hi, -lo, -x), qtol)
+    return gl_quad(lambda ph: g(m - r * np.cos(ph)), 0.0, phi, qtol)

@@ -7,9 +7,12 @@ root of R(z) = (z-a0)(z-b0) prod (z-a_j)(z-b_j) with branch cuts on E.
 
 Each of these is an integral of p(t) dt / sqrt(R(t)) for a polynomial p
 (times log|z - t| for the Thouless potential), taken on one of two paths:
-_edge_integral runs along a band or gap from its left edge with the weight
-1 / sqrt|R|, and _ray_integral runs from b0 or a0 straight to a point
-outside [b0, a0] or off the real axis with the complex branch of sqrt(R).
+_edge_integral runs along a stack of bands or gaps, each from its left edge,
+with the weight 1 / sqrt|R|, and _ray_integral runs from b0 or a0 straight
+to a point outside [b0, a0] or off the real axis with the complex branch of
+sqrt(R).  A quantity with one integral per gap or band (the moments, the
+period checks and heights of the critical points, the band masses, the
+Abel map) takes one quadrature call for the whole stack.
 """
 
 from dataclasses import dataclass
@@ -113,10 +116,13 @@ class GapSystem:
 
 @dataclass(frozen=True)
 class CriticalPoints:
-    """Critical points c_j of the Green's function, one per gap, with heights h_j = G(c_j)."""
+    """Critical points c_j of the Green's function, one per gap, with heights h_j = G(c_j)
+    and the centred roots s_j: c_j = mid + half s_j on the centred set (_frame), which
+    keep their digits on a set moved far from its own scale."""
 
     c: tuple
     h: tuple
+    s: tuple
 
 
 def gap_branch_sign(gs, j):
@@ -147,16 +153,25 @@ def sqrt_R(gs, z):
 
 
 def _prod(x, roots):
-    """prod_r (x - r) over the 1-D ndarray ``roots`` for an array x: one broadcast
-    product reduced along axis 0, so the factors multiply in the order of roots."""
-    x = np.asarray(x)
-    return np.multiply.reduce(x - roots.reshape((-1,) + (1,) * x.ndim), axis=0)
+    """prod_r (x - r) over the first axis of the ndarray ``roots`` (one root, or one
+    root per row of a stack), accumulated one factor at a time in the order of
+    roots, so no array of shape (len(roots),) + x.shape is formed."""
+    if len(roots) == 0:
+        return np.ones(np.shape(x), dtype=np.result_type(x, float))[()]
+    out = np.subtract(x, roots[0])
+    for r in roots[1:]:
+        out *= x - r
+    return out
 
 
 def _rest_root(gs, lo, hi):
-    """t -> sqrt|R(t) / ((t - lo)(t - hi))| for two branch points lo, hi of gs."""
-    rest = np.array([e for e in gs.endpoints if e != lo and e != hi])
-    return lambda t: np.sqrt(np.abs(_prod(t, rest)))
+    """t -> sqrt|R(t) / ((t - lo_k)(t - hi_k))| on a stack of bands or gaps [lo_k, hi_k]
+    of gs: lo and hi of shape (K, 1), t of shape (K, n).  Row k multiplies the 2N
+    endpoints other than its own two in ascending order, one endpoint at a time."""
+    ends = np.array(gs.endpoints)
+    own = (ends == lo) | (ends == hi)  # (K, 2N + 2), two per row
+    others = ends[np.nonzero(~own)[1]].reshape(len(own), -1).T[..., None]  # (2N, K, 1)
+    return lambda t: np.sqrt(np.abs(_prod(t, others)))
 
 
 def sqrt_R_gap(gs, j, x):
@@ -165,15 +180,18 @@ def sqrt_R_gap(gs, j, x):
 
 
 def _edge_integral(gs, num, lo, hi, x, qtol):
-    """int_lo^x num(t) dt / sqrt|R(t)| over the band or gap [lo, hi] of gs, for
-    lo <= x <= hi: one Chebyshev rule at x = hi, theta_partial_quad otherwise.
-    A num of shape (m, n) on n nodes gives m integrals on either rule, converged together."""
+    """int_{lo_k}^{x_k} num(t) dt / sqrt|R(t)| over a stack of K bands or gaps
+    [lo_k, hi_k] of gs, with lo_k <= x_k <= hi_k; lo, hi and x are sequences of
+    length K.  One quadrature call takes the stack: the Chebyshev rule when every
+    x_k = hi_k, theta_partial_quad otherwise.  num maps nodes t of shape (K, n) to
+    (..., K, n) and the result has shape (..., K), all rows converged together."""
+    lo, hi, x = (np.reshape(v, (-1, 1)) for v in (lo, hi, x))
     root = _rest_root(gs, lo, hi)
 
     def g(t):
         return num(t) / root(t)
 
-    if x == hi:
+    if (x == hi).all():
         return chebyshev_quad(g, lo, hi, qtol)
     return theta_partial_quad(g, lo, hi, x, qtol)
 
@@ -219,11 +237,10 @@ def _centred(gs):
 
 def _gap_moments(cs, qtol):
     """M[j-1, m] = int_{gap j} T_m(s) ds / sqrt|R(s)|, m = 0..N, on the centred set cs, one
-    vector quadrature per gap; for gs, dt / sqrt|R(t)| = half^-N ds / sqrt|R_cs(s)|."""
+    quadrature for all gaps; for gs, dt / sqrt|R(t)| = half^-N ds / sqrt|R_cs(s)|."""
     n = cs.n_gaps
-    return np.array([
-        _edge_integral(cs, lambda s: chebvander(s, n).T, lo, hi, hi, qtol) for lo, hi in cs.gaps
-    ])
+    lo, hi = np.array(cs.gaps).T
+    return _edge_integral(cs, lambda s: chebvander(s, n).transpose(2, 0, 1), lo, hi, hi, qtol).T
 
 
 def critical_points(gs, qtol=DEFAULT_QTOL):
@@ -239,7 +256,7 @@ def critical_points(gs, qtol=DEFAULT_QTOL):
     """
     n = gs.n_gaps
     if n == 0:
-        return CriticalPoints(c=(), h=())
+        return CriticalPoints(c=(), h=(), s=())
     cs = _centred(gs)
     mom = _gap_moments(cs, qtol)
     try:
@@ -248,8 +265,8 @@ def critical_points(gs, qtol=DEFAULT_QTOL):
         raise SolverError("singular period matrix")
     s = np.sort(chebroots(p).real)
     mid, half = _frame(gs)
-    lo, hi = np.array(gs.gaps).T
-    res = np.array([_edge_integral(cs, partial(_prod, roots=s), a, b, b, qtol) for a, b in cs.gaps])
+    lo, hi = np.array(cs.gaps).T
+    res = _edge_integral(cs, partial(_prod, roots=s), lo, hi, hi, qtol)
     # prod(s - s_k) = 2^(1-N) P and |T_m| <= 1 on the centred set, so the integral
     # of |prod(s - s_k)| / sqrt|R| over gap j is at most 2^(1-N) M[j, 0] sum |p_m|
     if np.any(np.abs(res) > 1e3 * qtol * 2.0 ** (1 - n) * mom[:, 0] * np.abs(p).sum()):
@@ -260,13 +277,11 @@ def critical_points(gs, qtol=DEFAULT_QTOL):
     np.fill_diagonal(diff, 1.0)
     s = s - chebval(s, np.linalg.solve(mom[:, :n], -res)) / diff.prod(axis=1)
     c = mid + half * s
-    if not np.all((lo < c) & (c < hi)):
+    a, b = np.array(gs.gaps).T
+    if not np.all((a < c) & (c < b)):
         raise SolverError("critical point outside its gap", iterate=c)
-    h = tuple(
-        abs(_edge_integral(cs, partial(_prod, roots=s), a, b, sj, qtol))
-        for (a, b), sj in zip(cs.gaps, s)
-    )
-    return CriticalPoints(c=tuple(c), h=h)
+    h = np.abs(_edge_integral(cs, partial(_prod, roots=s), lo, hi, s, qtol))
+    return CriticalPoints(c=tuple(c), h=tuple(h), s=tuple(s))
 
 
 def green(gs, cp, z, qtol=DEFAULT_QTOL):
@@ -286,7 +301,7 @@ def green(gs, cp, z, qtol=DEFAULT_QTOL):
         kind = gs.locate(z)
         if kind[0] == "gap":
             lo, hi = gs.gap(kind[1])
-            return abs(_edge_integral(gs, num, lo, hi, z, qtol))
+            return abs(_edge_integral(gs, num, [lo], [hi], [z], qtol)[0])
         if kind[0] == "left":
             edge = gs.b0
     return max(0.0, _ray_integral(gs, num, edge, z, qtol))
@@ -315,13 +330,15 @@ def _harmonic_poly_coeffs(gs, qtol):
     return coeffs.T  # row k-1 = coefficients of P_k
 
 
-def _gap_increment(gs, coeffs, j, x, qtol):
-    """omega_k(x) - omega_k(a_j) = s_j int_{a_j}^x P_k(t) dt / sqrt|R(t)| for x in gap j,
-    s_j its branch sign, from centred Chebyshev coefficients of P_k (degree along axis
-    0): one value for a row of _harmonic_poly_coeffs, all k at once for its transpose."""
-    lo, hi = gs.gap(j)
+def _gap_increment(gs, coeffs, js, xs, qtol):
+    """omega_k(x_i) - omega_k(a_j) = s_j int_{a_j}^{x_i} P_k(t) dt / sqrt|R(t)| for a
+    stack of points x_i, each in its gap j = js[i] with branch sign s_j, from centred
+    Chebyshev coefficients of P_k (degree along axis 0), in one quadrature call:
+    shape (K,) for a row of _harmonic_poly_coeffs, (N, K) for its transpose."""
+    lo, hi = np.array([gs.gap(j) for j in js]).T
+    signs = np.array([gap_branch_sign(gs, j) for j in js])
     poly = partial(_chebval_centred, gs, coeffs)
-    return gap_branch_sign(gs, j) * _edge_integral(gs, poly, lo, hi, x, qtol)
+    return signs * _edge_integral(gs, poly, lo, hi, xs, qtol)
 
 
 def harmonic_measure(gs, k, x, qtol=DEFAULT_QTOL):
@@ -339,7 +356,7 @@ def harmonic_measure(gs, k, x, qtol=DEFAULT_QTOL):
         return 1.0 if kind[1] >= k else 0.0
     coeffs = _harmonic_poly_coeffs(gs, qtol)[k - 1]
     if kind[0] == "gap":
-        return float(kind[1] > k) + _gap_increment(gs, coeffs, kind[1], x, qtol)
+        return float(kind[1] > k) + _gap_increment(gs, coeffs, [kind[1]], [x], qtol)[0]
     poly = partial(_chebval_centred, gs, coeffs)
     if kind[0] == "right":
         return 1.0 + _ray_integral(gs, poly, gs.a0, x, qtol)
@@ -370,13 +387,34 @@ def dos_density(gs, cp, x):
     if min(abs(x - lo), abs(hi - x)) < _EDGE_TOL * scale:
         raise ValidationError("integrable singularity at band endpoint")
     root = np.sqrt(np.abs(_prod(x, np.array(gs.endpoints))))
-    return float(_dos_numerator(cp)(x) / (np.pi * root))
+    return float(_dos_numerator(cp.c)(x) / (np.pi * root))
 
 
-def _dos_numerator(cp):
-    """t -> |prod(t - c_j)|: pi times the dos density is this over sqrt|R|."""
-    c = np.asarray(cp.c)
-    return lambda t: np.abs(_prod(t, c))
+def _dos_numerator(roots):
+    """t -> |prod(t - r_j)|: pi times the dos density is this over sqrt|R| for the
+    critical points c_j on gs, and for the centred roots s_j on the centred set."""
+    roots = np.asarray(roots)
+    return lambda t: np.abs(_prod(t, roots))
+
+
+def _band_masses(gs, cp, x, qtol):
+    """dos masses of the bands of E cap (-inf, x], on the centred set with the centred
+    roots, which carry the same measure: one quadrature call for the full bands and
+    one for a band that x cuts."""
+    mid, half = _frame(gs)
+    cs = _centred(gs)
+    num = _dos_numerator(cp.s)
+    lo, hi = np.array(cs.bands).T
+    xc = (x - mid) / half
+    full = hi <= xc
+    masses = np.zeros(0)
+    if np.any(full):
+        masses = _edge_integral(cs, num, lo[full], hi[full], hi[full], qtol) / np.pi
+    cut = (lo < xc) & (xc < hi)
+    if np.any(cut):
+        part = _edge_integral(cs, num, lo[cut], hi[cut], [xc], qtol) / np.pi
+        masses = np.append(masses, part)
+    return masses
 
 
 def frequencies(gs, cp, qtol=DEFAULT_QTOL):
@@ -384,30 +422,25 @@ def frequencies(gs, cp, qtol=DEFAULT_QTOL):
     n = gs.n_gaps
     if n == 0:
         return np.zeros(0)
-    num = _dos_numerator(cp)
-    masses = np.array([_edge_integral(gs, num, lo, hi, hi, qtol) / np.pi for lo, hi in gs.bands])
+    masses = _band_masses(gs, cp, gs.a0, qtol)
     return np.array([masses[k:].sum() for k in range(1, n + 1)])
 
 
 def dos_cdf(gs, cp, x, qtol=DEFAULT_QTOL):
     """Integrated density of states: dos mass of E cap (-inf, x]."""
-    num = _dos_numerator(cp)
-    total = 0.0
-    for lo, hi in gs.bands:
-        if x > lo:
-            total += _edge_integral(gs, num, lo, hi, min(x, hi), qtol) / np.pi
-    return min(1.0, total)
+    return min(1.0, float(np.sum(_band_masses(gs, cp, x, qtol))))
 
 
 def thouless_potential(gs, cp, z, qtol=DEFAULT_QTOL):
     """Logarithmic potential int_E log|z - x| d omega(x) by quadrature."""
     z = complex(z)
-    dos = _dos_numerator(cp)
+    dos = _dos_numerator(cp.c)
 
     def num(t):
         return np.log(np.abs(z - t)) * dos(t)
 
-    return sum(_edge_integral(gs, num, lo, hi, hi, qtol) / np.pi for lo, hi in gs.bands)
+    lo, hi = np.array(gs.bands).T
+    return float(np.sum(_edge_integral(gs, num, lo, hi, hi, qtol) / np.pi))
 
 
 def robin_constant(gs, cp, qtol=DEFAULT_QTOL):

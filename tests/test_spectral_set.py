@@ -199,9 +199,10 @@ class TestHarmonicMeasure:
             assert -1e-10 <= v <= 1.0 + 1e-10
 
     def test_qtol_reaches_period_matrix(self, two_gap, two_gap_cp, monkeypatch):
-        # in a gap the only Chebyshev quadratures are the period matrix's:
-        # one vector quadrature of the N + 1 moments per gap; the partial
-        # integrals of h, of G in a gap and of omega in a gap take qtol too
+        # in a gap the only Chebyshev quadrature is the period matrix's: one
+        # vector quadrature of the N + 1 moments over the stack of gaps; the
+        # partial integrals of h (one stack), of G in a gap and of omega in a
+        # gap take qtol too
         seen, seen_partial = [], []
         quad, partial = spectral_set.chebyshev_quad, spectral_set.theta_partial_quad
 
@@ -217,13 +218,13 @@ class TestHarmonicMeasure:
         monkeypatch.setattr(spectral_set, "theta_partial_quad", spy_partial)
         spectral_set._harmonic_poly_coeffs.cache_clear()
         loose = harmonic_measure(two_gap, 1, -0.6, qtol=1e-6)
-        assert seen == [1e-6] * 2
+        assert seen == [1e-6]
         assert seen_partial == [1e-6]
         assert loose == pytest.approx(harmonic_measure(two_gap, 1, -0.6), abs=1e-6)
         seen_partial.clear()
         cp = critical_points(two_gap, qtol=1e-6)
         green(two_gap, cp, -0.6, qtol=1e-6)
-        assert seen_partial == [1e-6] * 3
+        assert seen_partial == [1e-6] * 2
         assert cp.h == pytest.approx(two_gap_cp.h, abs=1e-6)
 
     @pytest.mark.parametrize("x", [-3.0, -2.1, 3.1, 4.0, 50.0])
@@ -279,6 +280,24 @@ class TestDensityOfStates:
     def test_frequencies_match_symmetric_half(self, sym_one_gap, sym_one_gap_cp):
         om = frequencies(sym_one_gap, sym_one_gap_cp)
         assert om[0] == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_translation_moves_no_mass(self, n):
+        # endpoints on a 2^-20 grid make E + 1e4 exact in float64, with the same
+        # centred set as E: the dos masses, taken there with the centred roots,
+        # agree to rounding, which the raw c_j at 1e4 cannot give
+        def grid(x):
+            return round(x * 2**20) / 2**20
+
+        ends = [grid(e) for e in spaced_gap_system(np.random.default_rng(n), n).endpoints]
+        (gs, cp), (img, cp_img) = (
+            (g, critical_points(g)) for g in (
+                GapSystem(e[0], e[-1], tuple(zip(e[1:-1:2], e[2:-1:2])))
+                for e in (ends, [x + 1e4 for x in ends])))
+        assert np.max(np.abs(frequencies(img, cp_img) - frequencies(gs, cp))) <= 1e-14
+        for lo, hi in gs.bands:
+            x = grid(lo + 0.3 * (hi - lo))
+            assert abs(dos_cdf(img, cp_img, x + 1e4) - dos_cdf(gs, cp, x)) <= 1e-14
 
     def test_cdf_monotone(self, two_gap, two_gap_cp):
         xs = np.linspace(-2.0, 3.0, 31)
