@@ -12,7 +12,7 @@ the shift frequencies need the critical points.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -63,9 +63,10 @@ class Character:
     @classmethod
     def from_json(cls, doc):
         try:
-            return cls(alpha=tuple(doc["alpha"]))
-        except (KeyError, TypeError):
-            raise ValidationError("document must contain 'alpha': [...]")
+            alpha = tuple(float(a) for a in doc["alpha"])
+        except (KeyError, TypeError, ValueError):
+            raise ValidationError("document must contain 'alpha': [...] of numbers")
+        return cls(alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -163,9 +164,9 @@ def abel_map(gs, divisor, qtol=DEFAULT_QTOL):
     divisor = divisor.normalized(gs)
     if n == 0:
         return Character(alpha=())
-    coeffs = _harmonic_poly_coeffs(gs, qtol).T
+    poly = partial(_chebval_centred, gs, _harmonic_poly_coeffs(gs, qtol).T)
     xs, eps = np.array(divisor.points).T
-    inc = _gap_increment(gs, coeffs, range(1, n + 1), xs, qtol)  # inc[j, k]
+    inc = _gap_increment(gs, poly, range(1, n + 1), xs, qtol)  # inc[j, k]
     alpha = np.sum(0.5 * eps * inc, axis=1)
     return Character(alpha=tuple(alpha % 1.0))
 
@@ -338,15 +339,22 @@ def widom_delta(cp):
 
 
 def _parse_box(gs, box):
+    try:
+        items = [(item["gap"], float(item["a"]), float(item["b"]), item["eps"]) for item in box]
+    except (KeyError, TypeError, ValueError):
+        raise ValidationError("box items must be {'gap': j, 'a': .., 'b': .., 'eps': +-1}")
     entries = []
     seen = set()
-    for item in box:
-        j, a, b, e = int(item["gap"]), float(item["a"]), float(item["b"]), int(item["eps"])
+    for j, a, b, e in items:
+        # range and tuple membership compare by value, so 1.9 or "1" is no index and no sign
+        if j not in range(1, gs.n_gaps + 1):
+            raise ValidationError(f"box gap index {j!r} is not one of 1..{gs.n_gaps}")
+        if e not in (-1, 1):
+            raise ValidationError(f"box eps must be +1 or -1, got {e!r}")
+        j, e = int(j), int(e)
         lo, hi = gs.gap(j)
         if not lo <= a < b <= hi:
             raise ValidationError(f"box interval ({a}, {b}) not inside gap {j}")
-        if e not in (-1, 1):
-            raise ValidationError("box eps must be +1 or -1")
         if j in seen:
             raise ValidationError("one arc per gap; pass unions as separate boxes")
         seen.add(j)
@@ -361,9 +369,9 @@ def measure_box(gs, box, qtol=DEFAULT_QTOL):
     entries = _parse_box(gs, box)
     if not entries:
         return 1.0
-    coeffs = _harmonic_poly_coeffs(gs, qtol).T
+    poly = partial(_chebval_centred, gs, _harmonic_poly_coeffs(gs, qtol).T)
     js, a, b, _ = zip(*entries)
-    inc = _gap_increment(gs, coeffs, js + js, b + a, qtol)
+    inc = _gap_increment(gs, poly, js + js, b + a, qtol)
     # cols[s, j - 1] = omega_j(b_s) - omega_j(a_s), the transpose of the matrix above
     cols = (inc[:, : len(js)] - inc[:, len(js) :]).T
     rows = [j - 1 for j in js]

@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 verification failure, 2 malformed input,
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -59,23 +58,14 @@ class RunConfig:
         return doc
 
 
-def _default_precision():
-    env = os.environ.get("WIDOMSPEC_PREC")
-    if env is None:
-        return jacobi_cf.DEFAULT_PREC
-    try:
-        return int(env)
-    except ValueError:
-        raise ValidationError(f"WIDOMSPEC_PREC must be an integer, got {env!r}")
-
-
 @lru_cache(maxsize=None)
 def _parser():
     """The argument parser, built on first use and reused by every main call."""
     p = argparse.ArgumentParser(prog="finitegap", description=__doc__)
     p.add_argument("command", choices=list(_COMMANDS))
     p.add_argument("--input", help="input JSON file (default: standard input)")
-    p.add_argument("--prec", type=int, default=None, help="working precision in bits")
+    p.add_argument("--prec", type=int, default=jacobi_cf.DEFAULT_PREC,
+                   help="working precision in bits")
     p.add_argument("--qtol", type=float, default=quad.DEFAULT_QTOL, help="quadrature tolerance")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--csv", action="store_true", help="CSV output for sequences")
@@ -94,8 +84,12 @@ def _load_doc(args, needed):
         return {}
     if args.input:
         with open(args.input) as fh:
-            return json.load(fh)
-    return json.load(sys.stdin)
+            doc = json.load(fh)
+    else:
+        doc = json.load(sys.stdin)
+    if not isinstance(doc, dict):
+        raise ValidationError("input document must be a JSON object")
+    return doc
 
 
 def _parse_z(args, default=None):
@@ -407,7 +401,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         cfg = RunConfig(
-            precision=args.prec if args.prec is not None else _default_precision(),
+            precision=args.prec,
             qtol=args.qtol,
             seed=args.seed,
             fmt="csv" if args.csv else "json",

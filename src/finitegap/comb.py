@@ -115,10 +115,11 @@ class CombData:
     @classmethod
     def from_json(cls, doc):
         try:
-            teeth = tuple((t["omega"], t["h"]) for t in doc["teeth"])
-        except (KeyError, TypeError):
+            teeth = tuple((float(t["omega"]), float(t["h"])) for t in doc["teeth"])
+            tail_bound = float(doc.get("tail_bound", 0.0))
+        except (KeyError, TypeError, ValueError):
             raise ValidationError("document must contain 'teeth': [{'omega':..,'h':..}]")
-        return cls(teeth=teeth, tail_bound=float(doc.get("tail_bound", 0.0)))
+        return cls(teeth=teeth, tail_bound=tail_bound)
 
 
 def comb_from_gaps(gs, cp=None, qtol=DEFAULT_QTOL):

@@ -34,11 +34,10 @@ class Divisor:
     points: tuple
 
     def __post_init__(self):
-        pts = tuple((float(x), int(e)) for x, e in self.points)
-        for x, e in pts:
+        for _, e in self.points:
             if e not in (-1, 1):
-                raise ValidationError(f"eps must be +1 or -1, got {e}")
-        object.__setattr__(self, "points", pts)
+                raise ValidationError(f"eps must be +1 or -1, got {e!r}")
+        object.__setattr__(self, "points", tuple((float(x), int(e)) for x, e in self.points))
 
     @property
     def xs(self):
@@ -76,8 +75,8 @@ class Divisor:
     @classmethod
     def from_json(cls, doc):
         try:
-            pts = tuple((p["x"], p["eps"]) for p in doc["divisor"])
-        except (KeyError, TypeError):
+            pts = tuple((float(p["x"]), p["eps"]) for p in doc["divisor"])
+        except (KeyError, TypeError, ValueError):
             raise ValidationError("document must contain 'divisor': [{'x':..,'eps':..}]")
         return cls(points=pts)
 

@@ -8,11 +8,12 @@ root of R(z) = (z-a0)(z-b0) prod (z-a_j)(z-b_j) with branch cuts on E.
 Each of these is an integral of p(t) dt / sqrt(R(t)) for a polynomial p
 (times log|z - t| for the Thouless potential), taken on one of two paths:
 _edge_integral runs along a stack of bands or gaps, each from its left edge,
-with the weight 1 / sqrt|R|, and _ray_integral runs from b0 or a0 straight
-to a point outside [b0, a0] or off the real axis with the complex branch of
-sqrt(R).  A quantity with one integral per gap or band (the moments, the
-period checks and heights of the critical points, the band masses, the
-Abel map) takes one quadrature call for the whole stack.
+with the weight 1 / sqrt|R|, and _ray_integral runs straight from the
+nearest branch point to a point outside [b0, a0] or off the real axis with
+the complex branch of sqrt(R); _branch_integral picks the path for a point
+value of G or of a harmonic measure.  A quantity with one integral per gap
+or band (the moments, the period checks and heights of the critical points,
+the band masses, the Abel map) takes one quadrature call for the whole stack.
 """
 
 from dataclasses import dataclass
@@ -107,11 +108,11 @@ class GapSystem:
     @classmethod
     def from_json(cls, doc):
         try:
-            b0, a0 = doc["band"]
+            b0, a0 = map(float, doc["band"])
+            gaps = tuple((float(a), float(b)) for a, b in doc.get("gaps", []))
         except (KeyError, TypeError, ValueError):
-            raise ValidationError("document must contain 'band': [b0, a0]")
-        gaps = doc.get("gaps", [])
-        return cls(b0=float(b0), a0=float(a0), gaps=tuple(tuple(g) for g in gaps))
+            raise ValidationError("document must contain 'band': [b0, a0] and 'gaps': [[a, b], ...]")
+        return cls(b0=b0, a0=a0, gaps=gaps)
 
 
 @dataclass(frozen=True)
@@ -285,26 +286,10 @@ def critical_points(gs, qtol=DEFAULT_QTOL):
 
 
 def green(gs, cp, z, qtol=DEFAULT_QTOL):
-    """Green's function G(z) of the complement of E, pole at infinity.
-
-    Real part of the abelian integral of prod(z - c_j) dz / sqrt(R) from a
-    branch point: in a gap from its left edge, left of b0 from b0, otherwise
-    from a0; zero on E by construction of the critical points.
-    """
-    num = partial(_prod, roots=np.asarray(cp.c))
-    z = complex(z)
-    edge = gs.a0
-    if z.imag == 0.0:
-        z = z.real
-        if gs.on_set(z):
-            return 0.0
-        kind = gs.locate(z)
-        if kind[0] == "gap":
-            lo, hi = gs.gap(kind[1])
-            return abs(_edge_integral(gs, num, [lo], [hi], [z], qtol)[0])
-        if kind[0] == "left":
-            edge = gs.b0
-    return max(0.0, _ray_integral(gs, num, edge, z, qtol))
+    """Green's function G(z) of the complement of E, pole at infinity: the real part of
+    the abelian integral of prod(t - c_j) dt / sqrt(R) from a branch point
+    (_branch_integral), where G = 0 by construction of the critical points."""
+    return max(0.0, _branch_integral(gs, partial(_prod, roots=np.asarray(cp.c)), z, qtol)[1])
 
 
 @lru_cache(maxsize=32)
@@ -330,37 +315,47 @@ def _harmonic_poly_coeffs(gs, qtol):
     return coeffs.T  # row k-1 = coefficients of P_k
 
 
-def _gap_increment(gs, coeffs, js, xs, qtol):
-    """omega_k(x_i) - omega_k(a_j) = s_j int_{a_j}^{x_i} P_k(t) dt / sqrt|R(t)| for a
-    stack of points x_i, each in its gap j = js[i] with branch sign s_j, from centred
-    Chebyshev coefficients of P_k (degree along axis 0), in one quadrature call:
+def _gap_increment(gs, num, js, xs, qtol):
+    """s_j int_{a_j}^{x_i} num(t) dt / sqrt|R(t)| = int_{a_j}^{x_i} num(t) dt / sqrt(R(t)) for
+    a stack of points x_i, each in its gap j = js[i] with branch sign s_j, in one
+    quadrature call.  num maps (K, n) to (..., K, n), as in _edge_integral; with
+    num = partial(_chebval_centred, gs, coeffs) this is omega_k(x_i) - omega_k(a_j),
     shape (K,) for a row of _harmonic_poly_coeffs, (N, K) for its transpose."""
     lo, hi = np.array([gs.gap(j) for j in js]).T
     signs = np.array([gap_branch_sign(gs, j) for j in js])
-    poly = partial(_chebval_centred, gs, coeffs)
-    return signs * _edge_integral(gs, poly, lo, hi, xs, qtol)
+    return signs * _edge_integral(gs, num, lo, hi, xs, qtol)
+
+
+def _branch_integral(gs, num, z, qtol):
+    """(e, Re int_e^z num(t) dt / sqrt(R(t))) from a branch point e, in the branch of sqrt_R:
+    along gap j from a_j for z in gap j (_gap_increment), and otherwise on the ray from
+    the branch point nearest to z (_ray_integral), the shortest path.  Every branch
+    point lies on E, where G and the harmonic measures have known boundary values, so
+    e is free.  A point z of E is its own base point, with integral 0."""
+    z = complex(z)
+    if z.imag == 0.0:
+        kind = gs.locate(z.real)
+        if kind[0] == "band":
+            return z.real, 0.0
+        if kind[0] == "gap":
+            inc = _gap_increment(gs, num, kind[1:], [z.real], qtol)[0]
+            return gs.gap(kind[1])[0], float(inc)
+    edge = min(gs.endpoints, key=lambda e: abs(z - e))
+    return edge, _ray_integral(gs, num, edge, z, qtol)
 
 
 def harmonic_measure(gs, k, x, qtol=DEFAULT_QTOL):
     """Harmonic measure omega_k(x) of E_k = E cap [b_k, a0] at real x.
 
     omega_k is 1 on E_k and 0 on the rest of E; off E it is that boundary
-    value at a branch point plus int P_k(t) dt / sqrt(R(t)) from there, with
-    P_k from _harmonic_poly_coeffs.  It depends on E alone, not on the
-    critical points.
+    value at a branch point e plus int_e^x P_k(t) dt / sqrt(R(t))
+    (_branch_integral), with P_k from _harmonic_poly_coeffs.  It depends on
+    E alone, not on the critical points.
     """
-    if not 1 <= k <= gs.n_gaps:
-        raise ValidationError(f"gap index {k} out of range")
-    kind = gs.locate(x)
-    if kind[0] == "band":
-        return 1.0 if kind[1] >= k else 0.0
-    coeffs = _harmonic_poly_coeffs(gs, qtol)[k - 1]
-    if kind[0] == "gap":
-        return float(kind[1] > k) + _gap_increment(gs, coeffs, [kind[1]], [x], qtol)[0]
-    poly = partial(_chebval_centred, gs, coeffs)
-    if kind[0] == "right":
-        return 1.0 + _ray_integral(gs, poly, gs.a0, x, qtol)
-    return _ray_integral(gs, poly, gs.b0, x, qtol)
+    _, b_k = gs.gap(k)
+    poly = partial(_chebval_centred, gs, _harmonic_poly_coeffs(gs, qtol)[k - 1])
+    edge, inc = _branch_integral(gs, poly, x, qtol)
+    return float(edge >= b_k) + inc
 
 
 def harmonic_measure_density(gs, k, x):

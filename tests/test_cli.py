@@ -201,15 +201,26 @@ class TestContract:
         code, out = run(capsys, argv, doc, tmp_path)
         assert code == 2 and out == ""
 
-    def test_precision_env_override(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("WIDOMSPEC_PREC", "192")
-        doc = run_json(capsys, ["critical"], ONE_GAP, tmp_path)
-        assert doc["meta"]["precision"] == 192
-
-    def test_precision_flag_beats_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("WIDOMSPEC_PREC", "192")
-        doc = run_json(capsys, ["critical", "--prec", "64"], ONE_GAP, tmp_path)
-        assert doc["meta"]["precision"] == 64
+    @pytest.mark.parametrize("argv, doc", [
+        (["critical"], {"band": ["x", 2]}),
+        (["critical"], {"band": [-2.0, 2.0], "gaps": [[-1.0]]}),
+        (["abel"], dict(ONE_GAP, divisor=[{"x": "a", "eps": 1}])),
+        (["abel"], dict(ONE_GAP, divisor=[{"x": 0.3, "eps": 1.7}])),
+        (["abel"], dict(ONE_GAP, divisor=[{"x": 0.3, "eps": -1.5}])),
+        (["abel"], dict(ONE_GAP, divisor=[{"x": 0.3, "eps": "1"}])),
+        (["measure"], dict(ONE_GAP, box=[{"gap": 1, "a": -0.5, "eps": 1}])),
+        (["measure"], dict(ONE_GAP, box=[{"gap": 1.9, "a": -0.5, "b": 0.5, "eps": 1}])),
+        (["measure"], dict(ONE_GAP, box=[{"gap": 1, "a": -0.5, "b": 0.5, "eps": 1.7}])),
+        (["invert"], dict(ONE_GAP, alpha=["q"])),
+        (["truncate", "--n", "1"], {"teeth": [{"omega": 0.3, "h": 0.4}], "tail_bound": "z"}),
+        (["comb"], 5),
+        (["critical"], [ONE_GAP]),
+    ], ids=["band-string", "gap-one-end", "divisor-x-string", "eps-1.7", "eps-minus-1.5",
+            "eps-string", "box-without-b", "box-gap-1.9", "box-eps-1.7", "alpha-string",
+            "tail-bound-string", "comb-number", "critical-list"])
+    def test_malformed_document_exit_2(self, capsys, tmp_path, argv, doc):
+        code, out = run(capsys, argv, doc, tmp_path)
+        assert code == 2 and out == ""
 
     def test_low_precision_rejected(self, capsys, tmp_path):
         code, _ = run(capsys, ["critical", "--prec", "16"], ONE_GAP, tmp_path)

@@ -177,6 +177,49 @@ class TestGreen:
         for z in (-3.0, 4.0, 1.2, 1.0j):
             assert green(two_gap, two_gap_cp, z) > 0
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_thouless_identity_off_the_axis(self, n):
+        # 6 upper-half-plane points (Im 1e-3..1 diameters) and 12 outer real
+        # points per N, on sets moved as in test_stacked_quadrature: each ray
+        # from the nearest branch point converges, and G = c + int log|z - x| d omega
+        rng = np.random.default_rng(100 + n)
+        scale, shift = ((1.0, 0.0), (1e-2, 3.0), (1.0, 100.0), (50.0, -1e4))[n % 4]
+        gs = spaced_gap_system(rng, n, scale=scale, shift=shift)
+        cp = critical_points(gs)
+        rc = robin_constant(gs, cp)
+        d = gs.diameter
+        upper = rng.uniform(gs.b0, gs.a0, 6) + 1j * d * 10 ** rng.uniform(-3, 0, 6)
+        outer = np.concatenate([gs.b0 - d * 10 ** rng.uniform(-3, 1, 6),
+                                gs.a0 + d * 10 ** rng.uniform(-3, 1, 6)])
+        for z in (*upper, *outer):
+            g = green(gs, cp, z)
+            assert g > 0.0
+            assert abs(g - rc - thouless_potential(gs, cp, z)) <= 1e-10 * max(1.0, g)
+            assert green(gs, cp, np.conj(z)) == g
+
+    @pytest.mark.parametrize("name", ["thin_band", "thin_gap"])
+    def test_complex_points_near_an_edge(self, name, request):
+        # 1e-9 to 1e-1 diameters from each branch point, in every direction
+        # of the upper half-plane
+        gs = request.getfixturevalue(name)
+        cp = critical_points(gs)
+        rng = np.random.default_rng(7)
+        for e in gs.endpoints:
+            r = gs.diameter * 10 ** rng.uniform(-9, -1, 6)
+            for z in e + r * np.exp(1j * rng.uniform(0.01, np.pi - 0.01, 6)):
+                assert np.isfinite(green(gs, cp, z)) and green(gs, cp, z) >= 0.0
+
+    def test_gap_point_next_to_an_edge(self, two_gap, two_gap_cp):
+        # 2e-13 inside gap 1 from a_1 = -1: G = 2 sqrt(x - a) |P(a)| / sqrt|R'(a)|
+        # up to a relative O(x - a)
+        a = two_gap.gap(1)[0]
+        x = a + 2e-13
+        rest = np.array([e for e in two_gap.endpoints if e != a])
+        lead = 2.0 * np.sqrt(x - a) * np.prod(np.abs(a - np.array(two_gap_cp.c))) / np.sqrt(
+            np.prod(np.abs(a - rest)))
+        assert green(two_gap, two_gap_cp, x) == pytest.approx(lead, rel=1e-9)
+        assert green(two_gap, two_gap_cp, complex(x, 0.0)) == green(two_gap, two_gap_cp, x)
+
 
 class TestHarmonicMeasure:
     def test_band_boundary_values(self, two_gap):
