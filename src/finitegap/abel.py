@@ -16,7 +16,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import SolverError, ValidationError
+from .errors import SolverError, ValidationError, json_number
 from .herglotz import Divisor
 from .jacobi_cf import DEFAULT_PREC, cf_step, initial_state
 from .quad import DEFAULT_QTOL, _chart_angle, _chart_point
@@ -63,7 +63,7 @@ class Character:
     @classmethod
     def from_json(cls, doc):
         try:
-            alpha = tuple(float(a) for a in doc["alpha"])
+            alpha = tuple(float(json_number(a)) for a in doc["alpha"])
         except (KeyError, TypeError, ValueError):
             raise ValidationError("document must contain 'alpha': [...] of numbers")
         return cls(alpha=alpha)
@@ -121,6 +121,11 @@ def _abel_series(gs):
     terms per angle: a few dozen on ordinary sets, more on thin bands.  The
     stopping rule reads b rather than a because the FFT noise floor of a_m
     grows with N while b_m = a_m / m stays below it.
+
+    Returns (a, b) in the layouts of the two contractions with a harmonic
+    table (_harmonics): a[k, j, m - 1] of shape (N, N, M), one matrix product
+    per gap k in _series_jacobian, and b flattened to b[j, (m - 1) N + k] of
+    shape (N, M N), one matrix product in _series_map.
     """
     n = gs.n_gaps
     coeffs = _harmonic_poly_coeffs(gs, DEFAULT_QTOL)
@@ -147,10 +152,10 @@ def _abel_series(gs):
         raise SolverError("Abel series normalization failed", residual=mean_err)
     tails = np.cumsum(max_b[::-1])[::-1]  # tails[i] = sum over m > i
     m_keep = int(np.count_nonzero(tails >= _SERIES_TAIL))
-    m_idx = m_idx[:m_keep]
-    a_cos = 2.0 * fhat[:, :, 1 : m_keep + 1]
-    b_sin = a_cos / m_idx
-    return m_idx, a_cos, b_sin
+    a_cos = 2.0 * fhat[:, :, 1 : m_keep + 1]  # a_cos[j, k, m - 1]
+    b_sin = a_cos / m_idx[:m_keep]
+    return (np.ascontiguousarray(a_cos.transpose(1, 0, 2)),
+            np.ascontiguousarray(b_sin.transpose(0, 2, 1)).reshape(n, m_keep * n))
 
 
 def abel_map(gs, divisor, qtol=DEFAULT_QTOL):
@@ -172,11 +177,55 @@ def abel_map(gs, divisor, qtol=DEFAULT_QTOL):
 
 
 def _harmonics(phis, m_count):
-    """exp(i m phi) for m = 1..m_count, shape (..., m_count), by repeated
-    multiplication: a few times cheaper than sin or cos of m phi, with an
-    error growing like m times the rounding unit."""
-    z = np.exp(1j * phis)
-    return np.cumprod(np.broadcast_to(z[..., None], z.shape + (m_count,)), axis=-1)
+    """exp(i m phi) for m = 1..m_count and phis of shape (rows, N), as a table
+    of shape (m_count, N, rows).
+
+    Block doubling: once the first k powers are known, multiplying the first
+    n of them by z^k gives powers k+1..k+n, so the table costs about
+    log2(m_count) array products, each over whole contiguous blocks.  That is
+    a few times cheaper than sin or cos of m phi, or a cumulative product, on
+    a batch of rows; the error grows like m times the rounding unit, as for
+    repeated multiplication.
+    """
+    h = np.empty((m_count,) + phis.shape[::-1], dtype=complex)
+    h[:1] = np.exp(1j * phis.T)
+    k = 1
+    while k < m_count:
+        n = min(k, m_count - k)
+        np.multiply(h[:n], h[k - 1], out=h[k : k + n])
+        k += n
+    return h
+
+
+def _series_map(series, h, phis):
+    """Chart Abel map at phis of shape (rows, N) from their harmonic table h.
+
+    Viewed as floats, the table interleaves cos and sin of m phi in its
+    last axis, so one matrix product with b gives the cosine and the sine
+    sums; the sine sums (odd columns) are the map.
+    """
+    m_count, n, rows = h.shape
+    sums = series[1] @ h.view(float).reshape(m_count * n, 2 * rows)
+    return (sums[:, 1::2].T + 0.5 - phis / _TWO_PI) % 1.0
+
+
+def _series_jacobian(series, h, rows):
+    """Chart Jacobian, shape (len(rows), N, N), at the given rows of the
+    harmonic table h: their cosines against a, one matrix product per gap k.
+
+    The cosines are the even float columns of h; taking them from the float
+    view copies only the rows asked for, never the whole strided real part.
+    """
+    cosines = np.take(h.view(float), 2 * rows, axis=-1)  # h.real[..., rows]
+    jac = series[0] @ cosines.transpose(1, 0, 2)  # jac[k, j, row]
+    return jac.transpose(2, 1, 0) - np.eye(len(jac)) / _TWO_PI
+
+
+def _rows(phis):
+    """phis of shape (..., N) as a (rows, N) array of angles in [0, 2 pi),
+    and the leading shape (...) to restore."""
+    phis = np.atleast_2d(np.asarray(phis, dtype=float)) % _TWO_PI
+    return phis.reshape(-1, phis.shape[-1]), phis.shape[:-1]
 
 
 def abel_map_angles(gs, phis):
@@ -184,23 +233,19 @@ def abel_map_angles(gs, phis):
 
     phis: array of shape (..., N); returns torus coordinates of the same shape.
     """
-    phis = np.atleast_2d(np.asarray(phis, dtype=float)) % _TWO_PI
-    m_idx, _, b_sin = _abel_series(gs)
-    sines = _harmonics(phis, len(m_idx)).imag  # (..., N, M)
-    alpha = np.einsum("jkm,...km->...j", b_sin, sines)
-    alpha += 0.5 - phis / _TWO_PI
-    return alpha % 1.0
+    series = _abel_series(gs)
+    flat, lead = _rows(phis)
+    h = _harmonics(flat, series[0].shape[-1])
+    return _series_map(series, h, flat).reshape(lead + (gs.n_gaps,))
 
 
 def abel_jacobian_angles(gs, phis):
     """Jacobian d alpha_j / d phi_k of the chart Abel map, shape (..., N, N)."""
     n = gs.n_gaps
-    phis = np.atleast_2d(np.asarray(phis, dtype=float)) % _TWO_PI
-    m_idx, a_cos, _ = _abel_series(gs)
-    cosines = _harmonics(phis, len(m_idx)).real  # (..., N, M)
-    jac = np.einsum("jkm,...km->...jk", a_cos, cosines)
-    eye = np.eye(n) / _TWO_PI
-    return jac - eye
+    series = _abel_series(gs)
+    flat, lead = _rows(phis)
+    h = _harmonics(flat, series[0].shape[-1])
+    return _series_jacobian(series, h, np.arange(len(flat))).reshape(lead + (n, n))
 
 
 def abel_jacobian(gs, divisor):
@@ -232,37 +277,48 @@ def _restart_offsets(n):
 def _newton_invert(gs, targets, phis):
     """Vectorized torus Newton for the chart Abel map; returns (phis, residuals).
 
-    Rows whose residual is below _NEWTON_TOL stop iterating; only the rest get a
-    Jacobian and a solve.  A step is scaled down to at most one radian in
-    its largest angle and is taken only if it lowers the row's residual;
-    otherwise that row's step length is halved on the next iteration.
+    Each evaluated point costs one harmonic table (_harmonics): the map comes
+    from its imaginary part, and the Jacobian from its real part only where
+    the point is accepted and its row stays live.  Rows whose residual is
+    below _NEWTON_TOL stop iterating and get no Jacobian.  A step is scaled
+    down to at most one radian in its largest angle and is taken only if it
+    lowers the row's residual; otherwise the row keeps its point and its
+    Jacobian, and its step length is halved on the next iteration.
     """
+    series = _abel_series(gs)
+    m_count = series[0].shape[-1]
     phis = np.array(np.atleast_2d(phis), dtype=float)
     targets = np.broadcast_to(targets, phis.shape)
-    res_vec = _wrap_half(abel_map_angles(gs, phis) - targets)
+    h = _harmonics(phis, m_count)
+    res_vec = _wrap_half(_series_map(series, h, phis) - targets)
     res = np.abs(res_vec).max(axis=-1)
-    active = np.arange(len(phis))
-    length = np.ones(len(phis))
+    active = np.flatnonzero(res >= _NEWTON_TOL)
+    res_vec = res_vec[active]
+    jac = _series_jacobian(series, h, active)
+    length = np.ones(active.size)
     for _ in range(_NEWTON_ITERS):
-        live = res[active] >= _NEWTON_TOL
-        active, res_vec, length = active[live], res_vec[live], length[live]
         if active.size == 0:
             break
-        jac = abel_jacobian_angles(gs, phis[active])
         try:
             step = np.linalg.solve(jac, res_vec[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            jac = jac + 1e-10 * np.eye(gs.n_gaps)
-            step = np.linalg.solve(jac, res_vec[..., None])[..., 0]
+            step = np.linalg.solve(jac + 1e-10 * np.eye(gs.n_gaps), res_vec[..., None])[..., 0]
         scale = length / np.maximum(np.abs(step).max(axis=-1), 1.0)
         trial = (phis[active] - scale[:, None] * step) % _TWO_PI
-        trial_vec = _wrap_half(abel_map_angles(gs, trial) - targets[active])
+        del h  # one table at a time: on a thin band a 4096-row table is 46 MB
+        h = _harmonics(trial, m_count)
+        trial_vec = _wrap_half(_series_map(series, h, trial) - targets[active])
         trial_res = np.abs(trial_vec).max(axis=-1)
         better = trial_res < res[active]
         phis[active[better]] = trial[better]
         res[active[better]] = trial_res[better]
         res_vec[better] = trial_vec[better]
         length = np.where(better, 1.0, 0.5 * length)
+        live = res[active] >= _NEWTON_TOL
+        moved = better & live
+        if moved.any():
+            jac[moved] = _series_jacobian(series, h, np.flatnonzero(moved))
+        active, res_vec, length, jac = active[live], res_vec[live], length[live], jac[live]
     return phis, res
 
 
@@ -340,13 +396,15 @@ def widom_delta(cp):
 
 def _parse_box(gs, box):
     try:
-        items = [(item["gap"], float(item["a"]), float(item["b"]), item["eps"]) for item in box]
+        items = [(json_number(item["gap"]), float(json_number(item["a"])),
+                  float(json_number(item["b"])), json_number(item["eps"])) for item in box]
     except (KeyError, TypeError, ValueError):
         raise ValidationError("box items must be {'gap': j, 'a': .., 'b': .., 'eps': +-1}")
     entries = []
     seen = set()
     for j, a, b, e in items:
-        # range and tuple membership compare by value, so 1.9 or "1" is no index and no sign
+        # range and tuple membership compare by value, so 1.9 is no index and no sign;
+        # json_number has rejected True, which would compare equal to 1
         if j not in range(1, gs.n_gaps + 1):
             raise ValidationError(f"box gap index {j!r} is not one of 1..{gs.n_gaps}")
         if e not in (-1, 1):

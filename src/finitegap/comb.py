@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .abel import kernel_at_origin
-from .errors import SolverError, ValidationError
+from .errors import SolverError, ValidationError, json_number
 from .herglotz import Divisor
 from .quad import DEFAULT_QTOL
 from .spectral_set import GapSystem, critical_points, frequencies, green
@@ -115,8 +115,9 @@ class CombData:
     @classmethod
     def from_json(cls, doc):
         try:
-            teeth = tuple((float(t["omega"]), float(t["h"])) for t in doc["teeth"])
-            tail_bound = float(doc.get("tail_bound", 0.0))
+            teeth = tuple((float(json_number(t["omega"])), float(json_number(t["h"])))
+                          for t in doc["teeth"])
+            tail_bound = float(json_number(doc.get("tail_bound", 0.0)))
         except (KeyError, TypeError, ValueError):
             raise ValidationError("document must contain 'teeth': [{'omega':..,'h':..}]")
         return cls(teeth=teeth, tail_bound=tail_bound)

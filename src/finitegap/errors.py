@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the number check of the JSON readers, shared across the package."""
 
 
 class ValidationError(ValueError):
@@ -15,3 +15,12 @@ class SolverError(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.iterate = iterate
+
+
+def json_number(value):
+    """value itself, unless it is a string or a bool: float() would read "0.3"
+    as a number and True passes an index or sign test as 1.  Raises
+    TypeError, which each JSON reader turns into ValidationError."""
+    if isinstance(value, (str, bool)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value

@@ -20,7 +20,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import SolverError, ValidationError
+from .errors import SolverError, ValidationError, json_number
 from .spectral_set import GapSystem, _centred, _frame, _prod, dos_density, gap_branch_sign, sqrt_R
 
 # fixed-point bits of T in split_resolvents; at 64 T missed float64 by 1.5e-11
@@ -75,7 +75,8 @@ class Divisor:
     @classmethod
     def from_json(cls, doc):
         try:
-            pts = tuple((float(p["x"]), p["eps"]) for p in doc["divisor"])
+            pts = tuple((float(json_number(p["x"])), json_number(p["eps"]))
+                        for p in doc["divisor"])
         except (KeyError, TypeError, ValueError):
             raise ValidationError("document must contain 'divisor': [{'x':..,'eps':..}]")
         return cls(points=pts)

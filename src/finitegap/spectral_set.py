@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 from numpy.polynomial.chebyshev import chebroots, chebval, chebvander
 
-from .errors import SolverError, ValidationError
+from .errors import SolverError, ValidationError, json_number
 from .quad import DEFAULT_QTOL, chebyshev_quad, gl_quad, theta_partial_quad
 
 _EDGE_TOL = 1e-13
@@ -108,8 +108,9 @@ class GapSystem:
     @classmethod
     def from_json(cls, doc):
         try:
-            b0, a0 = map(float, doc["band"])
-            gaps = tuple((float(a), float(b)) for a, b in doc.get("gaps", []))
+            b0, a0 = (float(json_number(v)) for v in doc["band"])
+            gaps = tuple((float(json_number(a)), float(json_number(b)))
+                         for a, b in doc.get("gaps", []))
         except (KeyError, TypeError, ValueError):
             raise ValidationError("document must contain 'band': [b0, a0] and 'gaps': [[a, b], ...]")
         return cls(b0=b0, a0=a0, gaps=gaps)

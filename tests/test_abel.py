@@ -42,6 +42,33 @@ def _edge_arcs(a, b):
     return list(zip(pts, pts[1:])) + [(a, b)]
 
 
+def _series_set(request, name):
+    """thin_band, or a spaced set with int(name) gaps."""
+    if name == "thin_band":
+        return request.getfixturevalue(name)
+    return spaced_gap_system(np.random.default_rng(int(name)), int(name))
+
+
+# measure_mc hit counts at 4000 samples for seeds 1, 2, 3: a change to the
+# series evaluation or to Newton must reproduce them exactly
+MC_PINNED = {
+    "two_gap": ([{"gap": 1, "a": -0.9, "b": -0.5, "eps": 1},
+                 {"gap": 2, "a": 1.0, "b": 1.5, "eps": -1}], (173, 189, 175)),
+    "three_gap": ([{"gap": 1, "a": -1.9, "b": -1.5, "eps": -1},
+                   {"gap": 3, "a": 1.2, "b": 1.8, "eps": 1}], (207, 202, 198)),
+    "thin_band": ([{"gap": 1, "a": -1.0, "b": 0.5, "eps": 1}], (186, 157, 164)),
+}
+
+# chart angles of invert_abel at two characters per set, pinned to 1e-12
+INVERT_PINNED = {
+    "two_gap": {(0.1, 0.7): (2.7289103741795793, 5.151283281590273),
+                (0.85, 0.25): (3.829015413947856, 1.3968277779023834)},
+    "three_gap": {(0.1, 0.7, 0.4): (2.675170035900408, 5.002072095097774, 0.4391760413251077),
+                  (0.85, 0.25, 0.6): (3.89216616619505, 1.5480406830214273, 5.8251376662145224)},
+    "thin_band": {(0.1,): (3.0343729327280013,), (0.85,): (3.427320912558537,)},
+}
+
+
 class TestCharacter:
     def test_mod_one(self):
         c = ab.Character((1.25, -0.25))
@@ -134,6 +161,40 @@ class TestJacobian:
         jac = ab.abel_jacobian(three_gap, d)
         assert np.linalg.cond(jac) < 1e6
 
+    @pytest.mark.parametrize("name", ["1", "4", "16", "thin_band"])
+    def test_batch_matches_central_differences(self, request, name):
+        gs = _series_set(request, name)
+        n = gs.n_gaps
+        phis = np.random.default_rng(n).uniform(0.0, 2.0 * np.pi, (6, n))
+        phis[0], phis[1] = 0.0, np.pi  # the chart angles of the gap endpoints
+        jac = ab.abel_jacobian_angles(gs, phis)
+        step = 1e-6
+        for k in range(n):
+            d = np.zeros(n)
+            d[k] = step
+            fd = ab._wrap_half(ab.abel_map_angles(gs, phis + d) - ab.abel_map_angles(gs, phis - d))
+            assert np.allclose(jac[..., k], fd / (2.0 * step), rtol=0.0, atol=1e-8)
+
+
+class TestSeriesEvaluation:
+    def test_harmonics_match_exp(self, thin_band):
+        m_count = ab._abel_series(thin_band)[0].shape[-1]
+        assert m_count > 500  # the longest series of the fixtures
+        phis = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, (40, 1))
+        phis[:2, 0] = 0.0, 2.0 * np.pi - 1e-9
+        m = np.arange(1, m_count + 1)[:, None, None]
+        err = np.abs(ab._harmonics(phis, m_count) - np.exp(1j * m * phis.T))
+        assert np.all(err <= 2e-15 * m)
+
+    def test_three_dimensional_batch(self, three_gap):
+        phis = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, (4, 5, 3))
+        flat = phis.reshape(20, 3)
+        alpha = ab.abel_map_angles(three_gap, phis)
+        jac = ab.abel_jacobian_angles(three_gap, phis)
+        assert alpha.shape == (4, 5, 3) and jac.shape == (4, 5, 3, 3)
+        assert np.array_equal(alpha.reshape(20, 3), ab.abel_map_angles(three_gap, flat))
+        assert np.array_equal(jac.reshape(20, 3, 3), ab.abel_jacobian_angles(three_gap, flat))
+
 
 class TestInversion:
     def test_zero_maps_to_base(self, two_gap):
@@ -187,6 +248,26 @@ class TestInversion:
             assert ab.abel_map(img, d_img).distance(alpha) < 1e-9
             assert d_img.eps == d.eps
             assert np.allclose(d_img.xs, scale * np.asarray(d.xs) + shift, rtol=0, atol=1e-9 * scale)
+
+    @pytest.mark.parametrize("name", ["3", "16", "thin_band"])
+    def test_batched_newton_matches_rows(self, request, name):
+        gs = _series_set(request, name)
+        alpha = np.random.default_rng(7).random((12, gs.n_gaps))
+        seed = ab._diagonal_seed(alpha)
+        phis, res = ab._newton_invert(gs, alpha, seed)
+        assert np.all(res < ab._NEWTON_TOL)
+        for i in range(len(alpha)):
+            row, row_res = ab._newton_invert(gs, alpha[i], seed[i])
+            # the batch and a single row may round their matrix products differently
+            assert np.allclose(row[0], phis[i], rtol=0.0, atol=1e-12)
+            assert row_res[0] < ab._NEWTON_TOL
+
+    @pytest.mark.parametrize("name", INVERT_PINNED)
+    def test_pinned_chart_angles(self, request, name):
+        gs = request.getfixturevalue(name)
+        for alpha, angles in INVERT_PINNED[name].items():
+            chart = ab.chart_from_divisor(gs, ab.invert_abel(gs, ab.Character(alpha)))
+            assert np.allclose(chart.angles, angles, rtol=0.0, atol=1e-12)
 
     def test_restarts_are_capped(self, three_gap, monkeypatch):
         starts = []
@@ -295,6 +376,14 @@ class TestMeasure:
         det = ab.measure_box(one_gap, box)
         est, se = ab.measure_mc(one_gap, box, samples=20_000, seed=7)
         assert abs(est - det) <= 3.0 * se
+
+    @pytest.mark.parametrize("name", MC_PINNED)
+    def test_monte_carlo_pinned(self, request, name):
+        gs = request.getfixturevalue(name)
+        box, hits = MC_PINNED[name]
+        for seed, count in zip((1, 2, 3), hits):
+            est, _ = ab.measure_mc(gs, box, samples=4000, seed=seed)
+            assert est == count / 4000
 
     @pytest.mark.parametrize("n_gaps", [4, 6])
     def test_monte_carlo_beyond_three_gaps(self, n_gaps):

@@ -215,9 +215,23 @@ class TestContract:
         (["truncate", "--n", "1"], {"teeth": [{"omega": 0.3, "h": 0.4}], "tail_bound": "z"}),
         (["comb"], 5),
         (["critical"], [ONE_GAP]),
+        (["abel"], {"band": ["-2", "2"], "gaps": [["-1", "1"]],
+                    "divisor": [{"x": "0.3", "eps": True}]}),
+        (["critical"], {"band": [-2.0, 2.0], "gaps": [[-1.0, "1"]]}),
+        (["abel"], dict(ONE_GAP, divisor=[{"x": "0.3", "eps": 1}])),
+        (["abel"], dict(ONE_GAP, divisor=[{"x": 0.3, "eps": True}])),
+        (["measure"], dict(ONE_GAP, box=[{"gap": True, "a": -0.5, "b": 0.5, "eps": 1}])),
+        (["measure"], dict(ONE_GAP, box=[{"gap": 1, "a": "-0.5", "b": 0.5, "eps": 1}])),
+        (["measure"], dict(ONE_GAP, box=[{"gap": 1, "a": -0.5, "b": 0.5, "eps": True}])),
+        (["invert"], dict(ONE_GAP, alpha=["0.3"])),
+        (["truncate", "--n", "1"], {"teeth": [{"omega": "0.3", "h": 0.4}]}),
+        (["truncate", "--n", "1"], {"teeth": [{"omega": 0.3, "h": 0.4}], "tail_bound": "0"}),
     ], ids=["band-string", "gap-one-end", "divisor-x-string", "eps-1.7", "eps-minus-1.5",
             "eps-string", "box-without-b", "box-gap-1.9", "box-eps-1.7", "alpha-string",
-            "tail-bound-string", "comb-number", "critical-list"])
+            "tail-bound-string", "comb-number", "critical-list", "numeric-strings-and-true",
+            "gap-numeric-string", "divisor-x-numeric-string", "eps-true", "box-gap-true",
+            "box-a-numeric-string", "box-eps-true", "alpha-numeric-string",
+            "omega-numeric-string", "tail-bound-numeric-string"])
     def test_malformed_document_exit_2(self, capsys, tmp_path, argv, doc):
         code, out = run(capsys, argv, doc, tmp_path)
         assert code == 2 and out == ""
