@@ -24,10 +24,10 @@ from .spectral_set import (
     _chebval_centred,
     _gap_increment,
     _harmonic_poly_coeffs,
+    _prod,
     _rest_root,
     frequencies,
     gap_branch_sign,
-    green,
 )
 
 _SERIES_MIN_NODES = 512
@@ -38,8 +38,11 @@ _TWO_PI = 2.0 * np.pi
 # 1e-10, and _NEWTON_ITERS leaves room for many halvings of a row's step
 _NEWTON_ITERS = 60
 _NEWTON_TOL = 1e-11
-# samples per Newton call in measure_mc: an (N, N) Jacobian stack of 8 MB at N = 16
+# samples per Newton call in measure_mc: _MC_CHUNK, or fewer where the harmonic
+# table of _newton_invert, M N complex entries per sample, would pass _MC_TABLE
+# entries (16 MB); a thin band with M = 696 gets 1506
 _MC_CHUNK = 4096
+_MC_TABLE = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -377,12 +380,23 @@ def shift_covariance_residual(gs, cp, divisor, prec=DEFAULT_PREC, steps=1, qtol=
 
 def kernel_at_origin(gs, cp, divisor, qtol=DEFAULT_QTOL):
     """Reproducing-kernel value at the origin for the divisor's character:
-    exp(-sum_j [h_j + eps_j G(x_j)]); lies in [Delta(0)^2, 1]."""
+    exp(-sum_j [h_j + eps_j G(x_j)]); lies in [Delta(0)^2, 1].
+
+    G at the divisor points inside their gaps is one stacked _gap_increment,
+    as `green` takes it one point at a time, clipped at 0 per point; at a gap
+    endpoint, which lies on E, G is 0."""
     divisor = divisor.normalized(gs)
-    expo = 0.0
-    for (x, e), h in zip(divisor.points, cp.h):
-        expo += h + e * green(gs, cp, x, qtol)
-    return float(np.exp(-expo))
+    if gs.n_gaps == 0:
+        return 1.0
+    xs, eps = np.array(divisor.points).T
+    a, b = np.array(gs.gaps).T
+    inside = (a < xs) & (xs < b)
+    g = np.zeros(gs.n_gaps)
+    if inside.any():
+        num = partial(_prod, roots=np.asarray(cp.c))
+        inc = _gap_increment(gs, num, np.flatnonzero(inside) + 1, xs[inside], qtol)
+        g[inside] = np.maximum(0.0, inc)
+    return float(np.exp(-np.sum(np.asarray(cp.h) + eps * g)))
 
 
 def widom_delta(cp):
@@ -460,9 +474,10 @@ def measure_mc(gs, box, samples=100_000, seed=0):
     for j, a, b, e in entries:
         th_a, th_b = (_chart_angle(*gs.gap(j), x) for x in (a, b))
         arcs.append((j - 1, th_b, th_a) if e > 0 else (j - 1, _TWO_PI - th_a, _TWO_PI - th_b))
+    chunk = min(_MC_CHUNK, max(1, _MC_TABLE // (_abel_series(gs)[0].shape[-1] * n)))
     hits = 0
-    for start in range(0, samples, _MC_CHUNK):
-        count = min(_MC_CHUNK, samples - start)
+    for start in range(0, samples, chunk):
+        count = min(chunk, samples - start)
         alpha = rng.random((count, n))
         phis, res = _newton_invert(gs, alpha, _diagonal_seed(alpha))
         bad = res > 1e-8

@@ -15,17 +15,26 @@ from .abel import kernel_at_origin
 from .errors import SolverError, ValidationError, json_number
 from .herglotz import Divisor
 from .quad import DEFAULT_QTOL
-from .spectral_set import GapSystem, critical_points, frequencies, green
+from .spectral_set import (
+    GapSystem,
+    _centred,
+    _endpoint_jet,
+    _frame,
+    critical_points,
+    frequencies,
+)
 
 # gaps_from_comb stops at the first of: max |residual| <= _LM_RESIDUAL_TOL,
 # damping above _LM_MAX_DAMPING (steps too short to matter), _LM_MAX_ITER
 # trial steps.  A stop at 1e-14 left round trips 1e-14 of the diameter off;
-# 1e-15 brings them to ~1e-16 for ~4 % more inner solves.
+# 1e-15 brings them to ~1e-16.  The damping starts at 0 (a Newton step) and
+# at _LM_FIRST_DAMPING after the first rejected step.
 _LM_MAX_ITER = 100
 _LM_MAX_DAMPING = 1e8
+_LM_FIRST_DAMPING = 1e-3
 _LM_RESIDUAL_TOL = 1e-15
-# qtol of the inner critical_points/frequencies solves: two decades under the
-# 1e-8 residual the inversion must reach, and cheap for 2N solves per Jacobian
+# qtol of the inner critical_points/frequencies solves and of comb_jacobian:
+# two decades under the 1e-8 residual the inversion must reach
 _INNER_QTOL = 1e-10
 
 
@@ -136,19 +145,60 @@ def _endpoints_to_gaps(x):
     return pairs
 
 
+def comb_jacobian(gs, cp, qtol=DEFAULT_QTOL):
+    """Jacobian d(omega_1..N, h_1..N) / d(a_1, b_1, ..., a_N, b_N) of the forward map at gs,
+    with b0 and a0 held fixed; cp are the critical points of gs.
+
+    Forward-mode differentiation of the stacked rules on the centred set
+    (_endpoint_jet), in one call over the gaps, the bands and the gaps up to
+    their critical points.  P = prod (s - s_k) = 2^(1-N) T_N + sum_{m<N} q_m T_m
+    has zero periods, so the moments M over the gaps give dq = -M[:, :N]^-1 dP,
+    dP the derivatives of P's periods at fixed q.  The band masses (over pi)
+    and the heights are |int P / sqrt|R||; each takes the derivative of the
+    integral at fixed q from _endpoint_jet and adds that of q through its
+    moments.  h_j's moving upper limit s_j adds nothing, since P(s_j) = 0.
+    The centred endpoints are (x - mid) / half, so the derivatives in x are
+    those in s over half.
+    """
+    n = gs.n_gaps
+    if n == 0:
+        return np.zeros((0, 0))
+    cs = _centred(gs)
+    _, half = _frame(gs)
+    gaps, bands = np.array(cs.gaps).T, np.array(cs.bands).T
+    # the gaps, the bands, and the gaps up to their critical points, in one call
+    lo, hi = np.concatenate([gaps, bands, gaps], axis=1)
+    mom, jet = _endpoint_jet(cs, cp.s, lo, hi, np.concatenate([gaps[1], bands[1], cp.s]), qtol)
+    try:
+        dq = -np.linalg.solve(mom[:n, :n].T, jet[:, :n].T)  # dq[m, i] = dq_m / de_i
+    except np.linalg.LinAlgError:
+        raise SolverError("singular period matrix")
+    # d/de_i |int P / sqrt|R|| for each band and each partial gap
+    dabs = np.sign(mom[n, n:])[:, None] * (jet[:, n:].T + mom[:n, n:].T @ dq)
+    dmass = dabs[: n + 1] / np.pi
+    domega = np.cumsum(dmass[::-1], axis=0)[::-1][1:]  # omega_k = masses of bands k..N
+    dh = dabs[n + 1 :]
+    return np.vstack([domega, dh]) / half
+
+
 def gaps_from_comb(comb, bracket):
     """Inverse parameter problem: gap endpoints from a finite comb.
 
     The outer band [b0, a0] is fixed by the bracket (normalization: scale and
     translation are not determined by the comb); the 2N interior endpoints x,
     started at the bracket's, solve critical_points/frequencies residuals at
-    _INNER_QTOL by Levenberg-Marquardt.  The Jacobian is built once by forward
-    differences and then kept by Broyden rank-1 updates; it is rebuilt by
-    differences only after a rejected step, and only if it has been updated
-    since it was built.  A step is rejected, and the damping raised, when
-    it breaks b0 + margin < a_1 < b_1 < ... < b_N < a0 - margin (such a step
-    is never evaluated), when the inner solve raises, or when it does not
-    lower the residual.  SolverError if max |residual| stays above 1e-8.
+    _INNER_QTOL by Newton on the exact Jacobian (comb_jacobian), taken once
+    at every accepted iterate still above the stop tolerance, with the
+    Levenberg-Marquardt safeguard: the first step is undamped, and a rejected
+    step raises the damping (from _LM_FIRST_DAMPING, then tenfold) while an
+    accepted one lowers it threefold.  A step is rejected when it breaks
+    b0 + margin < a_1 < b_1 < ... < b_N < a0 - margin (such a step is never
+    evaluated), when the inner solve raises, or when it does not lower the
+    residual; the Jacobian stays, since it is exact at x.  Each iteration
+    evaluates one trial point.  The iteration also stops where the Jacobian's
+    quadrature does not converge, on bands thinner than about 1e-7 of the
+    diameter or gaps thinner than about 1e-9.  SolverError if max |residual|
+    stays above 1e-8.
     """
     n = len(comb.teeth)
     if comb.tail_bound != 0.0:
@@ -159,8 +209,9 @@ def gaps_from_comb(comb, bracket):
     target = np.concatenate([comb.omegas, comb.heights])
     margin = 1e-8 * (a0 - b0)
 
-    def residual(x):
-        """Residual at x, or None where x breaks the order or the inner solve raises."""
+    def evaluate(x):
+        """(residual, gap system, critical points) at x, or None where x breaks the
+        order or the inner solve raises."""
         if not np.all(np.diff(np.concatenate(([b0 + margin], x, [a0 - margin]))) > 0.0):
             return None
         try:
@@ -169,42 +220,30 @@ def gaps_from_comb(comb, bracket):
             om = frequencies(gs, cp, _INNER_QTOL)
         except (SolverError, ValidationError):
             return None
-        return np.concatenate([om, cp.h]) - target
-
-    def jacobian(x, r):
-        """Forward differences, backwards where the forward point is
-        infeasible; None where neither is."""
-        cols = []
-        for i in range(x.size):
-            h = np.zeros_like(x)
-            h[i] = 1e-7 * max(1.0, abs(x[i]))
-            r_h = residual(x + h)
-            if r_h is None:
-                h, r_h = -h, residual(x - h)
-            if r_h is None:
-                return None
-            cols.append((r_h - r) / h[i])
-        return np.column_stack(cols)
+        return np.concatenate([om, cp.h]) - target, gs, cp
 
     x = np.array([v for g in bracket.gaps for v in g])
-    r = residual(x)
-    if r is None:
+    point = evaluate(x)
+    if point is None:
         raise SolverError("comb inversion: the bracket is not a feasible start", iterate=x)
-    jac, fresh, lam = jacobian(x, r), True, 1e-3
+    r, gs, cp = point
+    jac, lam = None, 0.0
     for _ in range(_LM_MAX_ITER):
-        if jac is None or np.max(np.abs(r)) <= _LM_RESIDUAL_TOL or lam > _LM_MAX_DAMPING:
+        if np.max(np.abs(r)) <= _LM_RESIDUAL_TOL or lam > _LM_MAX_DAMPING:
             break
+        if jac is None:
+            try:
+                jac = comb_jacobian(gs, cp, _INNER_QTOL)
+            except SolverError:
+                break  # no step without a Jacobian; the residual decides below
         # min |jac step + r|^2 + lam |D step|^2, D the column norms of jac (Marquardt scaling)
         damped = np.vstack([jac, np.diag(np.sqrt(lam) * np.linalg.norm(jac, axis=0))])
         step = np.linalg.lstsq(damped, np.concatenate([-r, np.zeros(x.size)]), rcond=None)[0]
-        r_new = residual(x + step)
-        if r_new is not None and r_new @ r_new < r @ r:
-            jac = jac + np.outer(r_new - r - jac @ step, step) / (step @ step)
-            x, r, fresh, lam = x + step, r_new, False, lam / 3.0
+        trial = evaluate(x + step)
+        if trial is not None and trial[0] @ trial[0] < r @ r:
+            x, (r, gs, cp), jac, lam = x + step, trial, None, lam / 3.0
         else:
-            lam *= 10.0
-            if not fresh:
-                jac, fresh = jacobian(x, r), True
+            lam = 10.0 * lam if lam else _LM_FIRST_DAMPING
     if np.max(np.abs(r)) > 1e-8:
         raise SolverError(
             "comb inversion did not reach tolerance", residual=float(np.max(np.abs(r))), iterate=x

@@ -166,13 +166,20 @@ def _prod(x, roots):
     return out
 
 
+def _other_ends(gs, lo, hi):
+    """For a stack of bands or gaps [lo_k, hi_k] of gs, lo and hi of shape (K, 1): the 2N
+    endpoints other than each row's own two, in ascending order, shape (2N, K, 1), and
+    the mask of the own two in gs.endpoints, shape (K, 2N + 2)."""
+    ends = np.array(gs.endpoints)
+    own = (ends == lo) | (ends == hi)
+    return ends[np.nonzero(~own)[1]].reshape(len(own), -1).T[..., None], own
+
+
 def _rest_root(gs, lo, hi):
     """t -> sqrt|R(t) / ((t - lo_k)(t - hi_k))| on a stack of bands or gaps [lo_k, hi_k]
     of gs: lo and hi of shape (K, 1), t of shape (K, n).  Row k multiplies the 2N
     endpoints other than its own two in ascending order, one endpoint at a time."""
-    ends = np.array(gs.endpoints)
-    own = (ends == lo) | (ends == hi)  # (K, 2N + 2), two per row
-    others = ends[np.nonzero(~own)[1]].reshape(len(own), -1).T[..., None]  # (2N, K, 1)
+    others = _other_ends(gs, lo, hi)[0]
     return lambda t: np.sqrt(np.abs(_prod(t, others)))
 
 
@@ -243,6 +250,61 @@ def _gap_moments(cs, qtol):
     n = cs.n_gaps
     lo, hi = np.array(cs.gaps).T
     return _edge_integral(cs, lambda s: chebvander(s, n).transpose(2, 0, 1), lo, hi, hi, qtol).T
+
+
+def _endpoint_jet(cs, roots, lo, hi, x, qtol):
+    """Moments and endpoint derivatives over a stack of K bands or gaps [lo_k, hi_k] of
+    the centred set cs, with upper limits x_k, in one _edge_integral call.
+
+    Returns (mom, jet): mom[m, k] = int_{lo_k}^{x_k} T_m(s) ds / sqrt|R(s)| for m < N and,
+    as mom[N, k], the same integral of P(s) = prod (s - r) over the roots r; and
+    jet[i, k] = d/de_i int_{lo_k}^{x_k} P(s) ds / sqrt|R(s)| with P held fixed, e_i the
+    i-th of the 2N endpoints a_1, b_1, ..., a_N, b_N (b0 and a0 stay fixed).  The rules
+    take their nodes at fixed chart angles, s = mid_k + rad_k c, so the derivative of
+    the rule is the rule on the derivative of g = P / sqrt|R| at fixed c: an endpoint
+    e other than the row's own two enters g through |s - e|^(-1/2) and gives
+    g / (2 (s - e)); the row's own lo and hi move the nodes by ds/dlo = (1 - c)/2 and
+    ds/dhi = (1 + c)/2 and give g'(s) times that.  x_k moves with its chart angle
+    too, so jet is the derivative at fixed x_k only where x_k = hi_k or P(x_k) = 0,
+    where the moving limit adds g(x_k) dx_k = 0.
+    """
+    n = cs.n_gaps
+    lo, hi = (np.reshape(v, (-1, 1)) for v in (lo, hi))
+    others, own = _other_ends(cs, lo, hi)
+    own_at = np.nonzero(own)[1].reshape(-1, 2)  # indices of lo_k and hi_k in cs.endpoints
+    free = np.array(cs.endpoints[1:-1])[:, None, None]  # e_i at free[i - 1]
+    mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    moving = []  # (free index, row) of each own endpoint that is free, and its sign in ds/de
+    for side, sign in ((0, -1.0), (1, 1.0)):
+        rows = np.flatnonzero((own_at[:, side] >= 1) & (own_at[:, side] <= 2 * n))
+        moving.append((own_at[rows, side] - 1, rows, sign))
+
+    def num(s):
+        out = np.empty((3 * n + 1,) + s.shape)
+        out[0] = 1.0
+        if n > 1:
+            out[1] = s
+        for m in range(2, n):  # T_m by the three-term recurrence
+            np.multiply(2.0 * s, out[m - 1], out=out[m])
+            out[m] -= out[m - 2]
+        val, der = np.ones_like(s), np.zeros_like(s)
+        for r in roots:  # P and P' by the product rule
+            der = der * (s - r) + val
+            val = val * (s - r)
+        out[n] = val
+        d = out[n + 1 :]
+        # a node can round onto its row's own endpoint only; that entry is replaced below
+        with np.errstate(divide="ignore"):
+            np.divide(0.5 * val, s - free, out=d)
+        # g'(s) sqrt|R(s) / ((s - lo)(s - hi))|
+        slope = der - 0.5 * val * np.add.reduce(1.0 / (s - others), axis=0)
+        c = (s - mid) / rad
+        for idx, rows, sign in moving:
+            d[idx, rows] = slope[rows] * (0.5 + sign * 0.5 * c[rows])
+        return out
+
+    out = _edge_integral(cs, num, lo, hi, x, qtol)
+    return out[: n + 1], out[n + 1 :]
 
 
 def critical_points(gs, qtol=DEFAULT_QTOL):

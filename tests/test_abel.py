@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from conftest import random_divisor, random_gap_system, spaced_gap_system
 from finitegap import abel as ab
 from finitegap.errors import SolverError, ValidationError
 from finitegap.herglotz import Divisor
-from finitegap.spectral_set import GapSystem, harmonic_measure
+from finitegap.spectral_set import GapSystem, critical_points, green, harmonic_measure
 
 # round-trip characters per set; random_<N> is a random set with N gaps
 ROUNDTRIP_COUNTS = {
@@ -316,6 +318,28 @@ class TestKernel:
             ab.widom_delta(two_gap_cp) ** 2, abs=1e-12
         )
 
+    @pytest.mark.parametrize("name", ["one_gap", "two_gap", "three_gap", "thin_band", "thin_gap",
+                                      "moved_1", "moved_3", "moved_6"])
+    def test_stacked_green_matches_points(self, request, name):
+        """One stacked integral for G at the N divisor points gives the kernel of
+        N point calls of `green`, at random points and at gap endpoints."""
+        if name.startswith("moved_"):
+            n = int(name.split("_")[1])
+            gs = spaced_gap_system(np.random.default_rng(n), n, scale=0.3, shift=-0.7 * n)
+        else:
+            gs = request.getfixturevalue(name)
+        cp = critical_points(gs)
+        rng = np.random.default_rng(gs.n_gaps)
+        divisors = [random_divisor(gs, rng) for _ in range(3)]
+        for first in (0, 1):  # a_1, b_2, a_3, ... and b_1, a_2, b_3, ...
+            pts = [(gap[(j + first) % 2], e)
+                   for j, (gap, (_, e)) in enumerate(zip(gs.gaps, divisors[0].points))]
+            divisors.append(Divisor(tuple(pts)))
+        for d in divisors:
+            expo = sum(h + e * green(gs, cp, x) for (x, e), h in zip(d.normalized(gs).points, cp.h))
+            assert ab.kernel_at_origin(gs, cp, d) == pytest.approx(np.exp(-expo), rel=1e-13)
+
+
 
 class TestMeasure:
     def test_full_gap_both_signs(self, two_gap):
@@ -384,6 +408,37 @@ class TestMeasure:
         for seed, count in zip((1, 2, 3), hits):
             est, _ = ab.measure_mc(gs, box, samples=4000, seed=seed)
             assert est == count / 4000
+
+    def test_monte_carlo_chunk_bounds_memory(self, thin_band):
+        # one 4096-sample Newton call on thin_band (M = 696) peaked at 68.7 MB
+        a, b = thin_band.gap(1)
+        box = [{"gap": 1, "a": a + 0.25 * (b - a), "b": a + 0.75 * (b - a), "eps": 1}]
+        ab.measure_mc(thin_band, box, samples=16, seed=1)  # the cached series, outside the trace
+        tracemalloc.start()
+        try:
+            ab.measure_mc(thin_band, box, samples=4096, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 68.7e6
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_monte_carlo_full_chunk_on_short_series(self, n, monkeypatch):
+        """Sets spaced as the benchmark's torus sets keep 4096 samples per Newton call."""
+        rows = []
+        newton = ab._newton_invert
+
+        def recording(gs, targets, phis):
+            rows.append(len(phis))
+            return newton(gs, targets, phis)
+
+        monkeypatch.setattr(ab, "_newton_invert", recording)
+        for seed in range(3):
+            gs = spaced_gap_system(np.random.default_rng([n, seed]), n)
+            a, b = gs.gap(1)
+            rows.clear()
+            ab.measure_mc(gs, [{"gap": 1, "a": a, "b": 0.5 * (a + b), "eps": 1}], 5000, seed)
+            assert rows == [4096, 904]
 
     @pytest.mark.parametrize("n_gaps", [4, 6])
     def test_monte_carlo_beyond_three_gaps(self, n_gaps):

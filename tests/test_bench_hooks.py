@@ -101,6 +101,8 @@ _CALLERS = [
     pytest.param(lambda ss, gs, cp: ss.frequencies(gs, cp), "chebyshev_quad", id="frequencies"),
     pytest.param(lambda ss, gs, cp: ss.thouless_potential(gs, cp, 4.0), "chebyshev_quad",
                  id="thouless_potential"),
+    pytest.param(lambda ss, gs, cp: importlib.import_module("finitegap.comb").comb_jacobian(gs, cp),
+                 "theta_partial_quad", id="comb_jacobian"),
 ]
 
 
