@@ -21,9 +21,10 @@ from .herglotz import Divisor
 from .jacobi_cf import DEFAULT_PREC, cf_step, initial_state
 from .quad import DEFAULT_QTOL, _chart_angle, _chart_point
 from .spectral_set import (
-    _chebval_centred,
+    _centred,
     _gap_increment,
     _harmonic_poly_coeffs,
+    _lagrange_basis,
     _prod,
     _rest_root,
     frequencies,
@@ -131,8 +132,10 @@ def _abel_series(gs):
     shape (N, M N), one matrix product in _series_map.
     """
     n = gs.n_gaps
-    coeffs = _harmonic_poly_coeffs(gs, DEFAULT_QTOL)
-    lo, hi = np.array(gs.gaps).T[..., None]
+    cs = _centred(gs)
+    poly = _lagrange_basis(cs, _harmonic_poly_coeffs(gs, DEFAULT_QTOL))
+    lo, hi = np.array(cs.gaps).T[..., None]
+    root = _rest_root(cs, lo, hi)
     signs = np.array([[gap_branch_sign(gs, k)] for k in range(1, n + 1)])
     m_grid = _SERIES_MIN_NODES
     while True:
@@ -140,7 +143,7 @@ def _abel_series(gs):
         phi_half = np.arange(half + 1) * (_TWO_PI / m_grid)
         m_idx = np.arange(1, half + 1)
         x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(phi_half)  # (N, half + 1), a row per gap
-        g_half = -0.5 * signs * _chebval_centred(gs, coeffs.T, x) / _rest_root(gs, lo, hi)(x)
+        g_half = -0.5 * signs * poly(x) / root(x)
         g = np.concatenate([g_half, g_half[..., -2:0:-1]], axis=-1)  # even extension
         fhat = np.fft.rfft(g, axis=-1).real / m_grid  # fhat[j, k]: omega_j' on gap k
         max_b = np.abs(fhat[:, :, 1:]).max(axis=(0, 1), initial=0.0) * 2.0 / m_idx
@@ -172,7 +175,7 @@ def abel_map(gs, divisor, qtol=DEFAULT_QTOL):
     divisor = divisor.normalized(gs)
     if n == 0:
         return Character(alpha=())
-    poly = partial(_chebval_centred, gs, _harmonic_poly_coeffs(gs, qtol).T)
+    poly = _lagrange_basis(_centred(gs), _harmonic_poly_coeffs(gs, qtol))
     xs, eps = np.array(divisor.points).T
     inc = _gap_increment(gs, poly, range(1, n + 1), xs, qtol)  # inc[j, k]
     alpha = np.sum(0.5 * eps * inc, axis=1)
@@ -393,7 +396,7 @@ def kernel_at_origin(gs, cp, divisor, qtol=DEFAULT_QTOL):
     inside = (a < xs) & (xs < b)
     g = np.zeros(gs.n_gaps)
     if inside.any():
-        num = partial(_prod, roots=np.asarray(cp.c))
+        num = partial(_prod, roots=np.asarray(cp.s))
         inc = _gap_increment(gs, num, np.flatnonzero(inside) + 1, xs[inside], qtol)
         g[inside] = np.maximum(0.0, inc)
     return float(np.exp(-np.sum(np.asarray(cp.h) + eps * g)))
@@ -441,7 +444,7 @@ def measure_box(gs, box, qtol=DEFAULT_QTOL):
     entries = _parse_box(gs, box)
     if not entries:
         return 1.0
-    poly = partial(_chebval_centred, gs, _harmonic_poly_coeffs(gs, qtol).T)
+    poly = _lagrange_basis(_centred(gs), _harmonic_poly_coeffs(gs, qtol))
     js, a, b, _ = zip(*entries)
     inc = _gap_increment(gs, poly, js + js, b + a, qtol)
     # cols[s, j - 1] = omega_j(b_s) - omega_j(a_s), the transpose of the matrix above

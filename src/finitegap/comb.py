@@ -151,9 +151,10 @@ def comb_jacobian(gs, cp, qtol=DEFAULT_QTOL):
 
     Forward-mode differentiation of the stacked rules on the centred set
     (_endpoint_jet), in one call over the gaps, the bands and the gaps up to
-    their critical points.  P = prod (s - s_k) = 2^(1-N) T_N + sum_{m<N} q_m T_m
-    has zero periods, so the moments M over the gaps give dq = -M[:, :N]^-1 dP,
-    dP the derivatives of P's periods at fixed q.  The band masses (over pi)
+    their critical points.  P = prod (s - s_k) = Q + sum_{m<N} q_m l_m in the
+    Lagrange basis of spectral_set._lagrange_basis, its nodes held fixed, has zero
+    periods, so the moments M over the gaps give dq = -M[:, :N]^-1 dP, dP the
+    derivatives of P's periods at fixed q.  The band masses (over pi)
     and the heights are |int P / sqrt|R||; each takes the derivative of the
     integral at fixed q from _endpoint_jet and adds that of q through its
     moments.  h_j's moving upper limit s_j adds nothing, since P(s_j) = 0.

@@ -6,21 +6,25 @@ states, and the Thouless potential.  Everything is driven by the square
 root of R(z) = (z-a0)(z-b0) prod (z-a_j)(z-b_j) with branch cuts on E.
 
 Each of these is an integral of p(t) dt / sqrt(R(t)) for a polynomial p
-(times log|z - t| for the Thouless potential), taken on one of two paths:
-_edge_integral runs along a stack of bands or gaps, each from its left edge,
-with the weight 1 / sqrt|R|, and _ray_integral runs straight from the
-nearest branch point to a point outside [b0, a0] or off the real axis with
-the complex branch of sqrt(R); _branch_integral picks the path for a point
-value of G or of a harmonic measure.  A quantity with one integral per gap
-or band (the moments, the period checks and heights of the critical points,
-the band masses, the Abel map) takes one quadrature call for the whole stack.
+(times log|z - t| for the Thouless potential), taken on the centred set
+(_centred), where [b0, a0] is [-1, 1] and G and the harmonic measures are
+the same, on one of two paths: _edge_integral runs along a stack of bands or
+gaps, each from its left edge, with the weight 1 / sqrt|R|, and _ray_integral
+runs straight from the nearest branch point to a point outside [b0, a0] or off
+the real axis with the complex branch of sqrt(R); _branch_integral picks the
+path for a point value of G or of a harmonic measure.  A quantity with one
+integral per gap or band (the moments, the periods and heights of the critical
+points, the band masses, the Abel map) takes one quadrature call for the whole
+stack.  The polynomials of the period problems (the critical points, the
+harmonic-measure polynomials, the comb Jacobian) are written in one Lagrange
+basis on the gap midpoints (_lagrange_basis), whose period matrix stays close
+to diagonal for any N.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebroots, chebval, chebvander
 
 from .errors import SolverError, ValidationError, json_number
 from .quad import DEFAULT_QTOL, chebyshev_quad, gl_quad, theta_partial_quad
@@ -118,9 +122,9 @@ class GapSystem:
 
 @dataclass(frozen=True)
 class CriticalPoints:
-    """Critical points c_j of the Green's function, one per gap, with heights h_j = G(c_j)
-    and the centred roots s_j: c_j = mid + half s_j on the centred set (_frame), which
-    keep their digits on a set moved far from its own scale."""
+    """Critical points c_j of the Green's function, one per gap, with heights h_j = G(c_j),
+    and the centred roots s_j: c_j = mid + half s_j (_frame).  Every integral reads the
+    s_j, which keep their digits on a set moved far from its own scale."""
 
     c: tuple
     h: tuple
@@ -188,32 +192,34 @@ def sqrt_R_gap(gs, j, x):
     return gap_branch_sign(gs, j) * np.sqrt(np.abs(_prod(x, np.array(gs.endpoints))))
 
 
-def _edge_integral(gs, num, lo, hi, x, qtol):
+def _edge_integral(gs, num, lo, hi, x, qtol, origin=0.0):
     """int_{lo_k}^{x_k} num(t) dt / sqrt|R(t)| over a stack of K bands or gaps
     [lo_k, hi_k] of gs, with lo_k <= x_k <= hi_k; lo, hi and x are sequences of
     length K.  One quadrature call takes the stack: the Chebyshev rule when every
     x_k = hi_k, theta_partial_quad otherwise.  num maps nodes t of shape (K, n) to
-    (..., K, n) and the result has shape (..., K), all rows converged together."""
-    lo, hi, x = (np.reshape(v, (-1, 1)) for v in (lo, hi, x))
+    (..., K, n) and the result has shape (..., K), all rows converged together.
+    Given origin o_k, x holds x_k - o_k and the rules run in t - o_k."""
+    lo, hi, x, origin = (np.reshape(v, (-1, 1)) for v in (lo, hi, x, origin))
     root = _rest_root(gs, lo, hi)
 
-    def g(t):
+    def g(u):
+        t = u + origin
         return num(t) / root(t)
 
+    lo, hi = lo - origin, hi - origin
     if (x == hi).all():
         return chebyshev_quad(g, lo, hi, qtol)
     return theta_partial_quad(g, lo, hi, x, qtol)
 
 
-def _ray_integral(gs, num, edge, z, qtol):
-    """Re int_edge^z num(t) dt / sqrt(R(t)) from the branch point edge, in the
-    branch of sqrt_R, along t = edge + s^2 (z - edge), s in [0, 1].
+def _ray_integral(gs, num, edge, span, qtol):
+    """Re int_edge^(edge + span) num(t) dt / sqrt(R(t)) from the branch point edge, in
+    the branch of sqrt_R, along t = edge + s^2 span, s in [0, 1].
 
-    The factor sqrt(t - edge) of sqrt(R) is s sqrt(z - edge) exactly; it
-    cancels against dt = 2 s (z - edge) ds, so the integrand is smooth and
-    never divides by the rounded difference t - edge.
+    The factor sqrt(t - edge) of sqrt(R) is s sqrt(span) exactly; it cancels
+    against dt = 2 s span ds, so the integrand is smooth and never divides by
+    the rounded difference t - edge.
     """
-    span = complex(z) - edge
     rest = np.array([[e] for e in gs.endpoints if e != edge])
     scale = 2.0 * np.sqrt(span)
 
@@ -229,11 +235,6 @@ def _frame(gs):
     return 0.5 * (gs.a0 + gs.b0), 0.5 * (gs.a0 - gs.b0)
 
 
-def _chebval_centred(gs, coeffs, t):
-    mid, half = _frame(gs)
-    return chebval((t - mid) / half, coeffs)
-
-
 def _centred(gs):
     """The set in the centred coordinate; G and the harmonic measures carry over unchanged."""
     mid, half = _frame(gs)
@@ -244,20 +245,54 @@ def _centred(gs):
     )
 
 
+def _lagrange_nodes(cs):
+    """The gap midpoints xi_m of the centred set cs and Q'(xi_m), Q = prod (s - xi_m)."""
+    gaps = np.array(cs.gaps)
+    xi = 0.5 * (gaps[:, 0] + gaps[:, 1])
+    return xi, np.prod(xi[:, None] - xi + np.eye(xi.size), axis=1)
+
+
+def _lagrange_basis(cs, coeffs=None):
+    """s -> the rows l_0(s), ..., l_{N-1}(s), Q(s) / kappa, shape (N + 1,) + s.shape, or with
+    coeffs of shape (..., N) the polynomials sum_m coeffs[..., m] l_m(s) in one matrix product.
+
+    l_m = Q / ((s - xi_m) Q'(xi_m)) is the Lagrange basis on the gap midpoints xi_m of the
+    centred set cs (_lagrange_nodes): it is 1 at xi_m and 0 at the other midpoints, so a
+    matrix of gap integrals in it is close to diagonal for any N; kappa = max |Q'(xi_m)|.
+    Barycentric form: one product Q and one quotient Q / (s - xi), which is Q'(xi_m) where s
+    lands on xi_m; the weights 1 / Q'(xi_m) go with the coefficients."""
+    xi, dq = _lagrange_nodes(cs)
+    weighted = None if coeffs is None else coeffs / dq
+
+    def poly(s):
+        s = np.asarray(s)
+        col = (-1,) + (1,) * s.ndim
+        d = s - xi.reshape(col)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.prod(d, axis=0)
+            rows = q / d
+        np.copyto(rows, dq.reshape(col), where=d == 0.0)
+        if coeffs is None:
+            return np.concatenate([rows / dq.reshape(col), q[None] / np.abs(dq).max()])
+        return (weighted @ rows.reshape(xi.size, -1)).reshape(weighted.shape[:-1] + s.shape)
+
+    return poly
+
+
 def _gap_moments(cs, qtol):
-    """M[j-1, m] = int_{gap j} T_m(s) ds / sqrt|R(s)|, m = 0..N, on the centred set cs, one
-    quadrature for all gaps; for gs, dt / sqrt|R(t)| = half^-N ds / sqrt|R_cs(s)|."""
-    n = cs.n_gaps
+    """M[j-1, m] = int_{gap j} l_m(s) ds / sqrt|R(s)| for the N + 1 rows of _lagrange_basis, on
+    the centred set cs, one quadrature for all gaps."""
     lo, hi = np.array(cs.gaps).T
-    return _edge_integral(cs, lambda s: chebvander(s, n).transpose(2, 0, 1), lo, hi, hi, qtol).T
+    return _edge_integral(cs, _lagrange_basis(cs), lo, hi, hi, qtol).T
 
 
 def _endpoint_jet(cs, roots, lo, hi, x, qtol):
     """Moments and endpoint derivatives over a stack of K bands or gaps [lo_k, hi_k] of
     the centred set cs, with upper limits x_k, in one _edge_integral call.
 
-    Returns (mom, jet): mom[m, k] = int_{lo_k}^{x_k} T_m(s) ds / sqrt|R(s)| for m < N and,
-    as mom[N, k], the same integral of P(s) = prod (s - r) over the roots r; and
+    Returns (mom, jet): mom[m, k] = int_{lo_k}^{x_k} l_m(s) ds / sqrt|R(s)| for the Lagrange
+    rows l_m, m < N, of _lagrange_basis and, as mom[N, k], the same integral of
+    P(s) = prod (s - r) over the roots r; and
     jet[i, k] = d/de_i int_{lo_k}^{x_k} P(s) ds / sqrt|R(s)| with P held fixed, e_i the
     i-th of the 2N endpoints a_1, b_1, ..., a_N, b_N (b0 and a0 stay fixed).  The rules
     take their nodes at fixed chart angles, s = mid_k + rad_k c, so the derivative of
@@ -275,18 +310,14 @@ def _endpoint_jet(cs, roots, lo, hi, x, qtol):
     free = np.array(cs.endpoints[1:-1])[:, None, None]  # e_i at free[i - 1]
     mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
     moving = []  # (free index, row) of each own endpoint that is free, and its sign in ds/de
+    basis = _lagrange_basis(cs)
     for side, sign in ((0, -1.0), (1, 1.0)):
         rows = np.flatnonzero((own_at[:, side] >= 1) & (own_at[:, side] <= 2 * n))
         moving.append((own_at[rows, side] - 1, rows, sign))
 
     def num(s):
         out = np.empty((3 * n + 1,) + s.shape)
-        out[0] = 1.0
-        if n > 1:
-            out[1] = s
-        for m in range(2, n):  # T_m by the three-term recurrence
-            np.multiply(2.0 * s, out[m - 1], out=out[m])
-            out[m] -= out[m - 2]
+        out[:n] = basis(s)[:n]
         val, der = np.ones_like(s), np.zeros_like(s)
         for r in roots:  # P and P' by the product rule
             der = der * (s - r) + val
@@ -307,70 +338,76 @@ def _endpoint_jet(cs, roots, lo, hi, x, qtol):
     return out[: n + 1], out[n + 1 :]
 
 
+def _lagrange_roots(xi, w):
+    """The zeros of f(s) = 1 + sum_m w_m / (s - xi_m), real here: the eigenvalues of
+    diag(xi) - w 1^T, whose characteristic polynomial is prod (s - xi_m) f(s), each
+    polished by one Newton step on f.  A zero that lands exactly on a node is kept."""
+    s = np.linalg.eigvals(np.diag(xi) - w[:, None]).real
+    d = s[:, None] - xi
+    on_node = d == 0.0
+    r = 1.0 / np.where(on_node, 1.0, d)
+    # s - f / f' with f' = -sum_m w_m r_m^2
+    return s + np.where(on_node.any(axis=1), 0.0, (1.0 + r @ w) / ((r * r) @ w))
+
+
 def critical_points(gs, qtol=DEFAULT_QTOL):
     """Solve the N period conditions for the critical points of G.
 
-    In the centred coordinate, where the periods and G are the same, they
-    are linear: prod(s - s_k) is a multiple of P = T_N + sum_{m<N} p_m T_m,
-    whose gap periods vanish when sum_m M[j, m] p_m = -M[j, N]
-    (_gap_moments), and chebroots gives its zeros.  That sum cancels where
-    |P| is small against its coefficients, so the periods of prod(s - s_k)
-    are checked in product form by the adaptive quadrature and removed by
-    one correction of degree N-1 from the same moments (a Newton step).
-    """
+    In the centred coordinate, where the periods and G are the same, they are
+    linear: prod(s - s_k) is a multiple of P = Q / kappa + sum_{m<N} p_m l_m
+    (_lagrange_basis), whose gap periods vanish when sum_m M[j, m] p_m = -M[j, N]
+    (_gap_moments).  P = (Q / kappa)(1 + sum_m w_m / (s - xi_m)), w_m = kappa p_m /
+    Q'(xi_m), has the zeros of _lagrange_roots.  One quadrature over the gaps and
+    the gaps up to the s_j gives the periods and the signed halves H_j, h_j = |H_j|;
+    |H_j| + |period_j - H_j| is int |P| / sqrt|R| over gap j, and each period must
+    lie within 1e3 qtol of it."""
     n = gs.n_gaps
     if n == 0:
         return CriticalPoints(c=(), h=(), s=())
     cs = _centred(gs)
     mom = _gap_moments(cs, qtol)
     try:
-        p = np.append(np.linalg.solve(mom[:, :n], -mom[:, n]), 1.0)
+        p = np.linalg.solve(mom[:, :n], -mom[:, n])
     except np.linalg.LinAlgError:
         raise SolverError("singular period matrix")
-    s = np.sort(chebroots(p).real)
+    xi, dq = _lagrange_nodes(cs)
+    s = np.sort(_lagrange_roots(xi, p * np.abs(dq).max() / dq))
     mid, half = _frame(gs)
     lo, hi = np.array(cs.gaps).T
-    res = _edge_integral(cs, partial(_prod, roots=s), lo, hi, hi, qtol)
-    # prod(s - s_k) = 2^(1-N) P and |T_m| <= 1 on the centred set, so the integral
-    # of |prod(s - s_k)| / sqrt|R| over gap j is at most 2^(1-N) M[j, 0] sum |p_m|
-    if np.any(np.abs(res) > 1e3 * qtol * 2.0 ** (1 - n) * mom[:, 0] * np.abs(p).sum()):
+    if not np.all((lo < s) & (s < hi)):
+        raise SolverError("critical point outside its gap", iterate=mid + half * s)
+    # the full gaps, then the gaps up to their critical points, in one call
+    ints = _edge_integral(cs, partial(_prod, roots=s), np.tile(lo, 2), np.tile(hi, 2),
+                          np.concatenate([hi, s]), qtol)
+    period, part = ints[:n], ints[n:]
+    if np.any(np.abs(period) > 1e3 * qtol * (np.abs(part) + np.abs(period - part))):
         raise SolverError(
-            "period residual above tolerance", residual=np.max(np.abs(res)), iterate=mid + half * s
-        )
-    diff = s[:, None] - s
-    np.fill_diagonal(diff, 1.0)
-    s = s - chebval(s, np.linalg.solve(mom[:, :n], -res)) / diff.prod(axis=1)
-    c = mid + half * s
-    a, b = np.array(gs.gaps).T
-    if not np.all((a < c) & (c < b)):
-        raise SolverError("critical point outside its gap", iterate=c)
-    h = np.abs(_edge_integral(cs, partial(_prod, roots=s), lo, hi, s, qtol))
-    return CriticalPoints(c=tuple(c), h=tuple(h), s=tuple(s))
+            "period residual above tolerance", residual=np.max(np.abs(period)),
+            iterate=mid + half * s)
+    return CriticalPoints(c=tuple(mid + half * s), h=tuple(np.abs(part)), s=tuple(s))
 
 
 def green(gs, cp, z, qtol=DEFAULT_QTOL):
     """Green's function G(z) of the complement of E, pole at infinity: the real part of
-    the abelian integral of prod(t - c_j) dt / sqrt(R) from a branch point
-    (_branch_integral), where G = 0 by construction of the critical points."""
-    return max(0.0, _branch_integral(gs, partial(_prod, roots=np.asarray(cp.c)), z, qtol)[1])
+    the abelian integral of prod(s - s_j) ds / sqrt(R) on the centred set from a branch
+    point (_branch_integral), where G = 0 by construction of the critical points."""
+    return max(0.0, _branch_integral(gs, partial(_prod, roots=np.asarray(cp.s)), z, qtol)[1])
 
 
 @lru_cache(maxsize=32)
 def _harmonic_poly_coeffs(gs, qtol):
-    """Centred Chebyshev coefficients of the polynomials P_k, k = 1..N.
+    """Lagrange coefficients (_lagrange_basis) of the polynomials P_k, k = 1..N.
 
     P_k has degree <= N-1 and unit signed period over gap k, zero over the
-    others; these are the gap derivatives of the harmonic measures.  The
-    period matrix sign_j half^-N M[j, m], m < N, comes from the moments at
-    qtol, which callers pass positionally so that equal tolerances share
-    one cache entry.  Evaluate with _chebval_centred.
+    others: P_k(s) ds / sqrt(R(s)) is d omega_k on the centred set.  The period
+    matrix sign_j M[j, m], m < N, comes from the moments at qtol, which callers
+    pass positionally so that equal tolerances share one cache entry.
     """
     n = gs.n_gaps
     if n == 0:
         return np.zeros((0, 0))
-    _, half = _frame(gs)
     signs = np.array([gap_branch_sign(gs, j) for j in range(1, n + 1)])
-    mat = signs[:, None] * half ** -n * _gap_moments(_centred(gs), qtol)[:, :n]
+    mat = signs[:, None] * _gap_moments(_centred(gs), qtol)[:, :n]
     try:
         coeffs = np.linalg.solve(mat, np.eye(n))
     except np.linalg.LinAlgError:
@@ -379,22 +416,27 @@ def _harmonic_poly_coeffs(gs, qtol):
 
 
 def _gap_increment(gs, num, js, xs, qtol):
-    """s_j int_{a_j}^{x_i} num(t) dt / sqrt|R(t)| = int_{a_j}^{x_i} num(t) dt / sqrt(R(t)) for
-    a stack of points x_i, each in its gap j = js[i] with branch sign s_j, in one
-    quadrature call.  num maps (K, n) to (..., K, n), as in _edge_integral; with
-    num = partial(_chebval_centred, gs, coeffs) this is omega_k(x_i) - omega_k(a_j),
-    shape (K,) for a row of _harmonic_poly_coeffs, (N, K) for its transpose."""
-    lo, hi = np.array([gs.gap(j) for j in js]).T
+    """s_j int_{a_j}^{x_i} num(s) ds / sqrt|R(s)| = int_{a_j}^{x_i} num(s) ds / sqrt(R(s)) on the
+    centred set, for points x_i of gs, each in its gap j = js[i] with branch sign s_j, in
+    one quadrature call; num as in _edge_integral.  With the P_k of _harmonic_poly_coeffs
+    this is omega_k(x_i) - omega_k(a_j).  Each row starts its rule at the gap end e nearer
+    to x_i with x_i - e taken on gs, so x_i keeps its distance to either end."""
+    cs = _centred(gs)
+    rows = np.asarray(js) - 1
+    (a, b), (ac, bc) = (np.array(g.gaps)[rows].T for g in (gs, cs))
+    xs = np.asarray(xs, dtype=float)
+    left = xs - a <= b - xs
     signs = np.array([gap_branch_sign(gs, j) for j in js])
-    return signs * _edge_integral(gs, num, lo, hi, xs, qtol)
+    return signs * _edge_integral(cs, num, ac, bc, (xs - np.where(left, a, b)) / _frame(gs)[1],
+                                  qtol, origin=np.where(left, ac, bc))
 
 
 def _branch_integral(gs, num, z, qtol):
-    """(e, Re int_e^z num(t) dt / sqrt(R(t))) from a branch point e, in the branch of sqrt_R:
-    along gap j from a_j for z in gap j (_gap_increment), and otherwise on the ray from
-    the branch point nearest to z (_ray_integral), the shortest path.  Every branch
-    point lies on E, where G and the harmonic measures have known boundary values, so
-    e is free.  A point z of E is its own base point, with integral 0."""
+    """(e, Re int_e^z num(s) ds / sqrt(R(s))) on the centred set from a branch point e of gs,
+    in the branch of sqrt_R: along gap j from a_j for z in gap j (_gap_increment), and
+    otherwise on the ray from the branch point nearest to z (_ray_integral), with z - e
+    taken on gs.  Every branch point lies on E, where G and the harmonic measures have
+    known boundary values, so e is free.  A point z of E is its own base point."""
     z = complex(z)
     if z.imag == 0.0:
         kind = gs.locate(z.real)
@@ -403,26 +445,29 @@ def _branch_integral(gs, num, z, qtol):
         if kind[0] == "gap":
             inc = _gap_increment(gs, num, kind[1:], [z.real], qtol)[0]
             return gs.gap(kind[1])[0], float(inc)
-    edge = min(gs.endpoints, key=lambda e: abs(z - e))
-    return edge, _ray_integral(gs, num, edge, z, qtol)
+    i = min(range(len(gs.endpoints)), key=lambda i: abs(z - gs.endpoints[i]))
+    cs = _centred(gs)
+    span = (z - gs.endpoints[i]) / _frame(gs)[1]
+    return gs.endpoints[i], _ray_integral(cs, num, cs.endpoints[i], span, qtol)
 
 
 def harmonic_measure(gs, k, x, qtol=DEFAULT_QTOL):
     """Harmonic measure omega_k(x) of E_k = E cap [b_k, a0] at real x.
 
     omega_k is 1 on E_k and 0 on the rest of E; off E it is that boundary
-    value at a branch point e plus int_e^x P_k(t) dt / sqrt(R(t))
-    (_branch_integral), with P_k from _harmonic_poly_coeffs.  It depends on
-    E alone, not on the critical points.
+    value at a branch point e plus int_e^x P_k(s) ds / sqrt(R(s)) on the
+    centred set (_branch_integral), with P_k from _harmonic_poly_coeffs.  It
+    depends on E alone, not on the critical points.
     """
     _, b_k = gs.gap(k)
-    poly = partial(_chebval_centred, gs, _harmonic_poly_coeffs(gs, qtol)[k - 1])
+    poly = _lagrange_basis(_centred(gs), _harmonic_poly_coeffs(gs, qtol)[k - 1])
     edge, inc = _branch_integral(gs, poly, x, qtol)
     return float(edge >= b_k) + inc
 
 
 def harmonic_measure_density(gs, k, x):
-    """d omega_k / dx at a point strictly inside a gap."""
+    """d omega_k / dx at a point strictly inside a gap: half^N P_k(s) / sqrt(R(x)), P_k on
+    the centred set."""
     kind = gs.locate(x)
     if kind[0] != "gap":
         raise ValidationError("density is defined on open gaps only")
@@ -431,12 +476,14 @@ def harmonic_measure_density(gs, k, x):
     scale = max(1.0, gs.diameter)
     if min(x - lo, hi - x) < _EDGE_TOL * scale:
         raise ValidationError("square-root blow-up: x at a gap endpoint")
-    coeffs = _harmonic_poly_coeffs(gs, DEFAULT_QTOL)[k - 1]
-    return float(_chebval_centred(gs, coeffs, x) / sqrt_R_gap(gs, j, x))
+    mid, half = _frame(gs)
+    poly = _lagrange_basis(_centred(gs), _harmonic_poly_coeffs(gs, DEFAULT_QTOL)[k - 1])
+    return float(half**gs.n_gaps * poly((x - mid) / half) / sqrt_R_gap(gs, j, x))
 
 
 def dos_density(gs, cp, x):
-    """Density of the density-of-states measure at x in the interior of E."""
+    """Density of the density-of-states measure at x in the interior of E:
+    half^N |prod(s - s_j)| / (pi sqrt|R(x)|) at s = (x - mid) / half."""
     kind = gs.locate(x)
     if kind[0] != "band":
         raise ValidationError("density of states lives on E")
@@ -444,15 +491,16 @@ def dos_density(gs, cp, x):
     scale = max(1.0, gs.diameter)
     if min(abs(x - lo), abs(hi - x)) < _EDGE_TOL * scale:
         raise ValidationError("integrable singularity at band endpoint")
+    mid, half = _frame(gs)
     root = np.sqrt(np.abs(_prod(x, np.array(gs.endpoints))))
-    return float(_dos_numerator(cp.c)(x) / (np.pi * root))
+    return float(half**gs.n_gaps * _dos_numerator(cp.s)((x - mid) / half) / (np.pi * root))
 
 
 def _dos_numerator(roots):
-    """t -> |prod(t - r_j)|: pi times the dos density is this over sqrt|R| for the
-    critical points c_j on gs, and for the centred roots s_j on the centred set."""
+    """s -> |prod(s - s_j)| for the centred roots s_j: pi times the dos density is this
+    over sqrt|R| on the centred set."""
     roots = np.asarray(roots)
-    return lambda t: np.abs(_prod(t, roots))
+    return lambda s: np.abs(_prod(s, roots))
 
 
 def _band_masses(gs, cp, x, qtol):
@@ -490,28 +538,31 @@ def dos_cdf(gs, cp, x, qtol=DEFAULT_QTOL):
 
 
 def thouless_potential(gs, cp, z, qtol=DEFAULT_QTOL):
-    """Logarithmic potential int_E log|z - x| d omega(x) by quadrature."""
-    z = complex(z)
-    dos = _dos_numerator(cp.c)
+    """Logarithmic potential int_E log|z - x| d omega(x): log half plus the same
+    potential of the centred set at (z - mid) / half, one quadrature call over its bands."""
+    mid, half = _frame(gs)
+    cs = _centred(gs)
+    zc = (complex(z) - mid) / half
+    dos = _dos_numerator(cp.s)
 
-    def num(t):
-        return np.log(np.abs(z - t)) * dos(t)
+    def num(s):
+        return np.log(np.abs(zc - s)) * dos(s)
 
-    lo, hi = np.array(gs.bands).T
-    return float(np.sum(_edge_integral(gs, num, lo, hi, hi, qtol) / np.pi))
+    lo, hi = np.array(cs.bands).T
+    return float(np.log(half) + np.sum(_edge_integral(cs, num, lo, hi, hi, qtol)) / np.pi)
 
 
 def robin_constant(gs, cp, qtol=DEFAULT_QTOL):
     """The constant c in the Thouless identity G(z) = c + int log|z-x| d omega:
-    c = int_a0^inf (P/sqrt(R) - 1/(t - b0)) dt - log(a0 - b0), P = prod (t - c_j),
+    c = int_a0^inf (P/sqrt(R) - 1/(t - b0)) dt - log(a0 - b0), P = prod (t - s_j),
     integrated on the centred set.  t = a0 + u^2 takes the edge factor out as
     in _ray_integral, u = v / (1 - v) maps [0, inf) onto [0, 1), and P/sqrt(R)
     is one factor (t - c_j) / sqrt((t - a_j)(t - b_j)) per gap, so no product
     overflows."""
-    _, half = _frame(gs)
-    # a0 - x on the centred set for the c_j, the a_j and the b_j
-    dc, da, db = ((gs.a0 - np.array(x, dtype=float)[:, None]) / half
-                  for x in (cp.c, [a for a, _ in gs.gaps], [b for _, b in gs.gaps]))
+    mid, half = _frame(gs)
+    # a0 - x on the centred set for the s_j, and from the differences on gs for the a_j, b_j
+    dc = (gs.a0 - mid) / half - np.array(cp.s, dtype=float)[:, None]
+    da, db = (gs.a0 - np.array(gs.gaps).reshape(-1, 2).T[..., None]) / half
 
     def f(v):
         u = v / (1.0 - v)

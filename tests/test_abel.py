@@ -300,6 +300,25 @@ class TestShiftCovariance:
         for k in (1, 4, 10):
             assert ab.shift_covariance_residual(two_gap, two_gap_cp, d, steps=k) < 1e-6
 
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_many_gaps(self, n):
+        # abel_map and measure_box converge on 6 sets, every other one scaled and
+        # moved, and three CF steps move the Abel image by -3 omega to 1e-12 on two
+        # unmoved ones.  On the sets moved to 40 the rounding of the divisor points
+        # alone, ulp(40) = 7.1e-15, leaves residuals of 1.2e-13 to 1.7e-12.
+        for seed in range(6):
+            scale, shift = ((1.0, 0.0), (0.5, 40.0))[seed % 2]
+            gs = spaced_gap_system(np.random.default_rng(seed), n, scale=scale, shift=shift,
+                                   min_share=0.3 / (2 * n + 1))
+            d = random_divisor(gs, np.random.default_rng(seed))
+            ab.abel_map(gs, d)
+            box = [{"gap": j, "a": a + 0.25 * (b - a), "b": a + 0.75 * (b - a), "eps": 1}
+                   for j, (a, b) in enumerate(gs.gaps, start=1)]
+            assert 0.0 < ab.measure_box(gs, box) < 1.0
+            if seed in (0, 2):
+                cp = critical_points(gs)
+                assert ab.shift_covariance_residual(gs, cp, d, steps=3) <= 1e-12
+
 
 class TestKernel:
     def test_bounds_random(self, two_gap, two_gap_cp, rng):

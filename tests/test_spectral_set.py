@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from conftest import random_gap_system, spaced_gap_system
 from finitegap import spectral_set
+from finitegap.abel import kernel_at_origin
 from finitegap.errors import SolverError, ValidationError
+from finitegap.herglotz import Divisor
 from finitegap.spectral_set import (
     GapSystem,
     critical_points,
@@ -84,14 +86,16 @@ class TestCriticalPoints:
     def test_heights_positive(self, three_gap_cp):
         assert all(h > 0 for h in three_gap_cp.h)
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", [*range(1, 9), 24, 32, 48, 64])
     def test_periods_vanish(self, n):
         # independent check: a 2^14-node Chebyshev rule written here, on sets
-        # moved as the benchmark moves them
+        # moved as the benchmark moves them; one set per N past 8, where every
+        # band and gap is 0.3 / (2N + 1) of the diameter or more
         rng = np.random.default_rng(100 + n)
-        for _ in range(4):
+        for _ in range(4 if n <= 8 else 1):
             scale = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
-            gs = spaced_gap_system(rng, n, scale, scale * rng.uniform(-1.8, 1.8))
+            gs = spaced_gap_system(rng, n, scale, scale * rng.uniform(-1.8, 1.8),
+                                   min_share=0.02 if n <= 8 else 0.3 / (2 * n + 1))
             c = np.asarray(critical_points(gs).c)
             for lo, hi in gs.gaps:
                 t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(_REF_THETA)
@@ -104,24 +108,24 @@ class TestCriticalPoints:
         # two zeros polished onto the root in gap 2 leave gap 1 without one:
         # an error, never a clamp into the gap
         gs = GapSystem(b0=-2.0, a0=2.0, gaps=((-1.0, -0.5), (0.5, 1.0)))
-        monkeypatch.setattr(spectral_set, "chebroots", lambda p: np.array([0.37, 0.38]))
+        monkeypatch.setattr(spectral_set, "_lagrange_roots", lambda xi, w: np.array([0.37, 0.38]))
         with pytest.raises(SolverError):
             critical_points(gs)
 
     def test_moved_root_raises(self, monkeypatch):
         # a zero moved by 1e-3 of its gap at N = 16 leaves that gap's period
-        # residual 20 times its relative bound
+        # residual 3e6 times its bound
         gs = spaced_gap_system(np.random.default_rng(3), 16, min_share=0.009)
         a, b = spectral_set._centred(gs).gaps[8]
-        roots = spectral_set.chebroots
+        roots = spectral_set._lagrange_roots
 
-        def moved(p):
-            s = np.sort(roots(p).real)
+        def moved(xi, w):
+            s = np.sort(roots(xi, w))
             s[8] += 1e-3 * (b - a)
             return s
 
         critical_points(gs)
-        monkeypatch.setattr(spectral_set, "chebroots", moved)
+        monkeypatch.setattr(spectral_set, "_lagrange_roots", moved)
         with pytest.raises(SolverError, match="period residual above tolerance"):
             critical_points(gs)
 
@@ -197,6 +201,23 @@ class TestGreen:
             assert abs(g - rc - thouless_potential(gs, cp, z)) <= 1e-10 * max(1.0, g)
             assert green(gs, cp, np.conj(z)) == g
 
+    @pytest.mark.parametrize("n", [24, 32, 48, 64])
+    def test_thouless_identity_many_gaps(self, n):
+        # G = c + int log|z - x| d omega at 4 upper-half-plane and 4 outer real
+        # points, with the sets at N = 32 and 64 scaled and moved
+        rng = np.random.default_rng(100 + n)
+        scale, shift = {24: (1.0, 0.0), 32: (0.5, 40.0), 48: (1.0, 0.0), 64: (1e-2, 3.0)}[n]
+        gs = spaced_gap_system(rng, n, scale=scale, shift=shift, min_share=0.3 / (2 * n + 1))
+        cp = critical_points(gs)
+        rc = robin_constant(gs, cp)
+        d = gs.diameter
+        upper = rng.uniform(gs.b0, gs.a0, 4) + 1j * d * 10 ** rng.uniform(-2, 0, 4)
+        outer = np.concatenate([gs.b0 - d * 10 ** rng.uniform(-2, 1, 2),
+                                gs.a0 + d * 10 ** rng.uniform(-2, 1, 2)])
+        for z in (*upper, *outer):
+            g = green(gs, cp, z)
+            assert abs(g - rc - thouless_potential(gs, cp, z)) <= 1e-12 * max(1.0, g)
+
     @pytest.mark.parametrize("name", ["thin_band", "thin_gap"])
     def test_complex_points_near_an_edge(self, name, request):
         # 1e-9 to 1e-1 diameters from each branch point, in every direction
@@ -210,15 +231,15 @@ class TestGreen:
                 assert np.isfinite(green(gs, cp, z)) and green(gs, cp, z) >= 0.0
 
     def test_gap_point_next_to_an_edge(self, two_gap, two_gap_cp):
-        # 2e-13 inside gap 1 from a_1 = -1: G = 2 sqrt(x - a) |P(a)| / sqrt|R'(a)|
-        # up to a relative O(x - a)
-        a = two_gap.gap(1)[0]
-        x = a + 2e-13
-        rest = np.array([e for e in two_gap.endpoints if e != a])
-        lead = 2.0 * np.sqrt(x - a) * np.prod(np.abs(a - np.array(two_gap_cp.c))) / np.sqrt(
-            np.prod(np.abs(a - rest)))
-        assert green(two_gap, two_gap_cp, x) == pytest.approx(lead, rel=1e-9)
-        assert green(two_gap, two_gap_cp, complex(x, 0.0)) == green(two_gap, two_gap_cp, x)
+        # 2e-13 inside gap 1 from a_1 = -1 and from b_1 = -0.3: G = 2 sqrt|x - e| |P(e)|
+        # / sqrt|R'(e)| up to a relative O(x - e)
+        a, b = two_gap.gap(1)
+        for e, x in ((a, a + 2e-13), (b, b - 2e-13)):
+            rest = np.array([f for f in two_gap.endpoints if f != e])
+            lead = 2.0 * np.sqrt(abs(x - e)) * np.prod(np.abs(e - np.array(two_gap_cp.c))) / np.sqrt(
+                np.prod(np.abs(e - rest)))
+            assert green(two_gap, two_gap_cp, x) == pytest.approx(lead, rel=1e-9)
+            assert green(two_gap, two_gap_cp, complex(x, 0.0)) == green(two_gap, two_gap_cp, x)
 
 
 class TestHarmonicMeasure:
@@ -277,18 +298,22 @@ class TestHarmonicMeasure:
         # b0); scipy's algebraic weight takes the edge singularity
         from scipy.integrate import quad
 
+        # P_k(t) dt / sqrt|R(t)| = half^N P_k(s) ds / sqrt|R(s)| on the centred set
         ends = np.array(two_gap.endpoints)
+        mid, half = spectral_set._frame(two_gap)
+        cs = spectral_set._centred(two_gap)
         for k in (1, 2):
             coeffs = spectral_set._harmonic_poly_coeffs(two_gap, 1e-12)[k - 1]
+            poly = spectral_set._lagrange_basis(cs, coeffs)
             if x > two_gap.a0:
                 rest = ends[ends != two_gap.a0]
-                f = lambda t: spectral_set._chebval_centred(two_gap, coeffs, t) / np.sqrt(
+                f = lambda t: half**2 * poly((t - mid) / half) / np.sqrt(
                     np.prod(np.abs(t - rest)))
                 ref = 1.0 + quad(f, two_gap.a0, x, weight="alg", wvar=(-0.5, 0.0),
                                  epsabs=0.0, epsrel=1e-13, limit=200)[0]
             else:
                 rest = ends[ends != two_gap.b0]
-                f = lambda t: spectral_set._chebval_centred(two_gap, coeffs, t) / np.sqrt(
+                f = lambda t: half**2 * poly((t - mid) / half) / np.sqrt(
                     np.prod(np.abs(t - rest)))
                 ref = quad(f, x, two_gap.b0, weight="alg", wvar=(0.0, -0.5),
                            epsabs=0.0, epsrel=1e-13, limit=200)[0]
@@ -301,6 +326,24 @@ class TestHarmonicMeasure:
         for x in (-1e6 * two_gap.diameter, 1e6 * two_gap.diameter):
             for k in (1, 2):
                 assert abs(harmonic_measure(two_gap, k, x) - om[k - 1]) < 1e-5
+
+    def test_density_at_a_node(self, sym_one_gap):
+        # x = 0 is the Lagrange node of the gap, where the basis takes its value at
+        # the node instead of dividing by s - xi = 0
+        d = harmonic_measure_density(sym_one_gap, 1, 0.0)
+        assert np.isfinite(d)
+        assert d == pytest.approx(harmonic_measure_density(sym_one_gap, 1, 1e-9), rel=1e-12)
+
+    def test_at_gap_midpoints(self):
+        # dyadic endpoints put every gap midpoint exactly on its node; the
+        # value there is the mean of its neighbours 2^-30 away to 1e-15
+        gs = GapSystem(-2.0, 2.0, ((-1.5, -1.25), (-0.5, 0.25), (0.75, 1.5)))
+        for j, (a, b) in enumerate(gs.gaps, start=1):
+            x = 0.5 * (a + b)
+            for k in (1, 2, 3):
+                mean = 0.5 * (harmonic_measure(gs, k, x - 2**-30) + harmonic_measure(gs, k, x + 2**-30))
+                assert np.isfinite(harmonic_measure(gs, k, x))
+                assert harmonic_measure(gs, k, x) == pytest.approx(mean, abs=1e-15)
 
     def test_density_sign(self, two_gap):
         # omega_1 decreases through gap 2 toward the right tail piece E_2 complement
@@ -350,6 +393,39 @@ class TestDensityOfStates:
     def test_density_validation(self, two_gap, two_gap_cp):
         with pytest.raises(ValidationError):
             dos_density(two_gap, two_gap_cp, -0.5)  # gap point
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_readers_of_critical_points_are_covariant(n):
+    # endpoints, points and divisor on a 2^-20 grid make x -> alpha x + beta exact in
+    # float64 for beta = 1e4 and alpha = 2^-10, 2^10: G and the kernel at the origin
+    # are invariant, the Robin constant moves by -log alpha and the Thouless
+    # potential by log alpha
+    def grid(x):
+        return round(x * 2**20) / 2**20
+
+    rng = np.random.default_rng(n)
+    ends = [grid(e) for e in spaced_gap_system(rng, n).endpoints]
+    gaps = list(zip(ends[1:-1:2], ends[2:-1:2]))
+    zs = [grid(ends[-1] + 0.75), grid(ends[0] - 0.25), complex(grid(ends[1] + 0.3), 0.5),
+          *(grid(a + 0.3 * (b - a)) for a, b in gaps)]
+    points = [(grid(a + 0.6 * (b - a)), int(rng.choice([-1, 1]))) for a, b in gaps]
+
+    def readers(alpha, beta):
+        gs = GapSystem(alpha * ends[0] + beta, alpha * ends[-1] + beta,
+                       tuple((alpha * a + beta, alpha * b + beta) for a, b in gaps))
+        cp = critical_points(gs)
+        divisor = Divisor(tuple((alpha * x + beta, e) for x, e in points))
+        return np.array([
+            *(green(gs, cp, alpha * z + beta) for z in zs),
+            *(thouless_potential(gs, cp, alpha * z + beta) - np.log(alpha) for z in zs),
+            robin_constant(gs, cp) + np.log(alpha),
+            kernel_at_origin(gs, cp, divisor),
+        ])
+
+    base = readers(1.0, 0.0)
+    for alpha, beta in ((1.0, 1e4), (2.0**-10, 0.0), (2.0**10, 0.0), (2.0**-10, 1e4)):
+        assert np.all(np.abs(readers(alpha, beta) - base) <= 1e-13 * np.maximum(1.0, np.abs(base)))
 
 
 class TestThouless:

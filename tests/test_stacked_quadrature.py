@@ -5,7 +5,6 @@ the same rules, and bound what a stack that cannot converge costs.
 """
 
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -51,9 +50,8 @@ def test_one_rule_call_per_stack(n, monkeypatch):
         fn()
         return sorted(seen)
 
-    # moments, period check, heights
-    assert calls(lambda: ss.critical_points(gs)) == [
-        "chebyshev_quad", "chebyshev_quad", "theta_partial_quad"]
+    # moments; periods and heights
+    assert calls(lambda: ss.critical_points(gs)) == ["chebyshev_quad", "theta_partial_quad"]
     assert calls(lambda: ss.frequencies(gs, cp)) == ["chebyshev_quad"]
     ss._harmonic_poly_coeffs.cache_clear()
     assert calls(lambda: ss._harmonic_poly_coeffs(gs, DEFAULT_QTOL)) == ["chebyshev_quad"]
@@ -88,8 +86,9 @@ def _ref_edge(gs, num, lo, hi, x, qtol=DEFAULT_QTOL):
 
 
 def _ref_geometry(gs):
-    """Centred critical points, heights and harmonic-measure polynomials of gs,
-    by the moment solve of critical_points with one quadrature per gap."""
+    """Centred critical points and heights of gs, by a Chebyshev moment solve with one
+    quadrature per gap: the roots of the Chebyshev series and one correction step
+    from the periods of their product."""
     n = gs.n_gaps
     cs = ss._centred(gs)
     mom = np.array([_ref_edge(cs, lambda s: chebvander(s, n).T, a, b, b) for a, b in cs.gaps])
@@ -100,17 +99,35 @@ def _ref_geometry(gs):
     np.fill_diagonal(diff, 1.0)
     s = s - chebval(s, np.linalg.solve(mom[:, :n], -res)) / diff.prod(axis=1)
     h = np.array([abs(_ref_edge(cs, _prod(s), a, b, sj)) for (a, b), sj in zip(cs.gaps, s)])
-    _, half = ss._frame(gs)
+    return s, h
+
+
+def _ref_harmonic(gs):
+    """s -> (P_1(s), ..., P_N(s)) on the centred set, from a period solve in the product
+    basis q_m = prod_{i != m} (s - nu_i), nu_i a third of the way into gap i, with one
+    quadrature per gap.  P_k solved in Chebyshev moments instead misses its periods by
+    up to 6.6e-12 at N = 16, seed 1 (5.2e-12 with the moments of a 2^14-node rule),
+    which is above qtol."""
+    n = gs.n_gaps
+    cs = ss._centred(gs)
+    nu = np.array([a + (b - a) / 3.0 for a, b in cs.gaps])
+
+    def basis(s):
+        return np.array([_prod(np.delete(nu, m))(s) for m in range(n)])
+
+    mom = np.array([_ref_edge(cs, basis, a, b, b) for a, b in cs.gaps])
     signs = np.array([ss.gap_branch_sign(gs, j) for j in range(1, n + 1)])
-    coeffs = np.linalg.solve(signs[:, None] * half ** -n * mom[:, :n], np.eye(n)).T
-    return s, h, coeffs
+    coeffs = np.linalg.solve(signs[:, None] * mom, np.eye(n))  # coeffs[m, k - 1]
+    return lambda s: coeffs.T @ basis(s)
 
 
-def _ref_increment(gs, coeffs, j, x):
-    """omega_k(x) - omega_k(a_j) for every k, x in gap j."""
+def _ref_increment(gs, poly, j, x):
+    """omega_k(x) - omega_k(a_j) for every k, x in gap j, with poly from _ref_harmonic:
+    P_k(s) ds / sqrt|R(s)| on the centred set is half^N P_k(s) dt / sqrt|R(t)| on gs."""
     a, b = gs.gap(j)
-    poly = partial(ss._chebval_centred, gs, coeffs.T)
-    return ss.gap_branch_sign(gs, j) * _ref_edge(gs, poly, a, b, x)
+    mid, half = ss._frame(gs)
+    raw = lambda t: half**gs.n_gaps * poly((t - mid) / half)
+    return ss.gap_branch_sign(gs, j) * _ref_edge(gs, raw, a, b, x)
 
 
 def _ref_band_masses(gs, s, x):
@@ -125,18 +142,21 @@ def _ref_band_masses(gs, s, x):
 def _agreement_sets():
     for n in range(1, 9):
         for i, (scale, shift) in enumerate(MOVES):
-            yield pytest.param(n, 10 * n + i, scale, shift, id=f"N{n}-move{i}")
+            yield pytest.param(n, 10 * n + i, scale, shift, 0.02, id=f"N{n}-move{i}")
     for seed in (1, 2):
-        yield pytest.param(16, seed, 1.0, 0.0, id=f"N16-seed{seed}")
+        yield pytest.param(16, seed, 1.0, 0.0, 0.02, id=f"N16-seed{seed}")
+    # abel_map and measure_box once failed here: Gauss-Legendre doubling stalled at
+    # a residual of 2.4e-12 to 6.4e-12, the noise of P_k summed in Chebyshev terms
+    yield pytest.param(16, 862, 1.0, 0.0, 0.4 / 33, id="N16-seed862")
 
 
-@pytest.mark.parametrize("n, seed, scale, shift", _agreement_sets())
-def test_stacked_matches_per_interval(n, seed, scale, shift):
+@pytest.mark.parametrize("n, seed, scale, shift, min_share", _agreement_sets())
+def test_stacked_matches_per_interval(n, seed, scale, shift, min_share):
     rng = np.random.default_rng(seed)
-    gs = spaced_gap_system(rng, n, scale=scale, shift=shift)
+    gs = spaced_gap_system(rng, n, scale=scale, shift=shift, min_share=min_share)
     mid, half = ss._frame(gs)
     qtol = DEFAULT_QTOL
-    s, h, coeffs = _ref_geometry(gs)
+    s, h = _ref_geometry(gs)
     cp = ss.critical_points(gs)
     assert np.max(np.abs(np.asarray(cp.s) - s)) <= qtol
     assert np.max(np.abs(np.asarray(cp.c) - (mid + half * s))) <= qtol * half + 4 * np.spacing(
@@ -147,13 +167,20 @@ def test_stacked_matches_per_interval(n, seed, scale, shift):
     ref_omega = np.array([ref_masses[k:].sum() for k in range(1, n + 1)])
     assert np.max(np.abs(ss.frequencies(gs, cp) - ref_omega)) <= qtol
 
+    # P_k at 4 points of every gap, where P_k / sqrt(R) is the density of omega_k, and
+    # at 9 points of [-1, 1], relative to the largest |P_k| there
     ss._harmonic_poly_coeffs.cache_clear()
-    assert np.max(np.abs(ss._harmonic_poly_coeffs(gs, qtol) - coeffs)) <= qtol * max(
-        1.0, np.abs(coeffs).max())
+    cs = ss._centred(gs)
+    poly = ss._lagrange_basis(cs, ss._harmonic_poly_coeffs(gs, qtol))
+    ref_poly = _ref_harmonic(gs)
+    lo, hi = np.array(cs.gaps).T
+    pts = np.append(lo + np.array([[0.1], [0.35], [0.6], [0.85]]) * (hi - lo), np.linspace(-1, 1, 9))
+    ref = ref_poly(pts)
+    assert np.all(np.abs(poly(pts) - ref) <= qtol * np.abs(ref).max(axis=1, keepdims=True))
 
     for j, (a, b) in enumerate(gs.gaps, start=1):
         x = a + rng.uniform(0.05, 0.95) * (b - a)
-        inc = _ref_increment(gs, coeffs, j, x)
+        inc = _ref_increment(gs, ref_poly, j, x)
         for k in range(1, n + 1):
             ref = float(j > k) + inc[k - 1]
             assert abs(ss.harmonic_measure(gs, k, x) - ref) <= qtol
@@ -163,7 +190,7 @@ def test_stacked_matches_per_interval(n, seed, scale, shift):
         assert abs(ss.dos_cdf(gs, cp, x) - _ref_band_masses(gs, s, x).sum()) <= qtol
 
     divisor = random_divisor(gs, rng).normalized(gs)
-    alpha = sum(0.5 * e * _ref_increment(gs, coeffs, k, x)
+    alpha = sum(0.5 * e * _ref_increment(gs, ref_poly, k, x)
                 for k, (x, e) in enumerate(divisor.points, start=1))
     assert abel.abel_map(gs, divisor).distance(abel.Character(tuple(alpha))) <= qtol
 
@@ -171,8 +198,8 @@ def test_stacked_matches_per_interval(n, seed, scale, shift):
     for j, (a, b) in enumerate(gs.gaps, start=1):
         lo, hi = np.sort(a + rng.uniform(0.0, 1.0, 2) * (b - a))
         box.append({"gap": j, "a": lo, "b": hi, "eps": 1})
-    cols = np.array([_ref_increment(gs, coeffs, item["gap"], item["b"])
-                     - _ref_increment(gs, coeffs, item["gap"], item["a"]) for item in box])
+    cols = np.array([_ref_increment(gs, ref_poly, item["gap"], item["b"])
+                     - _ref_increment(gs, ref_poly, item["gap"], item["a"]) for item in box])
     ref = 2.0 ** -n * abs(np.linalg.det(cols))
     assert abs(abel.measure_box(gs, box) - ref) <= qtol
 
