@@ -269,13 +269,7 @@ def widom_delta_report(comb, n_list):
     out = []
     for n in n_list:
         trunc = truncate_comb(comb, n)
-        out.append(
-            {
-                "n": int(n),
-                "teeth": len(trunc.teeth),
-                "delta_n0": float(np.exp(-sum(trunc.heights))),
-            }
-        )
+        out.append({"n": int(n), "teeth": len(trunc.teeth), "delta_n0": trunc.delta0})
     return out
 
 
@@ -312,12 +306,5 @@ def kernel_truncation_report(base_gs, n_list, eps=-1, rel_positions=None, qtol=D
                 x = a + float(rel_positions[j]) * (b - a)
             pts.append((x, int(eps_arr[j])))
         k0 = kernel_at_origin(gs_n, cp_n, Divisor(tuple(pts)), qtol)
-        report.append(
-            {
-                "n": int(n),
-                "teeth": len(survivors),
-                "k0": float(k0),
-                "delta_n0": float(np.exp(-sum(trunc.heights))),
-            }
-        )
+        report.append({"n": int(n), "teeth": len(survivors), "k0": float(k0), "delta_n0": trunc.delta0})
     return report

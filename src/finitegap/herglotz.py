@@ -249,16 +249,13 @@ def reflectionless_residual(gs, pair, x):
 
 
 def wronskian_residual(gs, pair, x, cp):
-    """Wronskian/modulus identity residual at x in the interior of E.
-
-    Checks the reflectionless boundary relation together with the density
-    identity Im R00(x+i0)/pi = W(x) * dos(x), W = prod (x-x_j)/(x-c_j), at the
-    critical points cp of gs.
+    """Residual of the density identity Im R00(x+i0)/pi = W(x) dos(x) at x in the
+    interior of E, W = prod (x - x_j)/(x - c_j) over the divisor of pair and the
+    critical points cp of gs.  R00 = -Pi/sqrt(R) holds no T, so neither does this
+    check; the reflectionless relation is reflectionless_residual.
     """
-    refl = reflectionless_residual(gs, pair, x)
+    dos = dos_density(gs, cp, x)
     w = 1.0
     for xj, cj in zip(pair.divisor.xs, cp.c):
         w *= (x - xj) / (x - cj)
-    r = r00(gs, pair.divisor, x)
-    mod = abs(np.imag(r) / np.pi - w * dos_density(gs, cp, x))
-    return refl + mod
+    return abs(np.imag(r00(gs, pair.divisor, x)) / np.pi - w * dos)

@@ -40,12 +40,8 @@ DEFAULT_PREC = 128
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-# Newton steps allowed per divisor root; from a float64 seed a simple root
-# needs about log2(prec / 50) + 1
-_NEWTON_MAX = 50
-
-# 1 / _ESCAPE gap widths outside its gap is where a root, f of one sign over
-# the gap, is clamped to the nearer endpoint: far above the 2^-prec rounding
+# A root is searched for in its gap widened by 1 / _ESCAPE gap widths on each
+# side, where it is read as the nearer endpoint: far above the 2^-prec rounding
 # of a converged root, below the 1e-6 that TestGapRoots requires to raise
 _ESCAPE = 10**9
 
@@ -191,16 +187,22 @@ def _gap_roots(ends, coeffs, w):
     fixed-point coefficients at w bits, as fixed-point integers; ends are the
     fixed-point endpoints b0, a_1, b_1, ..., a_N, b_N, a0.
 
-    Newton from the float64 roots, clipped to the gap, with f and f' from
-    one power vector.  It has converged when a step s_k, or the next step
-    predicted from the quadratic rate, |s_k|^3 / |s_(k-1)|^2, is below
-    2^-w times the largest |endpoint|, or when s_k is within the rounding
-    floor of f: each truncated power x^k is at most k units low, so f is
-    off by at most sum k |c_k| units and the step by that times 2^w / |f'|.
-    Where Newton does not converge inside the gap, the root is bisected if
-    f changes sign over the gap, else clamped to the nearer endpoint if
-    within 1 / _ESCAPE gap widths of it, else an error.  A root within its
-    error bound of an endpoint is that endpoint.
+    One bracketed Newton per gap (rtsafe), with f and f' from one power
+    vector.  The bracket [lo, hi] is the gap widened by 1 / _ESCAPE gap widths
+    on each side; with one root per gap, f has the sign (-1)^(N-j+1) at the lo
+    of gap j, and each iterate replaces lo or hi by the sign of f there.
+    Newton starts from the float64 root clipped to [lo, hi]; a step that leaves
+    [lo, hi], or that does not halve the step before it, becomes the midpoint
+    of [lo, hi], so the bracket shrinks until a stop rule holds.  It has
+    converged when a step s_k, or the next step predicted from the quadratic
+    rate, |s_k|^3 / |s_(k-1)|^2, is below 2^-w times the largest |endpoint|,
+    or when s_k is within the rounding floor of f: each truncated power x^k is
+    at most k units low, so f is off by at most sum k |c_k| units and the
+    step by that times 2^w / |f'|.  Where the iterate ends outside the gap, f
+    must change sign between it and the bracket's end; else the root lies
+    outside the bracket, an error with the distance of the float64 root to
+    the gap.  A root within its error bound of a gap endpoint, or outside the
+    gap, is that endpoint.
     """
     n = len(coeffs) - 1
     seeds = [_to_fixed(x, w) for x in np.sort(np.roots([c / (1 << w) for c in reversed(coeffs)]).real)]
@@ -211,42 +213,31 @@ def _gap_roots(ends, coeffs, w):
     floor = sum(k * abs(c) for k, c in enumerate(coeffs)) << w
     roots = []
     for j, (seed, a, b) in enumerate(zip(seeds, ends[1:-1:2], ends[2:-1:2]), start=1):
-        x = min(max(seed, a), b)
-        prev, converged, err = None, False, tol
-        for _ in range(_NEWTON_MAX):
+        escape = (b - a) // _ESCAPE
+        lo, hi = a - escape, b + escape
+        sign_lo = -1 if (n - j) % 2 == 0 else 1
+        x, prev = min(max(seed, lo), hi), None
+        while True:
             pw = _powers(x, n, w)
-            dfx = sum(map(mul, dcoeffs, pw))
-            if not dfx:
-                break
-            step = (sum(map(mul, coeffs, pw)) << w) // dfx
-            x -= step
-            size = abs(step)
-            if (size <= tol or size * abs(dfx) <= floor
-                    or (prev is not None and size ** 3 <= tol * prev ** 2)):
-                converged, err = True, max(tol, floor // abs(dfx))
+            fx, dfx = sum(map(mul, coeffs, pw)), sum(map(mul, dcoeffs, pw))
+            if _sign(fx) == sign_lo:
+                lo = x
+            else:
+                hi = x
+            err = max(tol, floor // abs(dfx)) if dfx else tol
+            new = x - (fx << w) // dfx if dfx else hi + 1  # no Newton step where f' = 0
+            if not lo <= new <= hi or (prev is not None and 2 * abs(x - new) > prev):
+                new = (lo + hi) >> 1
+            size, x = abs(x - new), new
+            if size <= err or (prev is not None and size ** 3 <= tol * prev ** 2):
                 break
             prev = size
-        if not (converged and a - err <= x <= b + err):
-            lo, hi = a, b
-            flo, fhi = _peval(coeffs, lo, w), _peval(coeffs, hi, w)
-            escape = (b - a) // _ESCAPE
-            if _sign(flo) * _sign(fhi) <= 0:
-                for _ in range(w + 10):
-                    mid = (lo + hi) >> 1
-                    fm = _peval(coeffs, mid, w)
-                    if _sign(fm) == _sign(flo):
-                        lo, flo = mid, fm
-                    else:
-                        hi = mid
-                x = (lo + hi) >> 1
-            elif x < a - escape or x > b + escape:
-                raise SolverError(f"divisor root escaped gap {j}",
-                                  residual=min(abs(x - a), abs(x - b)) / (1 << w))
-            elif not converged:
-                raise SolverError(f"divisor root did not converge in gap {j}")
-            else:
-                x = lo if x < a else hi
-        roots.append(a if abs(x - a) <= err else b if abs(b - x) <= err else x)
+        # an iterate outside the gap: the bracket holds a root only where f changes sign over it
+        if (x < a and _sign(_peval(coeffs, a - escape, w)) == -sign_lo
+                or x > b and _sign(_peval(coeffs, b + escape, w)) == sign_lo):
+            raise SolverError(f"divisor root escaped gap {j}",
+                              residual=min(abs(seed - a), abs(seed - b)) / (1 << w))
+        roots.append(a if x <= a + err else b if x >= b - err else x)
     return roots
 
 

@@ -279,13 +279,6 @@ def _lagrange_basis(cs, coeffs=None):
     return poly
 
 
-def _gap_moments(cs, qtol):
-    """M[j-1, m] = int_{gap j} l_m(s) ds / sqrt|R(s)| for the N + 1 rows of _lagrange_basis, on
-    the centred set cs, one quadrature for all gaps."""
-    lo, hi = np.array(cs.gaps).T
-    return _edge_integral(cs, _lagrange_basis(cs), lo, hi, hi, qtol).T
-
-
 def _endpoint_jet(cs, roots, lo, hi, x, qtol):
     """Moments and endpoint derivatives over a stack of K bands or gaps [lo_k, hi_k] of
     the centred set cs, with upper limits x_k, in one _edge_integral call.
@@ -354,23 +347,19 @@ def critical_points(gs, qtol=DEFAULT_QTOL):
     """Solve the N period conditions for the critical points of G.
 
     In the centred coordinate, where the periods and G are the same, they are
-    linear: prod(s - s_k) is a multiple of P = Q / kappa + sum_{m<N} p_m l_m
-    (_lagrange_basis), whose gap periods vanish when sum_m M[j, m] p_m = -M[j, N]
-    (_gap_moments).  P = (Q / kappa)(1 + sum_m w_m / (s - xi_m)), w_m = kappa p_m /
-    Q'(xi_m), has the zeros of _lagrange_roots.  One quadrature over the gaps and
-    the gaps up to the s_j gives the periods and the signed halves H_j, h_j = |H_j|;
-    |H_j| + |period_j - H_j| is int |P| / sqrt|R| over gap j, and each period must
-    lie within 1e3 qtol of it."""
+    linear, and _harmonic_poly_coeffs solves them: prod(s - s_k) is a multiple of
+    P = Q / kappa + sum_{m<N} p_m l_m (_lagrange_basis), whose gap periods vanish.
+    P = (Q / kappa)(1 + sum_m w_m / (s - xi_m)), w_m = kappa p_m / Q'(xi_m), has the
+    zeros of _lagrange_roots.  One quadrature over the gaps and the gaps up to the
+    s_j gives the periods and the signed halves H_j, h_j = |H_j|; |H_j| +
+    |period_j - H_j| is int |P| / sqrt|R| over gap j, and each period must lie
+    within 1e3 qtol of it."""
     n = gs.n_gaps
     if n == 0:
         return CriticalPoints(c=(), h=(), s=())
     cs = _centred(gs)
-    mom = _gap_moments(cs, qtol)
-    try:
-        p = np.linalg.solve(mom[:, :n], -mom[:, n])
-    except np.linalg.LinAlgError:
-        raise SolverError("singular period matrix")
     xi, dq = _lagrange_nodes(cs)
+    p = _harmonic_poly_coeffs(gs, qtol)[1]
     s = np.sort(_lagrange_roots(xi, p * np.abs(dq).max() / dq))
     mid, half = _frame(gs)
     lo, hi = np.array(cs.gaps).T
@@ -396,23 +385,31 @@ def green(gs, cp, z, qtol=DEFAULT_QTOL):
 
 @lru_cache(maxsize=32)
 def _harmonic_poly_coeffs(gs, qtol):
-    """Lagrange coefficients (_lagrange_basis) of the polynomials P_k, k = 1..N.
+    """The period problems of the centred set, solved in the Lagrange basis
+    (_lagrange_basis): (coefficients of P_k, row k - 1 for k = 1..N, coefficients p
+    of the critical polynomial P of critical_points).
 
-    P_k has degree <= N-1 and unit signed period over gap k, zero over the
-    others: P_k(s) ds / sqrt(R(s)) is d omega_k on the centred set.  The period
-    matrix sign_j M[j, m], m < N, comes from the moments at qtol, which callers
-    pass positionally so that equal tolerances share one cache entry.
+    M[j - 1, m] = int_{gap j} l_m(s) ds / sqrt|R(s)| for the N + 1 basis rows is one
+    quadrature over the gaps at qtol, which callers pass positionally so that equal
+    tolerances share one cache entry.  P_k has degree <= N-1 and unit signed period
+    over gap k, zero over the others, so P_k(s) ds / sqrt(R(s)) is d omega_k: the
+    period matrix is sign_j M[j, m], m < N.  P = Q / kappa + sum_m p_m l_m has zero
+    periods: sum_m M[j, m] p_m = -M[j, N].  The two right-hand sides take one solve
+    each.
     """
     n = gs.n_gaps
     if n == 0:
-        return np.zeros((0, 0))
+        return np.zeros((0, 0)), np.zeros(0)
+    cs = _centred(gs)
+    lo, hi = np.array(cs.gaps).T
+    mom = _edge_integral(cs, _lagrange_basis(cs), lo, hi, hi, qtol).T
     signs = np.array([gap_branch_sign(gs, j) for j in range(1, n + 1)])
-    mat = signs[:, None] * _gap_moments(_centred(gs), qtol)[:, :n]
     try:
-        coeffs = np.linalg.solve(mat, np.eye(n))
+        coeffs = np.linalg.solve(signs[:, None] * mom[:, :n], np.eye(n))
+        p = np.linalg.solve(mom[:, :n], -mom[:, n])
     except np.linalg.LinAlgError:
-        raise SolverError("singular harmonic-measure period matrix")
-    return coeffs.T  # row k-1 = coefficients of P_k
+        raise SolverError("singular period matrix")
+    return coeffs.T, p
 
 
 def _gap_increment(gs, num, js, xs, qtol):
@@ -460,7 +457,7 @@ def harmonic_measure(gs, k, x, qtol=DEFAULT_QTOL):
     depends on E alone, not on the critical points.
     """
     _, b_k = gs.gap(k)
-    poly = _lagrange_basis(_centred(gs), _harmonic_poly_coeffs(gs, qtol)[k - 1])
+    poly = _lagrange_basis(_centred(gs), _harmonic_poly_coeffs(gs, qtol)[0][k - 1])
     edge, inc = _branch_integral(gs, poly, x, qtol)
     return float(edge >= b_k) + inc
 
@@ -477,7 +474,7 @@ def harmonic_measure_density(gs, k, x):
     if min(x - lo, hi - x) < _EDGE_TOL * scale:
         raise ValidationError("square-root blow-up: x at a gap endpoint")
     mid, half = _frame(gs)
-    poly = _lagrange_basis(_centred(gs), _harmonic_poly_coeffs(gs, DEFAULT_QTOL)[k - 1])
+    poly = _lagrange_basis(_centred(gs), _harmonic_poly_coeffs(gs, DEFAULT_QTOL)[0][k - 1])
     return float(half**gs.n_gaps * poly((x - mid) / half) / sqrt_R_gap(gs, j, x))
 
 

@@ -231,9 +231,19 @@ class TestGapRoots:
             assert abs(got - root) <= abs(root) >> 200
 
     @pytest.mark.parametrize("edge, outward", [(-1.0, -1), (-0.5, 1)])
+    def test_root_just_outside_endpoint_is_the_endpoint(self, edge, outward):
+        # 1e-12 gap widths outside: far below the escape distance, far above rounding
+        end = self._fixed(int(2 * edge), 2)
+        got = self._roots(end + outward * self._fixed(1, 2 * 10**12))
+        assert got[0] == end
+        assert abs(got[1] - self._fixed(7, 10)) <= self._fixed(7, 10) >> 200
+
+    @pytest.mark.parametrize("edge, outward", [(-1.0, -1), (-0.5, 1)])
     def test_root_outside_gap_raises(self, edge, outward):
-        with pytest.raises(SolverError, match="divisor root escaped gap 1"):
+        with pytest.raises(SolverError, match="divisor root escaped gap 1") as exc:
             self._roots(self._fixed(int(2 * edge), 2) + outward * self._fixed(1, 2 * 10**6))
+        # the residual is the root's distance to the gap, 5e-7
+        assert exc.value.residual == pytest.approx(5e-7, rel=1e-6)
 
     def test_root_on_an_edge_at_the_rounding_floor(self):
         # x_1 = b_1: at 128 bits Newton's steps reach the rounding floor of f,

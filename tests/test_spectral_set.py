@@ -303,7 +303,7 @@ class TestHarmonicMeasure:
         mid, half = spectral_set._frame(two_gap)
         cs = spectral_set._centred(two_gap)
         for k in (1, 2):
-            coeffs = spectral_set._harmonic_poly_coeffs(two_gap, 1e-12)[k - 1]
+            coeffs = spectral_set._harmonic_poly_coeffs(two_gap, 1e-12)[0][k - 1]
             poly = spectral_set._lagrange_basis(cs, coeffs)
             if x > two_gap.a0:
                 rest = ends[ends != two_gap.a0]
