@@ -55,8 +55,7 @@ def main() -> int:
 
     exact = abel.measure_box(gs, box)
     est, se = abel.measure_mc(gs, box, samples=args.mc_samples, seed=args.seed)
-    entries = [(int(b["gap"]), float(b["a"]), float(b["b"]), int(b["eps"])) for b in box]
-    freq = orbit_frequency(gs, divisor, entries, args.orbit_steps)
+    freq = orbit_frequency(gs, divisor, abel._parse_box(gs, box), args.orbit_steps)
 
     print(f"determinant formula : {exact:.8f}")
     print(f"monte carlo         : {est:.8f} +/- {se:.8f}  ({args.mc_samples} samples)")

@@ -21,7 +21,6 @@ from .herglotz import Divisor
 from .jacobi_cf import DEFAULT_PREC, cf_step, initial_state
 from .quad import DEFAULT_QTOL, _chart_angle, _chart_point
 from .spectral_set import (
-    _centred,
     _gap_increment,
     _harmonic_poly_coeffs,
     _lagrange_basis,
@@ -132,7 +131,7 @@ def _abel_series(gs):
     shape (N, M N), one matrix product in _series_map.
     """
     n = gs.n_gaps
-    cs = _centred(gs)
+    cs = gs.centred
     poly = _lagrange_basis(cs, _harmonic_poly_coeffs(gs, DEFAULT_QTOL)[0])
     lo, hi = np.array(cs.gaps).T[..., None]
     root = _rest_root(cs, lo, hi)
@@ -175,7 +174,7 @@ def abel_map(gs, divisor, qtol=DEFAULT_QTOL):
     divisor = divisor.normalized(gs)
     if n == 0:
         return Character(alpha=())
-    poly = _lagrange_basis(_centred(gs), _harmonic_poly_coeffs(gs, qtol)[0])
+    poly = _lagrange_basis(gs.centred, _harmonic_poly_coeffs(gs, qtol)[0])
     xs, eps = np.array(divisor.points).T
     inc = _gap_increment(gs, poly, range(1, n + 1), xs, qtol)  # inc[j, k]
     alpha = np.sum(0.5 * eps * inc, axis=1)
@@ -328,13 +327,12 @@ def _newton_invert(gs, targets, phis):
     return phis, res
 
 
-def invert_abel(gs, alpha, guess=None):
-    """Divisor with the given character, by Newton on the torus in the angle chart.
+def invert_abel(gs, alpha):
+    """Divisor with the Character alpha, by Newton on the torus in the angle chart.
 
-    Newton starts from the chart angles of ``guess`` when one is given, then
-    from the diagonal seed phi_k = pi - 2 pi alpha_k, then from at most 2N
-    deterministic restarts spread over the torus around that seed.  The
-    first start that reaches a residual of 1e-10 wins; if none does,
+    Newton starts from the diagonal seed phi_k = pi - 2 pi alpha_k, then from
+    at most 2N deterministic restarts spread over the torus around that
+    seed.  The first start that reaches a residual of 1e-10 wins; if none does,
     SolverError carries the best residual.  The returned divisor's float x
     can lose the chart angle on a gap narrower than about 1e-8, so the Abel
     map is evaluated again at the divisor's own chart; a residual above 1e-9
@@ -342,15 +340,12 @@ def invert_abel(gs, alpha, guess=None):
     gaps and divisors next to gap endpoints.
     """
     n = gs.n_gaps
-    target = np.asarray(alpha.alpha if isinstance(alpha, Character) else alpha, dtype=float)
+    target = np.asarray(alpha.alpha, dtype=float)
     if n == 0:
         return Divisor(())
     seed = _diagonal_seed(target)
-    starts = [] if guess is None else [np.asarray(chart_from_divisor(gs, guess).angles)]
-    starts.append(seed)
-    starts.extend((seed + _restart_offsets(n)) % _TWO_PI)
     best = None
-    for start in starts:
+    for start in [seed, *(seed + _restart_offsets(n)) % _TWO_PI]:
         phis, res = _newton_invert(gs, target[None, :], start[None, :])
         r = float(res[0])
         if best is None or r < best[0]:
@@ -444,7 +439,7 @@ def measure_box(gs, box, qtol=DEFAULT_QTOL):
     entries = _parse_box(gs, box)
     if not entries:
         return 1.0
-    poly = _lagrange_basis(_centred(gs), _harmonic_poly_coeffs(gs, qtol)[0])
+    poly = _lagrange_basis(gs.centred, _harmonic_poly_coeffs(gs, qtol)[0])
     js, a, b, _ = zip(*entries)
     inc = _gap_increment(gs, poly, js + js, b + a, qtol)
     # cols[s, j - 1] = omega_j(b_s) - omega_j(a_s), the transpose of the matrix above

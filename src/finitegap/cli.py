@@ -106,14 +106,6 @@ def _parse_z(args, default=None):
     return complex(re, im)
 
 
-def _need_gs(doc):
-    return GapSystem.from_json(doc)
-
-
-def _need_divisor(doc, gs):
-    return Divisor.from_json(doc).validate(gs)
-
-
 def _jsonify(obj):
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
@@ -140,20 +132,20 @@ def _emit(doc, cfg):
 
 
 def _cmd_critical(args, cfg, doc):
-    gs = _need_gs(doc)
+    gs = GapSystem.from_json(doc)
     cp = critical_points(gs, cfg.qtol)
     return {"c": list(cp.c), "h": list(cp.h)}
 
 
 def _cmd_green(args, cfg, doc):
-    gs = _need_gs(doc)
+    gs = GapSystem.from_json(doc)
     cp = critical_points(gs, cfg.qtol)
     z = _parse_z(args)
     return {"z": z, "green": green(gs, cp, z, cfg.qtol)}
 
 
 def _cmd_harmonic(args, cfg, doc):
-    gs = _need_gs(doc)
+    gs = GapSystem.from_json(doc)
     z = _parse_z(args)
     if z.imag != 0.0:
         raise ValidationError("harmonic measure evaluation point must be real")
@@ -161,7 +153,7 @@ def _cmd_harmonic(args, cfg, doc):
 
 
 def _cmd_dos(args, cfg, doc):
-    gs = _need_gs(doc)
+    gs = GapSystem.from_json(doc)
     cp = critical_points(gs, cfg.qtol)
     z = _parse_z(args)
     if z.imag != 0.0:
@@ -175,8 +167,8 @@ def _cmd_dos(args, cfg, doc):
 
 
 def _cmd_resolvents(args, cfg, doc):
-    gs = _need_gs(doc)
-    d = _need_divisor(doc, gs)
+    gs = GapSystem.from_json(doc)
+    d = Divisor.from_json(doc).validate(gs)
     pair = split_resolvents(gs, d)
     z = _parse_z(args, default=2j)
     return {
@@ -186,13 +178,14 @@ def _cmd_resolvents(args, cfg, doc):
         "r00": complex(r00(gs, d, z)),
         "p0sq": pair.p0sq,
         "q0": pair.q0,
-        "t_coeffs": list(pair.t_coeffs),
+        "t_centred": list(pair.t_centred),
+        "frame": list(gs.frame),
     }
 
 
 def _cmd_coeffs(args, cfg, doc):
-    gs = _need_gs(doc)
-    d = _need_divisor(doc, gs)
+    gs = GapSystem.from_json(doc)
+    d = Divisor.from_json(doc).validate(gs)
     seg = jacobi_cf.coefficients(gs, d, args.n0, args.n1, prec=cfg.precision)
     if cfg.fmt == "csv":
         sys.stdout.write(seg.to_csv())
@@ -201,8 +194,8 @@ def _cmd_coeffs(args, cfg, doc):
 
 
 def _cmd_transfer(args, cfg, doc):
-    gs = _need_gs(doc)
-    d = _need_divisor(doc, gs)
+    gs = GapSystem.from_json(doc)
+    d = Divisor.from_json(doc).validate(gs)
     n = args.n if args.n is not None else 5
     seg = jacobi_cf.coefficients(gs, d, 0, n + 1, prec=cfg.precision)
     z = _parse_z(args, default=2j)
@@ -221,13 +214,13 @@ def _cmd_transfer(args, cfg, doc):
 
 
 def _cmd_abel(args, cfg, doc):
-    gs = _need_gs(doc)
-    d = _need_divisor(doc, gs)
+    gs = GapSystem.from_json(doc)
+    d = Divisor.from_json(doc).validate(gs)
     return abel.abel_map(gs, d, cfg.qtol).to_json()
 
 
 def _cmd_invert(args, cfg, doc):
-    gs = _need_gs(doc)
+    gs = GapSystem.from_json(doc)
     alpha = abel.Character.from_json(doc)
     d = abel.invert_abel(gs, alpha)
     out = d.to_json()
@@ -236,8 +229,8 @@ def _cmd_invert(args, cfg, doc):
 
 
 def _cmd_shift_check(args, cfg, doc):
-    gs = _need_gs(doc)
-    d = _need_divisor(doc, gs)
+    gs = GapSystem.from_json(doc)
+    d = Divisor.from_json(doc).validate(gs)
     cp = critical_points(gs, cfg.qtol)
     res = abel.shift_covariance_residual(gs, cp, d, prec=cfg.precision, steps=args.steps,
                                          qtol=cfg.qtol)
@@ -245,8 +238,8 @@ def _cmd_shift_check(args, cfg, doc):
 
 
 def _cmd_kernel0(args, cfg, doc):
-    gs = _need_gs(doc)
-    d = _need_divisor(doc, gs)
+    gs = GapSystem.from_json(doc)
+    d = Divisor.from_json(doc).validate(gs)
     cp = critical_points(gs, cfg.qtol)
     delta0 = abel.widom_delta(cp)
     return {"k0": abel.kernel_at_origin(gs, cp, d, cfg.qtol),
@@ -254,13 +247,13 @@ def _cmd_kernel0(args, cfg, doc):
 
 
 def _cmd_measure(args, cfg, doc):
-    gs = _need_gs(doc)
+    gs = GapSystem.from_json(doc)
     box = doc.get("box", [])
     return {"measure": abel.measure_box(gs, box, cfg.qtol)}
 
 
 def _cmd_measure_mc(args, cfg, doc):
-    gs = _need_gs(doc)
+    gs = GapSystem.from_json(doc)
     box = doc.get("box", [])
     est, se = abel.measure_mc(gs, box, samples=args.mc_samples, seed=cfg.seed)
     return {"estimate": est, "stderr": se, "samples": args.mc_samples, "seed": cfg.seed}
@@ -274,7 +267,7 @@ def _cmd_comb(args, cfg, doc):
         bracket = GapSystem.from_json(doc["bracket"])
         gs = comb_mod.gaps_from_comb(comb, bracket)
         return gs.to_json()
-    gs = _need_gs(doc)
+    gs = GapSystem.from_json(doc)
     comb = comb_mod.comb_from_gaps(gs, qtol=cfg.qtol)
     out = comb.to_json()
     out["delta0"] = comb.delta0
@@ -316,9 +309,9 @@ def _verify_instance(name, doc, cfg, rng):
             "threshold": threshold, "pass": bool(value <= threshold),
         })
 
-    gs = _need_gs(doc)
+    gs = GapSystem.from_json(doc)
     cp = critical_points(gs, cfg.qtol)
-    d = _need_divisor(doc, gs) if "divisor" in doc else Divisor(())
+    d = Divisor.from_json(doc).validate(gs) if "divisor" in doc else Divisor(())
     pair = split_resolvents(gs, d)
 
     pts = []

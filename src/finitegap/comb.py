@@ -15,14 +15,7 @@ from .abel import kernel_at_origin
 from .errors import SolverError, ValidationError, json_number
 from .herglotz import Divisor
 from .quad import DEFAULT_QTOL
-from .spectral_set import (
-    GapSystem,
-    _centred,
-    _endpoint_jet,
-    _frame,
-    critical_points,
-    frequencies,
-)
+from .spectral_set import GapSystem, _endpoint_jet, critical_points, frequencies
 
 # gaps_from_comb stops at the first of: max |residual| <= _LM_RESIDUAL_TOL,
 # damping above _LM_MAX_DAMPING (steps too short to matter), _LM_MAX_ITER
@@ -164,8 +157,7 @@ def comb_jacobian(gs, cp, qtol=DEFAULT_QTOL):
     n = gs.n_gaps
     if n == 0:
         return np.zeros((0, 0))
-    cs = _centred(gs)
-    _, half = _frame(gs)
+    cs = gs.centred
     gaps, bands = np.array(cs.gaps).T, np.array(cs.bands).T
     # the gaps, the bands, and the gaps up to their critical points, in one call
     lo, hi = np.concatenate([gaps, bands, gaps], axis=1)
@@ -179,7 +171,7 @@ def comb_jacobian(gs, cp, qtol=DEFAULT_QTOL):
     dmass = dabs[: n + 1] / np.pi
     domega = np.cumsum(dmass[::-1], axis=0)[::-1][1:]  # omega_k = masses of bands k..N
     dh = dabs[n + 1 :]
-    return np.vstack([domega, dh]) / half
+    return np.vstack([domega, dh]) / gs.frame[1]
 
 
 def gaps_from_comb(comb, bracket):

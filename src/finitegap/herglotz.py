@@ -21,7 +21,7 @@ from operator import mul
 import numpy as np
 
 from .errors import SolverError, ValidationError, json_number
-from .spectral_set import GapSystem, _centred, _frame, _prod, dos_density, gap_branch_sign, sqrt_R
+from .spectral_set import GapSystem, _prod, dos_density, gap_branch_sign, sqrt_R
 
 # fixed-point bits of T in split_resolvents; at 64 T missed float64 by 1.5e-11
 _T_BITS = 128
@@ -106,7 +106,7 @@ class HerglotzPair:
 
     def t(self, z):
         """T(z) = half^(N+1) T_c((z - mid) / half)."""
-        mid, half = _frame(self.gs)
+        mid, half = self.gs.frame
         s = (np.asarray(z, dtype=complex) - mid) / half
         tc = np.polynomial.polynomial.polyval(s, self.t_centred)
         return half ** (len(self.t_centred) - 1) * tc
@@ -205,8 +205,8 @@ def _fixed_state(gs, divisor, w):
     R their product, xs the s_j of the divisor (in their closed gaps, as
     rounding is monotone), T from t_poly and 4 p0^2 = -[z^2N](R - T^2)."""
     divisor = divisor.normalized(gs)
-    mid, half = _frame(gs)
-    ends = [_to_fixed(e, w) for e in _centred(gs).endpoints]
+    mid, half = gs.frame
+    ends = [_to_fixed(e, w) for e in gs.centred.endpoints]
     xs = [_to_fixed((x - mid) / half, w) for x in divisor.xs]
     sigmas = [e * gap_branch_sign(gs, j) for j, e in enumerate(divisor.eps, start=1)]
     t = t_poly(ends, xs, sigmas, w)
@@ -227,7 +227,7 @@ def split_resolvents(gs, divisor):
     infinity.
     """
     divisor, _, _, t, _, four_p0sq = _fixed_state(gs, divisor, _T_BITS)
-    mid, half = _frame(gs)
+    mid, half = gs.frame
     t = [_from_fixed(c, _T_BITS) for c in t]
     # half^(N+1) T((z - mid) / half) by Horner in z - mid
     t_raw = np.array(t[-1:])

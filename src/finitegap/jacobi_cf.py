@@ -9,7 +9,7 @@ Pi' = (R - T'^2) / (-4 p^2 Pi).  The divisor, the roots of Pi with their
 sheets, is found only when `CFState.divisor` is read.
 
 The iteration runs on the centred set s = (t - mid) / half of [b0, a0]
-(`spectral_set._centred`), where |s| <= 1 and every coefficient of R, T
+(`GapSystem.centred`), where |s| <= 1 and every coefficient of R, T
 and Pi is O(2^(2N+2)).  There all state arithmetic is in fixed point on
 plain Python integers: v stands for v / 2^W with W = prec bits, since
 errors accumulate linearly in the number of steps.  `initial_state` is
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import SolverError, ValidationError
 from .herglotz import (Divisor, _conv, _fixed_state, _from_fixed, _pfromroots, _to_fixed,
                        split_resolvents)
-from .spectral_set import _frame, gap_branch_sign
+from .spectral_set import gap_branch_sign
 
 DEFAULT_PREC = 128
 
@@ -93,13 +93,13 @@ class CFState:
     @property
     def p0sq(self):
         """p0^2 in raw coordinates, correctly rounded."""
-        return _from_fixed(self.four_p0sq, self.prec + 2, _frame(self.gs)[1], 2)
+        return _from_fixed(self.four_p0sq, self.prec + 2, self.gs.frame[1], 2)
 
     @property
     def p0(self):
         """p0 = half sqrt(four_p0sq) / 2 in raw coordinates, the square root taken to 2 prec bits."""
         w = self.prec
-        return _from_fixed(isqrt(self.four_p0sq << 3 * w), 2 * w + 1, _frame(self.gs)[1])
+        return _from_fixed(isqrt(self.four_p0sq << 3 * w), 2 * w + 1, self.gs.frame[1])
 
     @property
     def divisor(self):
@@ -107,7 +107,7 @@ class CFState:
         sheet signs T gives them, and x = mid + half s clamped into its
         closed gap."""
         w = self.prec
-        mid, half = _frame(self.gs)
+        mid, half = self.gs.frame
         roots = _gap_roots(self.ends, self.pi_coeffs, w)
         eps = _eps_from_t(self.gs, self.ends, self.t_coeffs, roots, w)
         pts = tuple((min(max(_from_fixed(s, w, half, mid=mid), a), b), e)
@@ -260,7 +260,7 @@ def _cf_step_at_prec(state, prec):
     for the step and the next state back down to state.prec.  The remainder
     test keeps the tolerance of state.prec, the bits the state carries."""
     n = state.gs.n_gaps
-    mid, half = _frame(state.gs)
+    mid, half = state.gs.frame
     w, up = prec, prec - state.prec
     pi, t, r = state.pi_coeffs, state.t_coeffs, state.r_coeffs
     if up:

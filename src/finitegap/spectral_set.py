@@ -7,18 +7,18 @@ root of R(z) = (z-a0)(z-b0) prod (z-a_j)(z-b_j) with branch cuts on E.
 
 Each of these is an integral of p(t) dt / sqrt(R(t)) for a polynomial p
 (times log|z - t| for the Thouless potential), taken on the centred set
-(_centred), where [b0, a0] is [-1, 1] and G and the harmonic measures are
-the same, on one of two paths: _edge_integral runs along a stack of bands or
-gaps, each from its left edge, with the weight 1 / sqrt|R|, and _ray_integral
-runs straight from the nearest branch point to a point outside [b0, a0] or off
-the real axis with the complex branch of sqrt(R); _branch_integral picks the
-path for a point value of G or of a harmonic measure.  A quantity with one
-integral per gap or band (the moments, the periods and heights of the critical
-points, the band masses, the Abel map) takes one quadrature call for the whole
-stack.  The polynomials of the period problems (the critical points, the
-harmonic-measure polynomials, the comb Jacobian) are written in one Lagrange
-basis on the gap midpoints (_lagrange_basis), whose period matrix stays close
-to diagonal for any N.
+(GapSystem.centred), where [b0, a0] is [-1, 1] and G and the harmonic
+measures are the same, on one of two paths: _edge_integral runs along a stack
+of bands or gaps, each from its left edge, with the weight 1 / sqrt|R|, and
+_ray_integral runs straight from the nearest branch point to a point outside
+[b0, a0] or off the real axis with the complex branch of sqrt(R);
+_branch_integral picks the path for a point value of G or of a harmonic
+measure.  A quantity with one integral per gap or band (the moments, the
+periods and heights of the critical points, the band masses, the Abel map)
+takes one quadrature call for the whole stack.  The polynomials of the period
+problems (the critical points, the harmonic-measure polynomials, the comb
+Jacobian) are written in one Lagrange basis on the gap midpoints
+(_lagrange_basis), whose period matrix stays close to diagonal for any N.
 """
 
 from dataclasses import dataclass
@@ -67,7 +67,23 @@ class GapSystem:
             pts.extend((a, b))
         return tuple(sorted(pts))
 
-    @property
+    @cached_property
+    def frame(self):
+        """Midpoint and half-width of [b0, a0]: s = (t - mid) / half is the centred coordinate."""
+        return 0.5 * (self.a0 + self.b0), 0.5 * (self.a0 - self.b0)
+
+    @cached_property
+    def centred(self):
+        """The set in the centred coordinate, [b0, a0] mapped onto [-1, 1]; G and the
+        harmonic measures carry over unchanged."""
+        mid, half = self.frame
+        return GapSystem(
+            b0=(self.b0 - mid) / half,
+            a0=(self.a0 - mid) / half,
+            gaps=tuple(((a - mid) / half, (b - mid) / half) for a, b in self.gaps),
+        )
+
+    @cached_property
     def bands(self):
         """Closed intervals making up E, left to right (N+1 of them)."""
         lo = self.b0
@@ -123,8 +139,8 @@ class GapSystem:
 @dataclass(frozen=True)
 class CriticalPoints:
     """Critical points c_j of the Green's function, one per gap, with heights h_j = G(c_j),
-    and the centred roots s_j: c_j = mid + half s_j (_frame).  Every integral reads the
-    s_j, which keep their digits on a set moved far from its own scale."""
+    and the centred roots s_j: c_j = mid + half s_j (GapSystem.frame).  Every integral reads
+    the s_j, which keep their digits on a set moved far from its own scale."""
 
     c: tuple
     h: tuple
@@ -228,21 +244,6 @@ def _ray_integral(gs, num, edge, span, qtol):
         return np.real(scale * num(t) / np.multiply.reduce(np.sqrt(t - rest), axis=0))
 
     return gl_quad(f, 0.0, 1.0, qtol)
-
-
-def _frame(gs):
-    """Midpoint and half-width of [b0, a0]: s = (t - mid) / half is the centred coordinate."""
-    return 0.5 * (gs.a0 + gs.b0), 0.5 * (gs.a0 - gs.b0)
-
-
-def _centred(gs):
-    """The set in the centred coordinate; G and the harmonic measures carry over unchanged."""
-    mid, half = _frame(gs)
-    return GapSystem(
-        b0=(gs.b0 - mid) / half,
-        a0=(gs.a0 - mid) / half,
-        gaps=tuple(((a - mid) / half, (b - mid) / half) for a, b in gs.gaps),
-    )
 
 
 def _lagrange_nodes(cs):
@@ -357,11 +358,11 @@ def critical_points(gs, qtol=DEFAULT_QTOL):
     n = gs.n_gaps
     if n == 0:
         return CriticalPoints(c=(), h=(), s=())
-    cs = _centred(gs)
+    cs = gs.centred
     xi, dq = _lagrange_nodes(cs)
     p = _harmonic_poly_coeffs(gs, qtol)[1]
     s = np.sort(_lagrange_roots(xi, p * np.abs(dq).max() / dq))
-    mid, half = _frame(gs)
+    mid, half = gs.frame
     lo, hi = np.array(cs.gaps).T
     if not np.all((lo < s) & (s < hi)):
         raise SolverError("critical point outside its gap", iterate=mid + half * s)
@@ -400,7 +401,7 @@ def _harmonic_poly_coeffs(gs, qtol):
     n = gs.n_gaps
     if n == 0:
         return np.zeros((0, 0)), np.zeros(0)
-    cs = _centred(gs)
+    cs = gs.centred
     lo, hi = np.array(cs.gaps).T
     mom = _edge_integral(cs, _lagrange_basis(cs), lo, hi, hi, qtol).T
     signs = np.array([gap_branch_sign(gs, j) for j in range(1, n + 1)])
@@ -418,13 +419,13 @@ def _gap_increment(gs, num, js, xs, qtol):
     one quadrature call; num as in _edge_integral.  With the P_k of _harmonic_poly_coeffs
     this is omega_k(x_i) - omega_k(a_j).  Each row starts its rule at the gap end e nearer
     to x_i with x_i - e taken on gs, so x_i keeps its distance to either end."""
-    cs = _centred(gs)
+    cs = gs.centred
     rows = np.asarray(js) - 1
     (a, b), (ac, bc) = (np.array(g.gaps)[rows].T for g in (gs, cs))
     xs = np.asarray(xs, dtype=float)
     left = xs - a <= b - xs
     signs = np.array([gap_branch_sign(gs, j) for j in js])
-    return signs * _edge_integral(cs, num, ac, bc, (xs - np.where(left, a, b)) / _frame(gs)[1],
+    return signs * _edge_integral(cs, num, ac, bc, (xs - np.where(left, a, b)) / gs.frame[1],
                                   qtol, origin=np.where(left, ac, bc))
 
 
@@ -443,9 +444,8 @@ def _branch_integral(gs, num, z, qtol):
             inc = _gap_increment(gs, num, kind[1:], [z.real], qtol)[0]
             return gs.gap(kind[1])[0], float(inc)
     i = min(range(len(gs.endpoints)), key=lambda i: abs(z - gs.endpoints[i]))
-    cs = _centred(gs)
-    span = (z - gs.endpoints[i]) / _frame(gs)[1]
-    return gs.endpoints[i], _ray_integral(cs, num, cs.endpoints[i], span, qtol)
+    span = (z - gs.endpoints[i]) / gs.frame[1]
+    return gs.endpoints[i], _ray_integral(gs.centred, num, gs.centred.endpoints[i], span, qtol)
 
 
 def harmonic_measure(gs, k, x, qtol=DEFAULT_QTOL):
@@ -457,7 +457,7 @@ def harmonic_measure(gs, k, x, qtol=DEFAULT_QTOL):
     depends on E alone, not on the critical points.
     """
     _, b_k = gs.gap(k)
-    poly = _lagrange_basis(_centred(gs), _harmonic_poly_coeffs(gs, qtol)[0][k - 1])
+    poly = _lagrange_basis(gs.centred, _harmonic_poly_coeffs(gs, qtol)[0][k - 1])
     edge, inc = _branch_integral(gs, poly, x, qtol)
     return float(edge >= b_k) + inc
 
@@ -465,6 +465,7 @@ def harmonic_measure(gs, k, x, qtol=DEFAULT_QTOL):
 def harmonic_measure_density(gs, k, x):
     """d omega_k / dx at a point strictly inside a gap: half^N P_k(s) / sqrt(R(x)), P_k on
     the centred set."""
+    gs.gap(k)  # k in 1..N
     kind = gs.locate(x)
     if kind[0] != "gap":
         raise ValidationError("density is defined on open gaps only")
@@ -473,8 +474,8 @@ def harmonic_measure_density(gs, k, x):
     scale = max(1.0, gs.diameter)
     if min(x - lo, hi - x) < _EDGE_TOL * scale:
         raise ValidationError("square-root blow-up: x at a gap endpoint")
-    mid, half = _frame(gs)
-    poly = _lagrange_basis(_centred(gs), _harmonic_poly_coeffs(gs, DEFAULT_QTOL)[0][k - 1])
+    mid, half = gs.frame
+    poly = _lagrange_basis(gs.centred, _harmonic_poly_coeffs(gs, DEFAULT_QTOL)[0][k - 1])
     return float(half**gs.n_gaps * poly((x - mid) / half) / sqrt_R_gap(gs, j, x))
 
 
@@ -488,7 +489,7 @@ def dos_density(gs, cp, x):
     scale = max(1.0, gs.diameter)
     if min(abs(x - lo), abs(hi - x)) < _EDGE_TOL * scale:
         raise ValidationError("integrable singularity at band endpoint")
-    mid, half = _frame(gs)
+    mid, half = gs.frame
     root = np.sqrt(np.abs(_prod(x, np.array(gs.endpoints))))
     return float(half**gs.n_gaps * _dos_numerator(cp.s)((x - mid) / half) / (np.pi * root))
 
@@ -504,8 +505,8 @@ def _band_masses(gs, cp, x, qtol):
     """dos masses of the bands of E cap (-inf, x], on the centred set with the centred
     roots, which carry the same measure: one quadrature call for the full bands and
     one for a band that x cuts."""
-    mid, half = _frame(gs)
-    cs = _centred(gs)
+    mid, half = gs.frame
+    cs = gs.centred
     num = _dos_numerator(cp.s)
     lo, hi = np.array(cs.bands).T
     xc = (x - mid) / half
@@ -537,8 +538,8 @@ def dos_cdf(gs, cp, x, qtol=DEFAULT_QTOL):
 def thouless_potential(gs, cp, z, qtol=DEFAULT_QTOL):
     """Logarithmic potential int_E log|z - x| d omega(x): log half plus the same
     potential of the centred set at (z - mid) / half, one quadrature call over its bands."""
-    mid, half = _frame(gs)
-    cs = _centred(gs)
+    mid, half = gs.frame
+    cs = gs.centred
     zc = (complex(z) - mid) / half
     dos = _dos_numerator(cp.s)
 
@@ -556,7 +557,7 @@ def robin_constant(gs, cp, qtol=DEFAULT_QTOL):
     in _ray_integral, u = v / (1 - v) maps [0, inf) onto [0, 1), and P/sqrt(R)
     is one factor (t - c_j) / sqrt((t - a_j)(t - b_j)) per gap, so no product
     overflows."""
-    mid, half = _frame(gs)
+    mid, half = gs.frame
     # a0 - x on the centred set for the s_j, and from the differences on gs for the a_j, b_j
     dc = (gs.a0 - mid) / half - np.array(cp.s, dtype=float)[:, None]
     da, db = (gs.a0 - np.array(gs.gaps).reshape(-1, 2).T[..., None]) / half

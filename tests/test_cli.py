@@ -9,7 +9,7 @@ import pytest
 
 from finitegap import cli, comb
 from finitegap.cli import main
-from finitegap.spectral_set import critical_points
+from finitegap.spectral_set import GapSystem, critical_points, sqrt_R_gap
 
 ONE_GAP = {"band": [-2.0, 2.0], "gaps": [[-1.0, 1.0]]}
 ONE_GAP_DIV = dict(ONE_GAP, divisor=[{"x": 0.3, "eps": 1}])
@@ -62,6 +62,19 @@ class TestBasicCommands:
         v = complex(*doc["v"])
         r = complex(*doc["r00"])
         assert abs(u + v + 1.0 / r) < 1e-12
+
+    def test_resolvents_t_on_a_moved_set(self, capsys, tmp_path):
+        # T(z) = half^(N+1) sum_k t_k ((z - mid) / half)^k meets T(x_j) = eps_j sqrt(R)(x_j)
+        # on a set moved by 1e3, where raw monomial coefficients missed by 4e-7
+        shifted = {"band": [998.0, 1003.0], "gaps": [[999.0, 999.7], [1000.8, 1001.6]],
+                   "divisor": [{"x": 999.4, "eps": 1}, {"x": 1001.1, "eps": -1}]}
+        doc = run_json(capsys, ["resolvents"], shifted, tmp_path)
+        mid, half = doc["frame"]
+        gs = GapSystem.from_json(shifted)
+        for j, p in enumerate(shifted["divisor"], start=1):
+            x = p["x"]
+            t = half ** 3 * np.polynomial.polynomial.polyval((x - mid) / half, doc["t_centred"])
+            assert abs(t - p["eps"] * sqrt_R_gap(gs, j, x)) < 1e-10
 
     def test_coeffs_free(self, capsys, tmp_path):
         doc = run_json(

@@ -1,5 +1,5 @@
-"""Smoke tests of the experiment scripts that drive the continued fraction,
-run in-process on the two-gap fixture with small sizes."""
+"""Smoke tests of the experiment scripts, run in-process on the two-gap
+fixture with small sizes."""
 
 import runpy
 import sys
@@ -43,3 +43,17 @@ def test_invariant_measure_compare(monkeypatch, capsys):
     assert 0.0 < exact < 1.0
     assert 0.0 <= freq <= 1.0
     assert float(values["mc deviation"][0]) < 5.0
+
+
+def test_truncation_flow(monkeypatch, capsys):
+    lines = _run("truncation_flow.py", ["--n-max", "32"], monkeypatch, capsys)
+    assert lines[0].startswith("comb teeth (omega, h): [")
+    delta0 = lines[1].split()[2]
+    assert lines[2].split() == ["n", "teeth", "Delta_n(0)", "kernel", "k_n(0)"]
+    rows = [line.split() for line in lines[3:]]
+    assert [int(r[0]) for r in rows] == [2, 8, 32, 10**15]
+    deltas = [float(r[2]) for r in rows]
+    assert all(b <= a for a, b in zip(deltas, deltas[1:]))
+    assert rows[-1][2] == delta0
+    # eps = -1 at the critical points is the upper envelope k_n(0) = 1
+    assert all(r[3] == "1.0000000000" for r in rows)

@@ -116,7 +116,7 @@ class TestCriticalPoints:
         # a zero moved by 1e-3 of its gap at N = 16 leaves that gap's period
         # residual 3e6 times its bound
         gs = spaced_gap_system(np.random.default_rng(3), 16, min_share=0.009)
-        a, b = spectral_set._centred(gs).gaps[8]
+        a, b = gs.centred.gaps[8]
         roots = spectral_set._lagrange_roots
 
         def moved(xi, w):
@@ -300,8 +300,8 @@ class TestHarmonicMeasure:
 
         # P_k(t) dt / sqrt|R(t)| = half^N P_k(s) ds / sqrt|R(s)| on the centred set
         ends = np.array(two_gap.endpoints)
-        mid, half = spectral_set._frame(two_gap)
-        cs = spectral_set._centred(two_gap)
+        mid, half = two_gap.frame
+        cs = two_gap.centred
         for k in (1, 2):
             coeffs = spectral_set._harmonic_poly_coeffs(two_gap, 1e-12)[0][k - 1]
             poly = spectral_set._lagrange_basis(cs, coeffs)
@@ -350,6 +350,12 @@ class TestHarmonicMeasure:
         d = harmonic_measure_density(two_gap, 1, 1.2)
         fd = (harmonic_measure(two_gap, 1, 1.201) - harmonic_measure(two_gap, 1, 1.199)) / 0.002
         assert d == pytest.approx(fd, rel=1e-4)
+
+    @pytest.mark.parametrize("k", [0, -1, 3])
+    def test_density_gap_index(self, two_gap, k):
+        # k indexes the coefficient rows, so 0 and -1 would read gaps 2 and 1
+        with pytest.raises(ValidationError, match="gap index"):
+            harmonic_measure_density(two_gap, k, 1.2)
 
 
 class TestDensityOfStates:

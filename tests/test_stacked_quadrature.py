@@ -93,7 +93,7 @@ def _ref_geometry(gs):
     quadrature per gap: the roots of the Chebyshev series and one correction step
     from the periods of their product."""
     n = gs.n_gaps
-    cs = ss._centred(gs)
+    cs = gs.centred
     mom = np.array([_ref_edge(cs, lambda s: chebvander(s, n).T, a, b, b) for a, b in cs.gaps])
     p = np.append(np.linalg.solve(mom[:, :n], -mom[:, n]), 1.0)
     s = np.sort(chebroots(p).real)
@@ -112,7 +112,7 @@ def _ref_harmonic(gs):
     up to 6.6e-12 at N = 16, seed 1 (5.2e-12 with the moments of a 2^14-node rule),
     which is above qtol."""
     n = gs.n_gaps
-    cs = ss._centred(gs)
+    cs = gs.centred
     nu = np.array([a + (b - a) / 3.0 for a, b in cs.gaps])
 
     def basis(s):
@@ -128,14 +128,14 @@ def _ref_increment(gs, poly, j, x):
     """omega_k(x) - omega_k(a_j) for every k, x in gap j, with poly from _ref_harmonic:
     P_k(s) ds / sqrt|R(s)| on the centred set is half^N P_k(s) dt / sqrt|R(t)| on gs."""
     a, b = gs.gap(j)
-    mid, half = ss._frame(gs)
+    mid, half = gs.frame
     raw = lambda t: half**gs.n_gaps * poly((t - mid) / half)
     return ss.gap_branch_sign(gs, j) * _ref_edge(gs, raw, a, b, x)
 
 
 def _ref_band_masses(gs, s, x):
-    cs = ss._centred(gs)
-    mid, half = ss._frame(gs)
+    cs = gs.centred
+    mid, half = gs.frame
     xc = (x - mid) / half
     dos = _prod(s)
     return np.array([_ref_edge(cs, lambda t: np.abs(dos(t)), lo, hi, min(xc, hi)) / np.pi
@@ -157,7 +157,7 @@ def _agreement_sets():
 def test_stacked_matches_per_interval(n, seed, scale, shift, min_share):
     rng = np.random.default_rng(seed)
     gs = spaced_gap_system(rng, n, scale=scale, shift=shift, min_share=min_share)
-    mid, half = ss._frame(gs)
+    mid, half = gs.frame
     qtol = DEFAULT_QTOL
     s, h = _ref_geometry(gs)
     cp = ss.critical_points(gs)
@@ -173,7 +173,7 @@ def test_stacked_matches_per_interval(n, seed, scale, shift, min_share):
     # P_k at 4 points of every gap, where P_k / sqrt(R) is the density of omega_k, and
     # at 9 points of [-1, 1], relative to the largest |P_k| there
     ss._harmonic_poly_coeffs.cache_clear()
-    cs = ss._centred(gs)
+    cs = gs.centred
     poly = ss._lagrange_basis(cs, ss._harmonic_poly_coeffs(gs, qtol)[0])
     ref_poly = _ref_harmonic(gs)
     lo, hi = np.array(cs.gaps).T
