@@ -15,7 +15,9 @@ The sweep (all seeded):
   the kernel at the origin for one divisor, and at N <= 3 the comb round trip;
 - divisors: N = 1..16, the same three frames, 128 and 256 bits, four divisors
   (random, on every a_j, on every b_j, and 1e-13 gap widths inside alternate
-  ends), each read at sites 0..9 of the continued fraction: 3840 reads.
+  ends), each read at sites 0..9 of the continued fraction: 3840 reads;
+- windows: the same sets, precisions and divisors, the coefficients
+  p_n, q_n for -8 <= n <= 8 of each, from jacobi_cf.coefficients.
 A SolverError is recorded by its message, so failures are compared as well.
 """
 
@@ -76,15 +78,21 @@ def _geometry(gs, rng, qtol, out):
         _record(out, lambda: _hex(comb.gaps_from_comb(comb.comb_from_gaps(gs, cp), bracket).gaps))
 
 
-def _divisors(gs, rng, prec, out):
-    """Appends the divisor reads of four orbits to out; returns their number."""
-    reads = 0
+def _starts(gs, rng):
+    """Four divisors: random, on every a_j, on every b_j, and 1e-13 gap widths
+    inside alternate ends."""
     a, b = np.array(gs.gaps).T
     inner = 1e-13 * (b - a)
     alt = np.where(np.arange(gs.n_gaps) % 2 == 0, a + inner, b - inner)
     signs = [int(rng.choice([-1, 1])) for _ in a]
-    for xs in (rng.uniform(a, b), a, b, alt):
-        state = jacobi_cf.initial_state(gs, Divisor(tuple(zip(xs, signs))), prec)
+    return [Divisor(tuple(zip(xs, signs))) for xs in (rng.uniform(a, b), a, b, alt)]
+
+
+def _divisors(gs, starts, prec, out):
+    """Appends the divisor reads of the orbits of starts to out; returns their number."""
+    reads = 0
+    for divisor in starts:
+        state = jacobi_cf.initial_state(gs, divisor, prec)
         for site in range(10):
             try:
                 out.extend(f"{x.hex()} {e}" for x, e in state.divisor.points)
@@ -97,8 +105,18 @@ def _divisors(gs, rng, prec, out):
     return reads
 
 
+def _windows(gs, starts, prec, out):
+    """Appends p_n, q_n for -8 <= n <= 8 from each of starts to out."""
+    for divisor in starts:
+        def window():
+            seg = jacobi_cf.coefficients(gs, divisor, -8, 8, prec)
+            return _hex(seg.p + seg.q)
+
+        _record(out, window)
+
+
 def main():
-    groups = {"geometry": [], "divisors": []}
+    groups = {"geometry": [], "divisors": [], "windows": []}
     for n in range(1, 25):
         for seed in (0, 1):
             for scale, shift in FRAMES:
@@ -111,7 +129,9 @@ def main():
         for scale, shift in FRAMES:
             gs = _set(np.random.default_rng([n, 2]), n, scale, shift)
             for prec in (128, 256):
-                reads += _divisors(gs, np.random.default_rng([n, 3]), prec, groups["divisors"])
+                starts = _starts(gs, np.random.default_rng([n, 3]))
+                reads += _divisors(gs, starts, prec, groups["divisors"])
+                _windows(gs, starts, prec, groups["windows"])
     doc = {name: {"values": len(vals), "sha256": hashlib.sha256("\n".join(vals).encode()).hexdigest()}
            for name, vals in groups.items()}
     doc["divisors"]["reads"] = reads

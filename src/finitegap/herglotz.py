@@ -141,13 +141,20 @@ def _to_fixed(x, w):
     return (num << w) // den
 
 
-def _from_fixed(v, w, half=1.0, k=1, mid=0.0):
-    """mid + half^k v / 2^w for fixed-point v, correctly rounded to float64
-    by one integer true division."""
+def _fixed_ratio(w, half=1.0, k=1, mid=0.0):
+    """(off, scale, den) with mid + half^k v / 2^w = (off + scale v) / den
+    for fixed-point v at w bits, from the integer ratios of half and mid."""
     hn, hd = float(half).as_integer_ratio()
     mn, md = float(mid).as_integer_ratio()
     den = hd ** k << w
-    return (mn * den + md * hn ** k * v) / (md * den)
+    return mn * den, md * hn ** k, md * den
+
+
+def _from_fixed(v, w, half=1.0, k=1, mid=0.0):
+    """mid + half^k v / 2^w for fixed-point v, correctly rounded to float64
+    by one integer true division."""
+    off, scale, den = _fixed_ratio(w, half, k, mid)
+    return (off + scale * v) / den
 
 
 def _conv(a, b, k):
@@ -173,7 +180,8 @@ def _pfromroots(roots, w):
 def t_poly(ends, xs, sigmas, w):
     """Ascending fixed-point coefficients of T at w bits, for the branch
     points ``ends`` and the divisor points ``xs``, both in fixed point, and
-    ``sigmas``, sigma_j = eps_j times the branch sign of sqrt(R) on gap j.
+    ``sigmas``, sigma_j = eps_j times the branch sign of sqrt(R) on gap j;
+    returns (Pi, T), Pi the monic prod (z - x_j) that T is built on.
 
     With y_j = sigma_j sqrt|R(x_j)|, zero at a gap endpoint, and
     s1 = -sum(ends) / 2,
@@ -196,26 +204,26 @@ def t_poly(ends, xs, sigmas, w):
         for k in range(n - 1, -1, -1):
             t[k] += c * q >> w
             q = pi[k] + (x * q >> w)
-    return t
+    return pi, t
 
 
 def _fixed_state(gs, divisor, w):
-    """(normalized divisor, ends, xs, T, R, 4 p0^2) in fixed point at w bits
+    """(normalized divisor, ends, Pi, T, R, 4 p0^2) in fixed point at w bits
     on the set centred by s = (t - mid) / half: ends b0, a_1, b_1, ..., a0,
-    R their product, xs the s_j of the divisor (in their closed gaps, as
-    rounding is monotone), T from t_poly and 4 p0^2 = -[z^2N](R - T^2)."""
+    R their product, Pi and T from t_poly on the s_j of the divisor (in their
+    closed gaps, as rounding is monotone) and 4 p0^2 = -[z^2N](R - T^2)."""
     divisor = divisor.normalized(gs)
     mid, half = gs.frame
     ends = [_to_fixed(e, w) for e in gs.centred.endpoints]
     xs = [_to_fixed((x - mid) / half, w) for x in divisor.xs]
     sigmas = [e * gap_branch_sign(gs, j) for j, e in enumerate(divisor.eps, start=1)]
-    t = t_poly(ends, xs, sigmas, w)
+    pi, t = t_poly(ends, xs, sigmas, w)
     r = _pfromroots(ends, w)
     n = len(xs)
     four_p0sq = (_conv(t, t, 2 * n) - (r[2 * n] << w)) >> w
     if four_p0sq <= 0:
         raise SolverError(f"nonpositive p0^2 = {four_p0sq / (4 << w) * half**2}: invalid divisor data")
-    return divisor, ends, xs, t, r, four_p0sq
+    return divisor, ends, pi, t, r, four_p0sq
 
 
 def split_resolvents(gs, divisor):

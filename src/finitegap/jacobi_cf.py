@@ -18,22 +18,30 @@ q_n = mid + half q, p_n^2 = half^2 p^2 and the divisor x = mid + half s
 leave through one correctly rounded integer true division each.
 
 R(z) = prod (z - e) over the 2N+2 endpoints is built once per window and
-carried with every state.  A step reads only the coefficients it needs:
-each coefficient of a product, of R - T^2 and of its quotient by Pi is one
-exact sum of integer products over the pairs of factors that form it,
-shifted once; quotients are `(a << W) // b`.  The orthogonal polynomials
-come from one pass of the three-term recurrence (`_polys`).
+carried with every state.  There is one step body, the generator `_steps`:
+it forms once per window what does not change from site to site (R 2^W,
+max |r_k|, the shift of the remainder test, the frame's integer ratios for
+q and p^2) and then runs site after site on plain integer lists.  A step
+reads only the coefficients it needs: each coefficient of a product, of
+R - T^2 and of its quotient by Pi is one exact sum of integer products over
+the pairs of factors that form it, shifted once, and the coefficients of
+T^2 are symmetric squares, twice the products below the middle plus the
+middle square; quotients are `(a << W) // b`.  `cf_step` takes one site of
+`_steps`; `iterate` runs a whole window of them and builds a CFState only
+at its end, or at a site whose step raises, which then takes cf_step's
+retry at 2 x prec bits.  The orthogonal polynomials come from one pass of
+the three-term recurrence (`_polys`).
 """
 
 from dataclasses import dataclass, replace
+from itertools import islice
 from math import isqrt
 from operator import mul
 
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .herglotz import (Divisor, _conv, _fixed_state, _from_fixed, _pfromroots, _to_fixed,
-                       split_resolvents)
+from .herglotz import Divisor, _fixed_ratio, _fixed_state, _from_fixed, _to_fixed, split_resolvents
 from .spectral_set import gap_branch_sign
 
 DEFAULT_PREC = 128
@@ -148,25 +156,47 @@ class JacobiSegment:
 
 def initial_state(gs, divisor, prec=DEFAULT_PREC):
     """CFState at site 0 from a divisor: herglotz._fixed_state at prec bits."""
-    _, ends, xs, t, r, four_p0sq = _fixed_state(gs, divisor, prec)
-    return CFState(gs=gs, pi_coeffs=tuple(_pfromroots(xs, prec)), t_coeffs=tuple(t), ends=tuple(ends),
-                   r_coeffs=tuple(r), four_p0sq=four_p0sq, prec=prec)
+    _, ends, pi, t, r, four_p0sq = _fixed_state(gs, divisor, prec)
+    return CFState(gs=gs, pi_coeffs=tuple(pi), t_coeffs=tuple(t), ends=tuple(ends), r_coeffs=tuple(r),
+                   four_p0sq=four_p0sq, prec=prec)
 
 
-def _reduce_divide(r, t, pi, w, prec):
+def _r_terms(r, w, prec):
+    """What _reduce_divide reads of R at w bits, formed once per window: a
+    row (r_k 2^w, below, above, middle) for each k <= 2N, where the slices
+    below and above of T pair the factors t_i t_(k-i) with i < k - i, and
+    middle is k / 2 for even k, else None; the shift w + prec - 26 of the
+    remainder test; and max |r_k|."""
+    n = (len(r) - 3) // 2
+    rows = []
+    for k in range(2 * n + 1):
+        lo, hi = max(0, k - n - 1), (k + 1) >> 1
+        rows.append((r[k] << w, slice(lo, hi), slice(k - lo, k - hi, -1), None if k & 1 else hi))
+    return rows, w + prec - 26, max(map(abs, r))
+
+
+def _reduce_divide(t, pi, w, r_terms):
     """(4 p^2, monic quotient) of (R - T^2) / (-4 p^2 Pi), with -4 p^2 the
     z^2N coefficient of R - T^2 and Pi monic of degree N, all given by their
-    coefficients in fixed point at w bits.
+    coefficients in fixed point at w bits; r_terms comes from _r_terms.
 
     R - T^2 has degree 2N by construction of T: its monic leading terms
     cancel, and q cancels the z^(2N+1) term.  Pi must divide it: the largest
     coefficient of the remainder, which has degree N - 1, must be at most
     2^(26 - prec) max |r_k| times 4 p^2, with prec <= w the bits the state
     carries.  Each coefficient of R - T^2 and of the top-down long division
-    by Pi is one exact sum of products, shifted once.
+    by Pi is one exact sum of products, shifted once; the z^k coefficient of
+    T^2 is the symmetric square, twice the products t_i t_(k-i) with i < k - i
+    plus t_(k/2)^2 for even k.
     """
+    rows, shift, r_max = r_terms
     n = len(pi) - 1
-    num = [((r[k] << w) - _conv(t, t, k)) >> w for k in range(2 * n + 1)]
+    num = []
+    for rk, below, above, middle in rows:
+        sq = sum(map(mul, t[below], t[above])) << 1
+        if middle is not None:
+            sq += t[middle] * t[middle]
+        num.append((rk - sq) >> w)
     lead = num[2 * n]
     if lead >= 0:
         raise SolverError(f"nonpositive p^2 = {-lead / (4 << w)}")
@@ -176,7 +206,7 @@ def _reduce_divide(r, t, pi, w, prec):
     rem_max = max((abs(((num[k] << w) - sum(map(mul, pi[k::-1], quot))) >> w) for k in range(n)),
                   default=0)
     # rem_max / |lead| > 2^(26 - prec) max |r_k|, in integers
-    if rem_max << (w + prec - 26) > max(map(abs, r)) * -lead:
+    if rem_max << shift > r_max * -lead:
         raise SolverError("polynomial division remainder above tolerance",
                           residual=rem_max / -lead)
     return -lead, [(c << w) // lead for c in quot]
@@ -255,28 +285,48 @@ def _eps_from_t(gs, ends, t_coeffs, roots, w):
     return tuple(eps)
 
 
-def _cf_step_at_prec(state, prec):
-    """cf_step at prec >= state.prec bits; (Pi, T, R) are shifted up to prec
-    for the step and the next state back down to state.prec.  The remainder
-    test keeps the tolerance of state.prec, the bits the state carries."""
+def _steps(state, w):
+    """The continued-fraction steps from state at w >= state.prec bits, one
+    site per next(): yields (q_n, p_(n+1)^2, 4 p_(n+1)^2, Pi', T'), the
+    floats correctly rounded and the rest in fixed point at w bits.  (Pi, T,
+    R) are shifted up to w once; R's terms and the frame's integer ratios
+    are formed once, and the remainder test keeps the tolerance of
+    state.prec, the bits the state carries."""
     n = state.gs.n_gaps
     mid, half = state.gs.frame
-    w, up = prec, prec - state.prec
-    pi, t, r = state.pi_coeffs, state.t_coeffs, state.r_coeffs
-    if up:
-        pi, t, r = ([c << up for c in v] for v in (pi, t, r))
-    # q from the vanishing z^(2N+1) coefficient of R - (A + qB)^2 with
-    # A = T - 2z Pi and B = 2 Pi; B^2 has degree 2N and, T and Pi being
-    # monic, the z^(2N+1) coefficient of 2AB is -4, so q is explicit
-    a = [t[0]] + [t[i] - 2 * pi[i - 1] for i in range(1, n + 2)]
-    k = 2 * n + 1
-    q = (_conv(a, a, k) - (r[k] << w)) >> (w + 2)
-    # the next T is -(A + qB)
-    t_next = [-(ai + (2 * pii * q >> w)) for ai, pii in zip(a, pi)] + [-a[-1]]
-    four_p1sq, quot = _reduce_divide(r, t_next, pi, w, state.prec)
-    nxt = replace(state, pi_coeffs=tuple(c >> up for c in quot), t_coeffs=tuple(c >> up for c in t_next),
-                  four_p0sq=four_p1sq >> up)
-    return _from_fixed(q, w, half, mid=mid), _from_fixed(four_p1sq, w + 2, half, 2), nxt
+    up = w - state.prec
+    pi, t, r = ([c << up for c in v] for v in (state.pi_coeffs, state.t_coeffs, state.r_coeffs))
+    r_top, r_terms = r[2 * n + 1] << w, _r_terms(r, w, state.prec)
+    q_off, q_scale, q_den = _fixed_ratio(w, half, mid=mid)
+    _, p_scale, p_den = _fixed_ratio(w + 2, half, 2)
+    while True:
+        # q from the vanishing z^(2N+1) coefficient of R - (A + qB)^2 with
+        # A = T - 2z Pi and B = 2 Pi; B^2 has degree 2N and, T and Pi being
+        # monic, the z^(2N+1) coefficient of 2AB is -4 and that of A^2 is
+        # 2 a_N a_(N+1), so q is explicit
+        a = [t[0]] + [ti - 2 * pii for ti, pii in zip(t[1:], pi)]
+        q = ((a[n] * a[n + 1] << 1) - r_top) >> (w + 2)
+        # the next T is -(A + qB)
+        t = [-(ai + (2 * pii * q >> w)) for ai, pii in zip(a, pi)] + [-a[-1]]
+        four_psq, pi = _reduce_divide(t, pi, w, r_terms)
+        yield (q_off + q_scale * q) / q_den, p_scale * four_psq / p_den, four_psq, pi, t
+
+
+def _cf_step_at_prec(state, prec):
+    """cf_step at prec >= state.prec bits: the first of _steps, with the next
+    state shifted back down to state.prec."""
+    up = prec - state.prec
+    q, psq, four_psq, pi, t = next(_steps(state, prec))
+    return q, psq, replace(state, pi_coeffs=tuple(c >> up for c in pi), t_coeffs=tuple(c >> up for c in t),
+                           four_p0sq=four_psq >> up)
+
+
+def _retry(state, first):
+    """The second attempt of a step at 2 x prec bits, after the first raised."""
+    try:
+        return _cf_step_at_prec(state, 2 * state.prec)
+    except SolverError as second:
+        raise second from first
 
 
 def cf_step(state):
@@ -285,10 +335,7 @@ def cf_step(state):
         return _cf_step_at_prec(state, state.prec)
     except SolverError as first:
         # escalate once before giving up
-        try:
-            return _cf_step_at_prec(state, 2 * state.prec)
-        except SolverError as second:
-            raise second from first
+        return _retry(state, first)
 
 
 def dual_state(state):
@@ -297,18 +344,32 @@ def dual_state(state):
     Its Pi is (R - T^2) / (-4 p0^2 Pi); T and p0^2 are unchanged.
     """
     w = state.prec
-    _, quot = _reduce_divide(state.r_coeffs, state.t_coeffs, state.pi_coeffs, w, w)
+    _, quot = _reduce_divide(state.t_coeffs, state.pi_coeffs, w, _r_terms(state.r_coeffs, w, w))
     return replace(state, pi_coeffs=tuple(quot))
 
 
 def iterate(state, nsteps):
-    """Run nsteps of cf_step; returns (qs, psqs, final state)."""
+    """Run nsteps of cf_step; returns (qs, psqs, final state).
+
+    The steps run as one loop on the integer lists of _steps at state.prec,
+    and the final state is built once.  A site whose step raises becomes a
+    CFState and takes cf_step's retry at 2 x prec; the loop resumes from the
+    state it returns.
+    """
     qs, psqs = [], []
-    for _ in range(nsteps):
-        qn, psq, state = cf_step(state)
-        qs.append(qn)
-        psqs.append(psq)
-    return qs, psqs, state
+    while True:
+        four_psq, pi, t = state.four_p0sq, state.pi_coeffs, state.t_coeffs
+        try:
+            for q, psq, four_psq, pi, t in islice(_steps(state, state.prec), max(nsteps - len(qs), 0)):
+                qs.append(q)
+                psqs.append(psq)
+        except SolverError as first:
+            q, psq, state = _retry(replace(state, pi_coeffs=tuple(pi), t_coeffs=tuple(t),
+                                           four_p0sq=four_psq), first)
+            qs.append(q)
+            psqs.append(psq)
+            continue
+        return qs, psqs, replace(state, pi_coeffs=tuple(pi), t_coeffs=tuple(t), four_p0sq=four_psq)
 
 
 def coefficients(gs, divisor, n0, n1, prec=DEFAULT_PREC):

@@ -13,7 +13,7 @@ from conftest import random_divisor, random_gap_system, spaced_gap_system
 from finitegap import jacobi_cf as jc
 from finitegap.abel import shift_covariance_residual
 from finitegap.errors import SolverError, ValidationError
-from finitegap.herglotz import Divisor, _fixed_state, split_resolvents
+from finitegap.herglotz import Divisor, _fixed_state, _pfromroots, _to_fixed, split_resolvents
 from finitegap.spectral_set import GapSystem, critical_points, frequencies
 from oracle_stieltjes import halfline_measure, stieltjes_coefficients
 
@@ -21,6 +21,25 @@ from oracle_stieltjes import halfline_measure, stieltjes_coefficients
 # frozen from the resolvent splitting: p^2 alternates between these values
 _P2_HI = 2.1481463301100208
 _P2_LO = 0.2618536698899794
+
+
+_REMAINDER = "polynomial division remainder above tolerance"
+
+
+def _chain(state, nsteps):
+    """(qs, psqs, final state) of nsteps calls of cf_step."""
+    qs, psqs = [], []
+    for _ in range(nsteps):
+        q, psq, state = jc.cf_step(state)
+        qs.append(q)
+        psqs.append(psq)
+    return qs, psqs, state
+
+
+def _bits(run):
+    """A run of iterate or _chain with its floats as float.hex."""
+    qs, psqs, state = run
+    return [q.hex() for q in qs], [p.hex() for p in psqs], state
 
 
 class TestCfStep:
@@ -70,9 +89,13 @@ class TestCfStep:
             t = list(st.t_coeffs)
             t[k] += abs(t[k]) >> 80
             bad = replace(st, t_coeffs=tuple(t))
-            for step in (jc.cf_step, jc.dual_state):
-                with pytest.raises(SolverError, match="polynomial division remainder above tolerance"):
+            for step in (jc.cf_step, lambda s: jc.iterate(s, 5), jc.dual_state):
+                with pytest.raises(SolverError, match=_REMAINDER) as info:
                     step(bad)
+                if step is not jc.dual_state:
+                    # the retry at 2 x prec raises it again, from the first error
+                    assert isinstance(info.value.__cause__, SolverError)
+                    assert str(info.value.__cause__) == _REMAINDER
 
     def test_step_finds_no_divisor(self, three_gap, rng, monkeypatch):
         # roots and sheet signs are found only when CFState.divisor is read
@@ -178,6 +201,40 @@ def test_affine_covariance(seed, n_gaps, log_scale, shift_share):
 _PINNED = json.loads((Path(__file__).parent / "cf_pinned.json").read_text())
 
 
+class TestWindow:
+    # iterate runs a window as one loop on the integer lists of the state; it
+    # must give the floats and the final state of the cf_step chain bit for bit
+
+    @pytest.mark.parametrize("prec", [128, 256, 512])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    def test_window_equals_the_step_chain(self, n, prec):
+        rng = np.random.default_rng([n, prec])
+        gs = spaced_gap_system(rng, n, scale=3.0, shift=rng.uniform(-40.0, 40.0))
+        st = jc.initial_state(gs, random_divisor(gs, rng, margin=0.01), prec)
+        for start in (st, jc.dual_state(st)):
+            assert _bits(jc.iterate(start, 12)) == _bits(_chain(start, 12))
+
+    def test_site_failing_at_prec_is_retried_at_twice_the_bits(self, three_gap, rng, monkeypatch):
+        # site 3 fails at prec bits only; the window and the chain both take
+        # it at 2 x prec and go on from its state rounded back to prec
+        st = jc.initial_state(three_gap, random_divisor(three_gap, rng))
+        divide, widths = jc._reduce_divide, []
+
+        def fail_site_3(t, pi, w, r_terms):
+            widths.append(w)
+            if len(widths) == 4:
+                raise SolverError(_REMAINDER)
+            return divide(t, pi, w, r_terms)
+
+        monkeypatch.setattr(jc, "_reduce_divide", fail_site_3)
+        runs = []
+        for run in (jc.iterate, _chain):
+            widths.clear()
+            runs.append(_bits(run(st, 8)))
+            assert widths == [st.prec] * 4 + [2 * st.prec] + [st.prec] * 4
+        assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("prec", [128, 256])
 @pytest.mark.parametrize("doc", _PINNED, ids=[f"n{len(d['gaps'])}" for d in _PINNED])
 def test_pinned_window(doc, prec):
@@ -218,7 +275,7 @@ class TestGapRoots:
     @classmethod
     def _roots(cls, root):
         ends = [cls._fixed(e, 2) for e in (-4, -2, -1, 1, 2, 4)]  # [-2, 2] with gaps [-1, -0.5], [0.5, 1]
-        return jc._gap_roots(ends, jc._pfromroots([root, cls._fixed(7, 10)], cls.W), cls.W)
+        return jc._gap_roots(ends, _pfromroots([root, cls._fixed(7, 10)], cls.W), cls.W)
 
     @classmethod
     def _fixed(cls, num, den):
@@ -252,8 +309,9 @@ class TestGapRoots:
                        ((646.4618208016293, 657.5378736626162), (658.8686782278693, 671.2939172855669),
                         (675.2241015077735, 679.2965157625694)))
         d = Divisor(((657.5378736626162, 1), (669.2514023776356, 1), (675.2241015077736, -1)))
-        _, ends, xs, _, _, _ = _fixed_state(gs, d, 128)
-        roots = jc._gap_roots(ends, jc._pfromroots(xs, 128), 128)
+        _, ends, pi, _, _, _ = _fixed_state(gs, d, 128)
+        xs = [_to_fixed((x - gs.frame[0]) / gs.frame[1], 128) for x in d.xs]
+        roots = jc._gap_roots(ends, pi, 128)
         assert max(abs(r - x) for r, x in zip(roots, xs)) <= 2**5
         assert jc.initial_state(gs, d).divisor == d.normalized(gs)
 
