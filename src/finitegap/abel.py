@@ -334,10 +334,12 @@ def invert_abel(gs, alpha):
     at most 2N deterministic restarts spread over the torus around that
     seed.  The first start that reaches a residual of 1e-10 wins; if none does,
     SolverError carries the best residual.  The returned divisor's float x
-    can lose the chart angle on a gap narrower than about 1e-8, so the Abel
-    map is evaluated again at the divisor's own chart; a residual above 1e-9
-    there is a SolverError too.  Tested for N up to 16, thin bands, thin
-    gaps and divisors next to gap endpoints.
+    can lose the chart angle next to a gap end when the gap is narrow
+    against |x| (below about 1e-8 at |x| ~ 1, and at 1e-7 gap widths from
+    an end of a 0.02 gap at x ~ 756), so the Abel map is evaluated again at
+    the divisor's own chart; a residual above 1e-9 there is a SolverError
+    too.  Tested for N up to 16, thin bands, thin gaps and divisors next to
+    gap endpoints.
     """
     n = gs.n_gaps
     target = np.asarray(alpha.alpha, dtype=float)

@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from math import isfinite
 
 import numpy as np
 
@@ -103,6 +104,8 @@ def _parse_z(args, default=None):
         im = float(parts[1]) if len(parts) > 1 else 0.0
     except (ValueError, IndexError):
         raise ValidationError(f"cannot parse --z {args.z!r} as RE[,IM]")
+    if not (isfinite(re) and isfinite(im)):
+        raise ValidationError(f"--z {args.z!r} is not finite")
     return complex(re, im)
 
 

@@ -1,5 +1,7 @@
 """Exception types, and the number check of the JSON readers, shared across the package."""
 
+from math import isfinite
+
 
 class ValidationError(ValueError):
     """Raised when input data violates a documented invariant."""
@@ -19,8 +21,11 @@ class SolverError(RuntimeError):
 
 def json_number(value):
     """value itself, unless it is a string or a bool: float() would read "0.3"
-    as a number and True passes an index or sign test as 1.  Raises
-    TypeError, which each JSON reader turns into ValidationError."""
+    as a number and True passes an index or sign test as 1; or a NaN or an
+    infinity, which json.load reads from NaN and Infinity.  Raises TypeError
+    or ValueError, which each JSON reader turns into ValidationError."""
     if isinstance(value, (str, bool)):
         raise TypeError(f"expected a number, got {value!r}")
+    if isinstance(value, float) and not isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
     return value

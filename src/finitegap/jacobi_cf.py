@@ -26,11 +26,11 @@ reads only the coefficients it needs: each coefficient of a product, of
 R - T^2 and of its quotient by Pi is one exact sum of integer products over
 the pairs of factors that form it, shifted once, and the coefficients of
 T^2 are symmetric squares, twice the products below the middle plus the
-middle square; quotients are `(a << W) // b`.  `cf_step` takes one site of
-`_steps`; `iterate` runs a whole window of them and builds a CFState only
-at its end, or at a site whose step raises, which then takes cf_step's
-retry at 2 x prec bits.  The orthogonal polynomials come from one pass of
-the three-term recurrence (`_polys`).
+middle square; quotients are `(a << W) // b`.  Every step runs at the
+state's own W bits.  `cf_step` takes one site of `_steps`; `iterate` runs a
+whole window of them and builds a CFState only at its end.  A step whose
+remainder test fails raises `SolverError`.  The orthogonal polynomials come
+from one pass of the three-term recurrence (`_polys`).
 """
 
 from dataclasses import dataclass, replace
@@ -161,18 +161,18 @@ def initial_state(gs, divisor, prec=DEFAULT_PREC):
                    four_p0sq=four_p0sq, prec=prec)
 
 
-def _r_terms(r, w, prec):
+def _r_terms(r, w):
     """What _reduce_divide reads of R at w bits, formed once per window: a
     row (r_k 2^w, below, above, middle) for each k <= 2N, where the slices
     below and above of T pair the factors t_i t_(k-i) with i < k - i, and
-    middle is k / 2 for even k, else None; the shift w + prec - 26 of the
+    middle is k / 2 for even k, else None; the shift 2w - 26 of the
     remainder test; and max |r_k|."""
     n = (len(r) - 3) // 2
     rows = []
     for k in range(2 * n + 1):
         lo, hi = max(0, k - n - 1), (k + 1) >> 1
         rows.append((r[k] << w, slice(lo, hi), slice(k - lo, k - hi, -1), None if k & 1 else hi))
-    return rows, w + prec - 26, max(map(abs, r))
+    return rows, 2 * w - 26, max(map(abs, r))
 
 
 def _reduce_divide(t, pi, w, r_terms):
@@ -183,11 +183,10 @@ def _reduce_divide(t, pi, w, r_terms):
     R - T^2 has degree 2N by construction of T: its monic leading terms
     cancel, and q cancels the z^(2N+1) term.  Pi must divide it: the largest
     coefficient of the remainder, which has degree N - 1, must be at most
-    2^(26 - prec) max |r_k| times 4 p^2, with prec <= w the bits the state
-    carries.  Each coefficient of R - T^2 and of the top-down long division
-    by Pi is one exact sum of products, shifted once; the z^k coefficient of
-    T^2 is the symmetric square, twice the products t_i t_(k-i) with i < k - i
-    plus t_(k/2)^2 for even k.
+    2^(26 - w) max |r_k| times 4 p^2.  Each coefficient of R - T^2 and of the
+    top-down long division by Pi is one exact sum of products, shifted once;
+    the z^k coefficient of T^2 is the symmetric square, twice the products
+    t_i t_(k-i) with i < k - i plus t_(k/2)^2 for even k.
     """
     rows, shift, r_max = r_terms
     n = len(pi) - 1
@@ -205,7 +204,7 @@ def _reduce_divide(t, pi, w, r_terms):
         quot[m] = ((num[m + n] << w) - sum(map(mul, pi[m:n], quot[n:m:-1]))) >> w
     rem_max = max((abs(((num[k] << w) - sum(map(mul, pi[k::-1], quot))) >> w) for k in range(n)),
                   default=0)
-    # rem_max / |lead| > 2^(26 - prec) max |r_k|, in integers
+    # rem_max / |lead| > 2^(26 - w) max |r_k|, in integers
     if rem_max << shift > r_max * -lead:
         raise SolverError("polynomial division remainder above tolerance",
                           residual=rem_max / -lead)
@@ -285,18 +284,15 @@ def _eps_from_t(gs, ends, t_coeffs, roots, w):
     return tuple(eps)
 
 
-def _steps(state, w):
-    """The continued-fraction steps from state at w >= state.prec bits, one
-    site per next(): yields (q_n, p_(n+1)^2, 4 p_(n+1)^2, Pi', T'), the
-    floats correctly rounded and the rest in fixed point at w bits.  (Pi, T,
-    R) are shifted up to w once; R's terms and the frame's integer ratios
-    are formed once, and the remainder test keeps the tolerance of
-    state.prec, the bits the state carries."""
-    n = state.gs.n_gaps
+def _steps(state):
+    """The continued-fraction steps from state at its prec bits, one site per
+    next(): yields (q_n, p_(n+1)^2, 4 p_(n+1)^2, Pi', T'), the floats
+    correctly rounded and the rest in fixed point.  R's terms and the
+    frame's integer ratios are formed once."""
+    n, w = state.gs.n_gaps, state.prec
     mid, half = state.gs.frame
-    up = w - state.prec
-    pi, t, r = ([c << up for c in v] for v in (state.pi_coeffs, state.t_coeffs, state.r_coeffs))
-    r_top, r_terms = r[2 * n + 1] << w, _r_terms(r, w, state.prec)
+    pi, t, r = state.pi_coeffs, state.t_coeffs, state.r_coeffs
+    r_top, r_terms = r[2 * n + 1] << w, _r_terms(r, w)
     q_off, q_scale, q_den = _fixed_ratio(w, half, mid=mid)
     _, p_scale, p_den = _fixed_ratio(w + 2, half, 2)
     while True:
@@ -312,30 +308,16 @@ def _steps(state, w):
         yield (q_off + q_scale * q) / q_den, p_scale * four_psq / p_den, four_psq, pi, t
 
 
-def _cf_step_at_prec(state, prec):
-    """cf_step at prec >= state.prec bits: the first of _steps, with the next
-    state shifted back down to state.prec."""
-    up = prec - state.prec
-    q, psq, four_psq, pi, t = next(_steps(state, prec))
-    return q, psq, replace(state, pi_coeffs=tuple(c >> up for c in pi), t_coeffs=tuple(c >> up for c in t),
-                           four_p0sq=four_psq >> up)
-
-
-def _retry(state, first):
-    """The second attempt of a step at 2 x prec bits, after the first raised."""
-    try:
-        return _cf_step_at_prec(state, 2 * state.prec)
-    except SolverError as second:
-        raise second from first
+def _cf_step_at_prec(state):
+    """One site of _steps, as (q_n, p_{n+1}^2, next state); bench/tracer.py
+    counts its calls."""
+    q, psq, four_psq, pi, t = next(_steps(state))
+    return q, psq, replace(state, pi_coeffs=tuple(pi), t_coeffs=tuple(t), four_p0sq=four_psq)
 
 
 def cf_step(state):
     """One continued-fraction step: returns (q_n, p_{n+1}^2, next state)."""
-    try:
-        return _cf_step_at_prec(state, state.prec)
-    except SolverError as first:
-        # escalate once before giving up
-        return _retry(state, first)
+    return _cf_step_at_prec(state)
 
 
 def dual_state(state):
@@ -344,32 +326,22 @@ def dual_state(state):
     Its Pi is (R - T^2) / (-4 p0^2 Pi); T and p0^2 are unchanged.
     """
     w = state.prec
-    _, quot = _reduce_divide(state.t_coeffs, state.pi_coeffs, w, _r_terms(state.r_coeffs, w, w))
+    _, quot = _reduce_divide(state.t_coeffs, state.pi_coeffs, w, _r_terms(state.r_coeffs, w))
     return replace(state, pi_coeffs=tuple(quot))
 
 
 def iterate(state, nsteps):
     """Run nsteps of cf_step; returns (qs, psqs, final state).
 
-    The steps run as one loop on the integer lists of _steps at state.prec,
-    and the final state is built once.  A site whose step raises becomes a
-    CFState and takes cf_step's retry at 2 x prec; the loop resumes from the
-    state it returns.
+    The steps run as one loop on the integer lists of _steps, and the final
+    state is built once.
     """
     qs, psqs = [], []
-    while True:
-        four_psq, pi, t = state.four_p0sq, state.pi_coeffs, state.t_coeffs
-        try:
-            for q, psq, four_psq, pi, t in islice(_steps(state, state.prec), max(nsteps - len(qs), 0)):
-                qs.append(q)
-                psqs.append(psq)
-        except SolverError as first:
-            q, psq, state = _retry(replace(state, pi_coeffs=tuple(pi), t_coeffs=tuple(t),
-                                           four_p0sq=four_psq), first)
-            qs.append(q)
-            psqs.append(psq)
-            continue
-        return qs, psqs, replace(state, pi_coeffs=tuple(pi), t_coeffs=tuple(t), four_p0sq=four_psq)
+    four_psq, pi, t = state.four_p0sq, state.pi_coeffs, state.t_coeffs
+    for q, psq, four_psq, pi, t in islice(_steps(state), max(nsteps, 0)):
+        qs.append(q)
+        psqs.append(psq)
+    return qs, psqs, replace(state, pi_coeffs=tuple(pi), t_coeffs=tuple(t), four_p0sq=four_psq)
 
 
 def coefficients(gs, divisor, n0, n1, prec=DEFAULT_PREC):

@@ -105,7 +105,8 @@ class GapSystem:
         return self.gaps[j - 1]
 
     def locate(self, x):
-        """Classify a real point: ('band', m) / ('gap', j) / ('left',) / ('right',)."""
+        """Classify a real point: ('band', m) / ('gap', j) / ('left',) / ('right',).
+        NaN, the one float that none of them holds, is a ValidationError."""
         if x < self.b0:
             return ("left",)
         if x > self.a0:
@@ -116,7 +117,7 @@ class GapSystem:
         for m, (lo, hi) in enumerate(self.bands):
             if lo <= x <= hi:
                 return ("band", m)
-        raise AssertionError("unreachable")
+        raise ValidationError(f"cannot locate {x!r} on the real line")
 
     def on_set(self, x, tol=_EDGE_TOL):
         scale = max(1.0, self.diameter)

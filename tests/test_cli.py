@@ -208,8 +208,15 @@ class TestContract:
         (["critical", "--qtol", "inf"], ONE_GAP),
         (["critical", "--qtol", "nan"], ONE_GAP),
         (["shift-check", "--steps", "-3"], ONE_GAP_DIV),
+        (["green", "--z=nan"], ONE_GAP),
+        (["harmonic", "--k", "1", "--z=nan"], ONE_GAP),
+        (["dos", "--z=nan"], ONE_GAP),
+        (["resolvents", "--z=nan"], ONE_GAP_DIV),
+        (["transfer", "--n", "8", "--z=nan"], ONE_GAP_DIV),
+        (["green", "--z=0,inf"], ONE_GAP),
     ], ids=["samples-0", "samples-negative", "seed-negative", "verify-seed-negative",
-            "qtol-inf", "qtol-nan", "steps-negative"])
+            "qtol-inf", "qtol-nan", "steps-negative", "green-z-nan", "harmonic-z-nan",
+            "dos-z-nan", "resolvents-z-nan", "transfer-z-nan", "green-im-inf"])
     def test_out_of_range_option_exit_2(self, capsys, tmp_path, argv, doc):
         code, out = run(capsys, argv, doc, tmp_path)
         assert code == 2 and out == ""
@@ -239,12 +246,22 @@ class TestContract:
         (["invert"], dict(ONE_GAP, alpha=["0.3"])),
         (["truncate", "--n", "1"], {"teeth": [{"omega": "0.3", "h": 0.4}]}),
         (["truncate", "--n", "1"], {"teeth": [{"omega": 0.3, "h": 0.4}], "tail_bound": "0"}),
+        (["critical"], {"band": [-float("inf"), 2.0]}),
+        (["critical"], {"band": [-2.0, 2.0], "gaps": [[-1.0, float("nan")]]}),
+        (["abel"], dict(ONE_GAP, divisor=[{"x": float("nan"), "eps": 1}])),
+        (["measure"], dict(ONE_GAP, box=[{"gap": 1, "a": -0.5, "b": float("inf"), "eps": 1}])),
+        (["truncate", "--n", "1"], {"teeth": [{"omega": 0.3, "h": 0.4}], "tail_bound": float("nan")}),
+        (["invert"], dict(ONE_GAP, alpha=[float("nan")])),
+        (["comb"], {"teeth": [{"omega": 0.5, "h": float("inf")}],
+                    "bracket": {"band": [-2.0, 2.0], "gaps": [[-0.5, 0.5]]}}),
     ], ids=["band-string", "gap-one-end", "divisor-x-string", "eps-1.7", "eps-minus-1.5",
             "eps-string", "box-without-b", "box-gap-1.9", "box-eps-1.7", "alpha-string",
             "tail-bound-string", "comb-number", "critical-list", "numeric-strings-and-true",
             "gap-numeric-string", "divisor-x-numeric-string", "eps-true", "box-gap-true",
             "box-a-numeric-string", "box-eps-true", "alpha-numeric-string",
-            "omega-numeric-string", "tail-bound-numeric-string"])
+            "omega-numeric-string", "tail-bound-numeric-string", "band-minus-infinity",
+            "gap-nan", "divisor-x-nan", "box-b-infinity", "tail-bound-nan", "alpha-nan",
+            "comb-h-infinity"])
     def test_malformed_document_exit_2(self, capsys, tmp_path, argv, doc):
         code, out = run(capsys, argv, doc, tmp_path)
         assert code == 2 and out == ""

@@ -42,6 +42,18 @@ def _bits(run):
     return [q.hex() for q in qs], [p.hex() for p in psqs], state
 
 
+def _moved_t_states(n):
+    """The site-0 state of a random divisor on an N-gap set with one T
+    coefficient moved by 2^-80 of itself, once for each coefficient below
+    the leading one."""
+    gs = spaced_gap_system(np.random.default_rng(n), n)
+    st = jc.initial_state(gs, random_divisor(gs, np.random.default_rng(n + 1), margin=0.01))
+    for k in range(n + 1):
+        t = list(st.t_coeffs)
+        t[k] += abs(t[k]) >> 80
+        yield replace(st, t_coeffs=tuple(t))
+
+
 class TestCfStep:
     def test_free_fixed_point(self, free_set):
         st = jc.initial_state(free_set, Divisor(()))
@@ -63,39 +75,33 @@ class TestCfStep:
             for (a, b), x in zip(three_gap.gaps, st.divisor.xs):
                 assert a <= x <= b
 
-    def test_retry_at_twice_the_bits(self, three_gap, rng):
-        # the 2 x prec retry shifts the state up by prec for the step and the
-        # next state back down; it gives the same coefficients and a next
-        # state at prec bits that steps on like the first attempt's.  The
-        # remainder of a state rounded to prec bits is about 2^-prec (2.5e-39
-        # here), so the retry must test it at the state's 2^(30 - prec)
-        # max |r_k|, not at 2^(30 - 2 prec)
-        st = jc.initial_state(three_gap, random_divisor(three_gap, rng))
-        q, psq, nxt = jc._cf_step_at_prec(st, st.prec)
-        q2, psq2, nxt2 = jc._cf_step_at_prec(st, 2 * st.prec)
-        assert (q2, psq2) == pytest.approx((q, psq), rel=1e-15, abs=1e-15)
-        assert nxt2.prec == st.prec
-        assert max(abs(a - b) for a, b in zip(nxt.pi_coeffs + nxt.t_coeffs, nxt2.pi_coeffs + nxt2.t_coeffs)) < 2**20
-        assert nxt2.divisor.eps == nxt.divisor.eps and nxt2.r_coeffs == st.r_coeffs and nxt2.ends == st.ends
-        assert jc.iterate(nxt2, 4)[:2] == pytest.approx(jc.iterate(nxt, 4)[:2], rel=1e-14, abs=1e-14)
-
     @pytest.mark.parametrize("n", [1, 4, 8])
     def test_remainder_test_rejects_a_moved_t_coefficient(self, n):
         # Pi no longer comes from polished roots, so the remainder test is
         # the one check that (T, Pi) still satisfies Pi | R - T^2
-        gs = spaced_gap_system(np.random.default_rng(n), n)
-        st = jc.initial_state(gs, random_divisor(gs, np.random.default_rng(n + 1), margin=0.01))
-        for k in range(n + 1):
-            t = list(st.t_coeffs)
-            t[k] += abs(t[k]) >> 80
-            bad = replace(st, t_coeffs=tuple(t))
+        for bad in _moved_t_states(n):
             for step in (jc.cf_step, lambda s: jc.iterate(s, 5), jc.dual_state):
+                with pytest.raises(SolverError, match=_REMAINDER):
+                    step(bad)
+
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_failing_step_is_tried_once_at_the_state_bits(self, n, monkeypatch):
+        # a step runs at the state's own bits only: a moved-T state raises at
+        # its first division, after one attempt
+        divide, widths = jc._reduce_divide, []
+
+        def spy(t, pi, w, r_terms):
+            widths.append(w)
+            return divide(t, pi, w, r_terms)
+
+        monkeypatch.setattr(jc, "_reduce_divide", spy)
+        for bad in _moved_t_states(n):
+            for step in (jc.cf_step, lambda s: jc.iterate(s, 5)):
+                widths.clear()
                 with pytest.raises(SolverError, match=_REMAINDER) as info:
                     step(bad)
-                if step is not jc.dual_state:
-                    # the retry at 2 x prec raises it again, from the first error
-                    assert isinstance(info.value.__cause__, SolverError)
-                    assert str(info.value.__cause__) == _REMAINDER
+                assert widths == [bad.prec]
+                assert info.value.__cause__ is None
 
     def test_step_finds_no_divisor(self, three_gap, rng, monkeypatch):
         # roots and sheet signs are found only when CFState.divisor is read
@@ -118,17 +124,6 @@ class TestCfStep:
         assert calls == []
         st.divisor
         assert calls == ["_gap_roots", "_eps_from_t"]
-
-    def test_failed_retry_keeps_the_first_error(self, three_gap, rng, monkeypatch):
-        st = jc.initial_state(three_gap, random_divisor(three_gap, rng))
-
-        def fail(state, prec):
-            raise SolverError(f"failed at {prec} bits")
-
-        monkeypatch.setattr(jc, "_cf_step_at_prec", fail)
-        with pytest.raises(SolverError, match=f"at {2 * st.prec} bits") as info:
-            jc.cf_step(st)
-        assert str(info.value.__cause__) == f"failed at {st.prec} bits"
 
     def test_advanced_divisor_matches_resolvent_data(self, two_gap, rng):
         # p^2 produced by the step equals p0^2 of the advanced divisor
@@ -213,27 +208,6 @@ class TestWindow:
         st = jc.initial_state(gs, random_divisor(gs, rng, margin=0.01), prec)
         for start in (st, jc.dual_state(st)):
             assert _bits(jc.iterate(start, 12)) == _bits(_chain(start, 12))
-
-    def test_site_failing_at_prec_is_retried_at_twice_the_bits(self, three_gap, rng, monkeypatch):
-        # site 3 fails at prec bits only; the window and the chain both take
-        # it at 2 x prec and go on from its state rounded back to prec
-        st = jc.initial_state(three_gap, random_divisor(three_gap, rng))
-        divide, widths = jc._reduce_divide, []
-
-        def fail_site_3(t, pi, w, r_terms):
-            widths.append(w)
-            if len(widths) == 4:
-                raise SolverError(_REMAINDER)
-            return divide(t, pi, w, r_terms)
-
-        monkeypatch.setattr(jc, "_reduce_divide", fail_site_3)
-        runs = []
-        for run in (jc.iterate, _chain):
-            widths.clear()
-            runs.append(_bits(run(st, 8)))
-            assert widths == [st.prec] * 4 + [2 * st.prec] + [st.prec] * 4
-        assert runs[0] == runs[1]
-
 
 @pytest.mark.parametrize("prec", [128, 256])
 @pytest.mark.parametrize("doc", _PINNED, ids=[f"n{len(d['gaps'])}" for d in _PINNED])

@@ -42,6 +42,8 @@ class TestGapSystem:
         assert two_gap.locate(0.0) == ("band", 1)
         assert two_gap.locate(-5.0) == ("left",)
         assert two_gap.locate(5.0) == ("right",)
+        with pytest.raises(ValidationError, match="cannot locate nan"):
+            two_gap.locate(float("nan"))
 
     def test_json_roundtrip(self, two_gap):
         assert GapSystem.from_json(two_gap.to_json()) == two_gap
