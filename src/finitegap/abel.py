@@ -339,9 +339,11 @@ def invert_abel(gs, alpha):
     an end of a 0.02 gap at x ~ 756), so the Abel map is evaluated again at
     the divisor's own chart; a residual above 1e-9 there is a SolverError
     too.  Tested for N up to 16, thin bands, thin gaps and divisors next to
-    gap endpoints.
+    gap endpoints.  A character with other than N entries is a ValidationError.
     """
     n = gs.n_gaps
+    if len(alpha.alpha) != n:
+        raise ValidationError(f"character length {len(alpha.alpha)} is not the gap count {n}")
     target = np.asarray(alpha.alpha, dtype=float)
     if n == 0:
         return Divisor(())

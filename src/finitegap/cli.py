@@ -2,8 +2,9 @@
 
 Input is a single JSON document (--input FILE or standard input) that may
 carry a gap system, a divisor, a character, a box, or a comb, as the
-subcommand requires.  Output is a single JSON document echoing the resolved
-run configuration in a "meta" field; sequence outputs can be exported as CSV.
+subcommand requires; `verify` reads none.  Output is a single JSON document
+whose "meta" field echoes the run options: precision, qtol, seed, fmt and
+base_point.  `coeffs --csv` writes its window as CSV instead.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input,
 3 numeric failure.
@@ -12,7 +13,6 @@ Exit codes: 0 success, 1 verification failure, 2 malformed input,
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import isfinite
 
@@ -34,29 +34,19 @@ from .spectral_set import (
 _BASE_POINT_NOTE = "divisor base point {(a_k, +1)}; characters are relative to it"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run options; echoed verbatim in every output document."""
+def _check_options(args):
+    if args.prec < 53:
+        raise ValidationError("precision must be at least 53 bits")
+    if not 0 < args.qtol < float("inf"):
+        raise ValidationError("qtol must be positive and finite")
+    if args.seed < 0:
+        raise ValidationError("seed must be nonnegative")
 
-    precision: int = jacobi_cf.DEFAULT_PREC
-    qtol: float = quad.DEFAULT_QTOL
-    seed: int = 0
-    fmt: str = "json"
 
-    def __post_init__(self):
-        if self.precision < 53:
-            raise ValidationError("precision must be at least 53 bits")
-        if not 0 < self.qtol < float("inf"):
-            raise ValidationError("qtol must be positive and finite")
-        if self.seed < 0:
-            raise ValidationError("seed must be nonnegative")
-        if self.fmt not in ("json", "csv"):
-            raise ValidationError("format must be json or csv")
-
-    def meta(self):
-        doc = asdict(self)
-        doc["base_point"] = _BASE_POINT_NOTE
-        return doc
+def _meta(args):
+    """The run options, echoed in every output document."""
+    return {"precision": args.prec, "qtol": args.qtol, "seed": args.seed,
+            "fmt": "csv" if args.csv else "json", "base_point": _BASE_POINT_NOTE}
 
 
 @lru_cache(maxsize=None)
@@ -80,9 +70,7 @@ def _parser():
     return p
 
 
-def _load_doc(args, needed):
-    if not needed:
-        return {}
+def _load_doc(args):
     if args.input:
         with open(args.input) as fh:
             doc = json.load(fh)
@@ -109,67 +97,61 @@ def _parse_z(args, default=None):
     return complex(re, im)
 
 
-def _jsonify(obj):
+def _to_json(obj):
+    """json.dumps hook: a complex number is [re, im]; numpy values become Python ones."""
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    return obj
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _emit(doc, cfg):
+def _emit(doc, args):
     doc = dict(doc)
-    doc["meta"] = cfg.meta()
-    json.dump(_jsonify(doc), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    doc["meta"] = _meta(args)
+    sys.stdout.write(json.dumps(doc, indent=2, default=_to_json) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_critical(args, cfg, doc):
+def _cmd_critical(args, doc):
     gs = GapSystem.from_json(doc)
-    cp = critical_points(gs, cfg.qtol)
+    cp = critical_points(gs, args.qtol)
     return {"c": list(cp.c), "h": list(cp.h)}
 
 
-def _cmd_green(args, cfg, doc):
+def _cmd_green(args, doc):
     gs = GapSystem.from_json(doc)
-    cp = critical_points(gs, cfg.qtol)
+    cp = critical_points(gs, args.qtol)
     z = _parse_z(args)
-    return {"z": z, "green": green(gs, cp, z, cfg.qtol)}
+    return {"z": z, "green": green(gs, cp, z, args.qtol)}
 
 
-def _cmd_harmonic(args, cfg, doc):
+def _cmd_harmonic(args, doc):
     gs = GapSystem.from_json(doc)
     z = _parse_z(args)
     if z.imag != 0.0:
         raise ValidationError("harmonic measure evaluation point must be real")
-    return {"k": args.k, "x": z.real, "omega": harmonic_measure(gs, args.k, z.real, cfg.qtol)}
+    return {"k": args.k, "x": z.real, "omega": harmonic_measure(gs, args.k, z.real, args.qtol)}
 
 
-def _cmd_dos(args, cfg, doc):
+def _cmd_dos(args, doc):
     gs = GapSystem.from_json(doc)
-    cp = critical_points(gs, cfg.qtol)
+    cp = critical_points(gs, args.qtol)
     z = _parse_z(args)
     if z.imag != 0.0:
         raise ValidationError("density of states lives on the real line")
-    out = {"x": z.real, "cdf": dos_cdf(gs, cp, z.real, cfg.qtol),
-           "frequencies": frequencies(gs, cp, cfg.qtol)}
+    out = {"x": z.real, "cdf": dos_cdf(gs, cp, z.real, args.qtol),
+           "frequencies": frequencies(gs, cp, args.qtol)}
     kind = gs.locate(z.real)
     if kind[0] == "band":
         out["density"] = dos_density(gs, cp, z.real)
     return out
 
 
-def _cmd_resolvents(args, cfg, doc):
+def _cmd_resolvents(args, doc):
     gs = GapSystem.from_json(doc)
     d = Divisor.from_json(doc).validate(gs)
     pair = split_resolvents(gs, d)
@@ -186,21 +168,21 @@ def _cmd_resolvents(args, cfg, doc):
     }
 
 
-def _cmd_coeffs(args, cfg, doc):
+def _cmd_coeffs(args, doc):
     gs = GapSystem.from_json(doc)
     d = Divisor.from_json(doc).validate(gs)
-    seg = jacobi_cf.coefficients(gs, d, args.n0, args.n1, prec=cfg.precision)
-    if cfg.fmt == "csv":
+    seg = jacobi_cf.coefficients(gs, d, args.n0, args.n1, prec=args.prec)
+    if args.csv:
         sys.stdout.write(seg.to_csv())
         return None
     return seg.to_json()
 
 
-def _cmd_transfer(args, cfg, doc):
+def _cmd_transfer(args, doc):
     gs = GapSystem.from_json(doc)
     d = Divisor.from_json(doc).validate(gs)
     n = args.n if args.n is not None else 5
-    seg = jacobi_cf.coefficients(gs, d, 0, n + 1, prec=cfg.precision)
+    seg = jacobi_cf.coefficients(gs, d, 0, n + 1, prec=args.prec)
     z = _parse_z(args, default=2j)
     a = jacobi_cf.transfer_matrix(seg, z, n)
     out = {
@@ -216,53 +198,53 @@ def _cmd_transfer(args, cfg, doc):
     return out
 
 
-def _cmd_abel(args, cfg, doc):
+def _cmd_abel(args, doc):
     gs = GapSystem.from_json(doc)
     d = Divisor.from_json(doc).validate(gs)
-    return abel.abel_map(gs, d, cfg.qtol).to_json()
+    return abel.abel_map(gs, d, args.qtol).to_json()
 
 
-def _cmd_invert(args, cfg, doc):
+def _cmd_invert(args, doc):
     gs = GapSystem.from_json(doc)
     alpha = abel.Character.from_json(doc)
     d = abel.invert_abel(gs, alpha)
     out = d.to_json()
-    out["residual"] = abel.abel_map(gs, d, cfg.qtol).distance(alpha)
+    out["residual"] = abel.abel_map(gs, d, args.qtol).distance(alpha)
     return out
 
 
-def _cmd_shift_check(args, cfg, doc):
+def _cmd_shift_check(args, doc):
     gs = GapSystem.from_json(doc)
     d = Divisor.from_json(doc).validate(gs)
-    cp = critical_points(gs, cfg.qtol)
-    res = abel.shift_covariance_residual(gs, cp, d, prec=cfg.precision, steps=args.steps,
-                                         qtol=cfg.qtol)
+    cp = critical_points(gs, args.qtol)
+    res = abel.shift_covariance_residual(gs, cp, d, prec=args.prec, steps=args.steps,
+                                         qtol=args.qtol)
     return {"steps": args.steps, "residual": res}
 
 
-def _cmd_kernel0(args, cfg, doc):
+def _cmd_kernel0(args, doc):
     gs = GapSystem.from_json(doc)
     d = Divisor.from_json(doc).validate(gs)
-    cp = critical_points(gs, cfg.qtol)
+    cp = critical_points(gs, args.qtol)
     delta0 = abel.widom_delta(cp)
-    return {"k0": abel.kernel_at_origin(gs, cp, d, cfg.qtol),
+    return {"k0": abel.kernel_at_origin(gs, cp, d, args.qtol),
             "delta0": delta0, "delta0_sq": delta0 ** 2}
 
 
-def _cmd_measure(args, cfg, doc):
+def _cmd_measure(args, doc):
     gs = GapSystem.from_json(doc)
     box = doc.get("box", [])
-    return {"measure": abel.measure_box(gs, box, cfg.qtol)}
+    return {"measure": abel.measure_box(gs, box, args.qtol)}
 
 
-def _cmd_measure_mc(args, cfg, doc):
+def _cmd_measure_mc(args, doc):
     gs = GapSystem.from_json(doc)
     box = doc.get("box", [])
-    est, se = abel.measure_mc(gs, box, samples=args.mc_samples, seed=cfg.seed)
-    return {"estimate": est, "stderr": se, "samples": args.mc_samples, "seed": cfg.seed}
+    est, se = abel.measure_mc(gs, box, samples=args.mc_samples, seed=args.seed)
+    return {"estimate": est, "stderr": se, "samples": args.mc_samples, "seed": args.seed}
 
 
-def _cmd_comb(args, cfg, doc):
+def _cmd_comb(args, doc):
     if "teeth" in doc:
         comb = comb_mod.CombData.from_json(doc)
         if "bracket" not in doc:
@@ -271,7 +253,7 @@ def _cmd_comb(args, cfg, doc):
         gs = comb_mod.gaps_from_comb(comb, bracket)
         return gs.to_json()
     gs = GapSystem.from_json(doc)
-    comb = comb_mod.comb_from_gaps(gs, qtol=cfg.qtol)
+    comb = comb_mod.comb_from_gaps(gs, qtol=args.qtol)
     out = comb.to_json()
     out["delta0"] = comb.delta0
     out["is_widom"] = comb.is_widom
@@ -279,7 +261,7 @@ def _cmd_comb(args, cfg, doc):
     return out
 
 
-def _cmd_truncate(args, cfg, doc):
+def _cmd_truncate(args, doc):
     comb = comb_mod.CombData.from_json(doc)
     if args.n is None:
         raise ValidationError("truncate needs --n")
@@ -303,7 +285,7 @@ def _fixture_docs():
     return docs
 
 
-def _verify_instance(name, doc, cfg, rng):
+def _verify_instance(name, doc, args, rng):
     checks = []
 
     def record(check, value, threshold):
@@ -313,7 +295,7 @@ def _verify_instance(name, doc, cfg, rng):
         })
 
     gs = GapSystem.from_json(doc)
-    cp = critical_points(gs, cfg.qtol)
+    cp = critical_points(gs, args.qtol)
     d = Divisor.from_json(doc).validate(gs) if "divisor" in doc else Divisor(())
     pair = split_resolvents(gs, d)
 
@@ -330,7 +312,7 @@ def _verify_instance(name, doc, cfg, rng):
     )
     record("resolvent_algebra", alg, 1e-12)
 
-    seg = jacobi_cf.coefficients(gs, d, -5, 12, prec=cfg.precision)
+    seg = jacobi_cf.coefficients(gs, d, -5, 12, prec=args.prec)
     if gs.n_gaps == 0:
         record("free_jacobi", max(max(abs(p - 1.0) for p in seg.p),
                                   max(abs(q) for q in seg.q)), 1e-12)
@@ -342,15 +324,15 @@ def _verify_instance(name, doc, cfg, rng):
 
     if gs.n_gaps:
         record("shift_covariance",
-               abel.shift_covariance_residual(gs, cp, d, prec=cfg.precision, qtol=cfg.qtol), 1e-6)
+               abel.shift_covariance_residual(gs, cp, d, prec=args.prec, qtol=args.qtol), 1e-6)
         delta0 = abel.widom_delta(cp)
-        k0 = abel.kernel_at_origin(gs, cp, d, cfg.qtol)
+        k0 = abel.kernel_at_origin(gs, cp, d, args.qtol)
         record("kernel_bounds", max(0.0, k0 - 1.0, delta0 ** 2 - k0), 1e-12)
-        alpha = abel.abel_map(gs, d, cfg.qtol)
+        alpha = abel.abel_map(gs, d, args.qtol)
         record("abel_roundtrip",
-               abel.abel_map(gs, abel.invert_abel(gs, alpha), cfg.qtol).distance(alpha), 1e-9)
+               abel.abel_map(gs, abel.invert_abel(gs, alpha), args.qtol).distance(alpha), 1e-9)
     if 1 <= gs.n_gaps <= 2:
-        comb = comb_mod.comb_from_gaps(gs, cp, cfg.qtol)
+        comb = comb_mod.comb_from_gaps(gs, cp, args.qtol)
         rec = comb_mod.gaps_from_comb(comb, gs)
         err = max(
             abs(np.asarray(rec.gaps).ravel() - np.asarray(gs.gaps).ravel()),
@@ -360,11 +342,11 @@ def _verify_instance(name, doc, cfg, rng):
     return checks
 
 
-def _cmd_verify(args, cfg, doc):
-    rng = np.random.default_rng(cfg.seed)
+def _cmd_verify(args, doc):
+    rng = np.random.default_rng(args.seed)
     checks = []
     for name, fdoc in _fixture_docs():
-        checks.extend(_verify_instance(name, fdoc, cfg, rng))
+        checks.extend(_verify_instance(name, fdoc, args, rng))
     ok = all(c["pass"] for c in checks)
     for c in checks:
         status = "PASS" if c["pass"] else "FAIL"
@@ -374,37 +356,31 @@ def _cmd_verify(args, cfg, doc):
 
 
 _COMMANDS = {
-    "critical": (_cmd_critical, True),
-    "green": (_cmd_green, True),
-    "harmonic": (_cmd_harmonic, True),
-    "dos": (_cmd_dos, True),
-    "resolvents": (_cmd_resolvents, True),
-    "coeffs": (_cmd_coeffs, True),
-    "transfer": (_cmd_transfer, True),
-    "abel": (_cmd_abel, True),
-    "invert": (_cmd_invert, True),
-    "shift-check": (_cmd_shift_check, True),
-    "kernel0": (_cmd_kernel0, True),
-    "measure": (_cmd_measure, True),
-    "measure-mc": (_cmd_measure_mc, True),
-    "comb": (_cmd_comb, True),
-    "truncate": (_cmd_truncate, True),
-    "verify": (_cmd_verify, False),
+    "critical": _cmd_critical,
+    "green": _cmd_green,
+    "harmonic": _cmd_harmonic,
+    "dos": _cmd_dos,
+    "resolvents": _cmd_resolvents,
+    "coeffs": _cmd_coeffs,
+    "transfer": _cmd_transfer,
+    "abel": _cmd_abel,
+    "invert": _cmd_invert,
+    "shift-check": _cmd_shift_check,
+    "kernel0": _cmd_kernel0,
+    "measure": _cmd_measure,
+    "measure-mc": _cmd_measure_mc,
+    "comb": _cmd_comb,
+    "truncate": _cmd_truncate,
+    "verify": _cmd_verify,
 }
 
 
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            precision=args.prec,
-            qtol=args.qtol,
-            seed=args.seed,
-            fmt="csv" if args.csv else "json",
-        )
-        handler, needs_doc = _COMMANDS[args.command]
-        doc = _load_doc(args, needs_doc)
-        result = handler(args, cfg, doc)
+        _check_options(args)
+        doc = {} if args.command == "verify" else _load_doc(args)
+        result = _COMMANDS[args.command](args, doc)
     except (ValidationError, json.JSONDecodeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -413,7 +389,7 @@ def main(argv=None):
         print(f"numeric failure: {exc}{detail}", file=sys.stderr)
         return 3
     if result is not None:
-        _emit(result, cfg)
+        _emit(result, args)
     if args.command == "verify" and not result["all_pass"]:
         return 1
     return 0

@@ -287,6 +287,16 @@ class TestInversion:
         assert len(starts) == 1 + 2 * three_gap.n_gaps
         assert np.allclose(starts[0], ab._diagonal_seed(alpha.alpha))
 
+    @pytest.mark.parametrize("gaps, alpha", [
+        (((-1.0, -0.3), (0.8, 1.6)), (0.1,)),
+        (((-1.0, -0.3), (0.8, 1.6)), (0.1, 0.2, 0.3)),
+        ((), (0.3,)),
+    ], ids=["two-gap-short", "two-gap-long", "free-one-entry"])
+    def test_character_length_must_match_the_gaps(self, gaps, alpha):
+        gs = GapSystem(b0=-2.0, a0=3.0, gaps=gaps)
+        with pytest.raises(ValidationError, match="gap count"):
+            ab.invert_abel(gs, ab.Character(alpha))
+
 
 class TestShiftCovariance:
     def test_one_step(self, one_gap, one_gap_cp, rng):
@@ -439,6 +449,30 @@ class TestMeasure:
         finally:
             tracemalloc.stop()
         assert peak <= 0.5 * 68.7e6
+
+    def test_monte_carlo_stray_retried_by_invert_abel(self, two_gap, monkeypatch):
+        """A sample whose batch Newton misses 1e-8 is inverted again, with restarts."""
+        box = MC_PINNED["two_gap"][0]
+        expected = ab.measure_mc(two_gap, box, samples=300, seed=4)
+        newton, invert = ab._newton_invert, ab.invert_abel
+        batches, retried = [], []
+
+        def first_call_strays(gs, targets, phis):
+            out, res = newton(gs, targets, phis)
+            if not batches:
+                res = res.copy()
+                res[[0, 7]] = 1.0
+            batches.append(len(phis))
+            return out, res
+
+        def counting(gs, alpha):
+            retried.append(alpha)
+            return invert(gs, alpha)
+
+        monkeypatch.setattr(ab, "_newton_invert", first_call_strays)
+        monkeypatch.setattr(ab, "invert_abel", counting)
+        assert ab.measure_mc(two_gap, box, samples=300, seed=4) == expected
+        assert batches[0] == 300 and len(retried) == 2
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_monte_carlo_full_chunk_on_short_series(self, n, monkeypatch):

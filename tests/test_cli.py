@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -14,6 +15,9 @@ from finitegap.spectral_set import GapSystem, critical_points, sqrt_R_gap
 ONE_GAP = {"band": [-2.0, 2.0], "gaps": [[-1.0, 1.0]]}
 ONE_GAP_DIV = dict(ONE_GAP, divisor=[{"x": 0.3, "eps": 1}])
 ONE_GAP_BOX = dict(ONE_GAP, box=[{"gap": 1, "a": -0.5, "b": 0.5, "eps": 1}])
+FREE = json.loads(
+    (Path(__file__).resolve().parent.parent / "src/finitegap/fixtures/n0_free.json").read_text()
+)
 
 
 def run(capsys, argv, doc=None, tmp_path=None):
@@ -101,6 +105,18 @@ class TestBasicCommands:
         assert complex(*doc["det"]) == pytest.approx(1.0, abs=1e-10)
         assert doc["cd_residual"] < 1e-8
 
+    def test_transfer_on_the_real_line(self, capsys, tmp_path):
+        doc = run_json(capsys, ["transfer", "--z", "0.5"], ONE_GAP_DIV, tmp_path)
+        assert doc["z"] == [0.5, 0.0] and doc["n"] == 5
+        assert doc["j_unitarity_residual"] < 1e-8
+        assert "cd_residual" not in doc
+
+    def test_document_from_standard_input(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(ONE_GAP)))
+        code, out = run(capsys, ["critical"])
+        assert code == 0
+        assert json.loads(out)["c"] == pytest.approx([0.0], abs=1e-12)
+
 
 class TestTorusCommands:
     def test_abel_invert_roundtrip(self, capsys, tmp_path):
@@ -126,6 +142,19 @@ class TestTorusCommands:
         )
         assert abs(mc["estimate"] - det) <= 3.0 * mc["stderr"]
         assert mc["seed"] == 5
+
+    @pytest.mark.parametrize("argv, extra, expected", [
+        (["abel"], {}, {"alpha": []}),
+        (["invert"], {"alpha": []}, {"divisor": [], "residual": 0.0}),
+        (["kernel0"], {}, {"k0": 1.0, "delta0": 1.0}),
+        (["measure"], {"box": []}, {"measure": 1.0}),
+        (["measure-mc"], {}, {"estimate": 1.0, "stderr": 0.0}),
+        (["shift-check"], {}, {"residual": 0.0}),
+    ], ids=["abel", "invert", "kernel0", "measure", "measure-mc", "shift-check"])
+    def test_free_set(self, capsys, tmp_path, argv, extra, expected):
+        # with no gaps the torus is a point: every command returns its N = 0 value
+        doc = run_json(capsys, argv, dict(FREE, **extra), tmp_path)
+        assert {k: doc[k] for k in expected} == expected
 
 
 # (argv, input, whether the command reads the critical points)
@@ -214,9 +243,16 @@ class TestContract:
         (["resolvents", "--z=nan"], ONE_GAP_DIV),
         (["transfer", "--n", "8", "--z=nan"], ONE_GAP_DIV),
         (["green", "--z=0,inf"], ONE_GAP),
+        (["green"], ONE_GAP),
+        (["green", "--z=abc"], ONE_GAP),
+        (["harmonic", "--k", "1", "--z", "1,1"], ONE_GAP),
+        (["dos", "--z", "0,1"], ONE_GAP),
+        (["truncate"], {"teeth": [{"omega": 0.3, "h": 0.4}], "tail_bound": 0.0}),
     ], ids=["samples-0", "samples-negative", "seed-negative", "verify-seed-negative",
             "qtol-inf", "qtol-nan", "steps-negative", "green-z-nan", "harmonic-z-nan",
-            "dos-z-nan", "resolvents-z-nan", "transfer-z-nan", "green-im-inf"])
+            "dos-z-nan", "resolvents-z-nan", "transfer-z-nan", "green-im-inf",
+            "green-no-z", "green-z-unparsable", "harmonic-z-complex", "dos-z-complex",
+            "truncate-no-n"])
     def test_out_of_range_option_exit_2(self, capsys, tmp_path, argv, doc):
         code, out = run(capsys, argv, doc, tmp_path)
         assert code == 2 and out == ""
@@ -254,6 +290,9 @@ class TestContract:
         (["invert"], dict(ONE_GAP, alpha=[float("nan")])),
         (["comb"], {"teeth": [{"omega": 0.5, "h": float("inf")}],
                     "bracket": {"band": [-2.0, 2.0], "gaps": [[-0.5, 0.5]]}}),
+        (["comb"], {"teeth": [{"omega": 0.3, "h": 0.4}], "tail_bound": 0.0}),
+        (["invert"], dict(ONE_GAP, alpha=[0.1, 0.2])),
+        (["invert"], dict(FREE, alpha=[0.3])),
     ], ids=["band-string", "gap-one-end", "divisor-x-string", "eps-1.7", "eps-minus-1.5",
             "eps-string", "box-without-b", "box-gap-1.9", "box-eps-1.7", "alpha-string",
             "tail-bound-string", "comb-number", "critical-list", "numeric-strings-and-true",
@@ -261,7 +300,8 @@ class TestContract:
             "box-a-numeric-string", "box-eps-true", "alpha-numeric-string",
             "omega-numeric-string", "tail-bound-numeric-string", "band-minus-infinity",
             "gap-nan", "divisor-x-nan", "box-b-infinity", "tail-bound-nan", "alpha-nan",
-            "comb-h-infinity"])
+            "comb-h-infinity", "comb-teeth-without-bracket", "alpha-too-long",
+            "alpha-on-free-set"])
     def test_malformed_document_exit_2(self, capsys, tmp_path, argv, doc):
         code, out = run(capsys, argv, doc, tmp_path)
         assert code == 2 and out == ""
