@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import SolverError, ValidationError, json_number
 from .herglotz import Divisor
-from .jacobi_cf import DEFAULT_PREC, cf_step, initial_state
+from .jacobi_cf import DEFAULT_PREC, initial_state, iterate
 from .quad import DEFAULT_QTOL, _chart_angle, _chart_point
 from .spectral_set import (
     _gap_increment,
@@ -371,9 +371,7 @@ def shift_covariance_residual(gs, cp, divisor, prec=DEFAULT_PREC, steps=1, qtol=
     if steps < 0:
         raise ValidationError(f"shift steps must be nonnegative, got {steps}")
     omega = frequencies(gs, cp, qtol)
-    state = initial_state(gs, divisor, prec=prec)
-    for _ in range(steps):
-        _, _, state = cf_step(state)
+    state = iterate(initial_state(gs, divisor, prec=prec), steps)[2]
     a0 = abel_map(gs, divisor, qtol)
     a1 = abel_map(gs, state.divisor, qtol)
     expected = a0.translate(-steps * omega)

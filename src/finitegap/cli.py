@@ -71,11 +71,16 @@ def _parser():
 
 
 def _load_doc(args):
-    if args.input:
-        with open(args.input) as fh:
-            doc = json.load(fh)
-    else:
-        doc = json.load(sys.stdin)
+    try:
+        if args.input:
+            with open(args.input, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        else:
+            doc = json.load(sys.stdin)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"input is not UTF-8 text: {exc}")
+    except RecursionError:
+        raise ValidationError("input document is nested too deeply")
     if not isinstance(doc, dict):
         raise ValidationError("input document must be a JSON object")
     return doc
@@ -332,8 +337,14 @@ def _verify_instance(name, doc, args, rng):
         record("abel_roundtrip",
                abel.abel_map(gs, abel.invert_abel(gs, alpha), args.qtol).distance(alpha), 1e-9)
     if 1 <= gs.n_gaps <= 2:
+        # start from a bracket with every gap widened: each interior endpoint
+        # moves out of its gap by 5 % of the shorter neighbouring segment
+        pts = np.asarray(gs.endpoints)
+        room = np.minimum(np.diff(pts)[:-1], np.diff(pts)[1:])
+        inner = pts[1:-1] - 0.05 * room * (-1.0) ** np.arange(room.size)
+        bracket = GapSystem(gs.b0, gs.a0, tuple(zip(inner[::2], inner[1::2])))
         comb = comb_mod.comb_from_gaps(gs, cp, args.qtol)
-        rec = comb_mod.gaps_from_comb(comb, gs)
+        rec = comb_mod.gaps_from_comb(comb, bracket)
         err = max(
             abs(np.asarray(rec.gaps).ravel() - np.asarray(gs.gaps).ravel()),
             default=0.0,

@@ -17,15 +17,13 @@ from .herglotz import Divisor
 from .quad import DEFAULT_QTOL
 from .spectral_set import GapSystem, _endpoint_jet, critical_points, frequencies
 
-# gaps_from_comb stops at the first of: max |residual| <= _LM_RESIDUAL_TOL,
-# damping above _LM_MAX_DAMPING (steps too short to matter), _LM_MAX_ITER
+# gaps_from_comb stops at the first of: max |residual| <= _RESIDUAL_TOL, a
+# step length below _MIN_STEP_LENGTH (a Newton step halved 20 times), _MAX_ITER
 # trial steps.  A stop at 1e-14 left round trips 1e-14 of the diameter off;
-# 1e-15 brings them to ~1e-16.  The damping starts at 0 (a Newton step) and
-# at _LM_FIRST_DAMPING after the first rejected step.
-_LM_MAX_ITER = 100
-_LM_MAX_DAMPING = 1e8
-_LM_FIRST_DAMPING = 1e-3
-_LM_RESIDUAL_TOL = 1e-15
+# 1e-15 brings them to ~1e-16.
+_MAX_ITER = 100
+_MIN_STEP_LENGTH = 2.0**-20
+_RESIDUAL_TOL = 1e-15
 # qtol of the inner critical_points/frequencies solves and of comb_jacobian:
 # two decades under the 1e-8 residual the inversion must reach
 _INNER_QTOL = 1e-10
@@ -179,19 +177,18 @@ def gaps_from_comb(comb, bracket):
 
     The outer band [b0, a0] is fixed by the bracket (normalization: scale and
     translation are not determined by the comb); the 2N interior endpoints x,
-    started at the bracket's, solve critical_points/frequencies residuals at
-    _INNER_QTOL by Newton on the exact Jacobian (comb_jacobian), taken once
-    at every accepted iterate still above the stop tolerance, with the
-    Levenberg-Marquardt safeguard: the first step is undamped, and a rejected
-    step raises the damping (from _LM_FIRST_DAMPING, then tenfold) while an
-    accepted one lowers it threefold.  A step is rejected when it breaks
-    b0 + margin < a_1 < b_1 < ... < b_N < a0 - margin (such a step is never
-    evaluated), when the inner solve raises, or when it does not lower the
-    residual; the Jacobian stays, since it is exact at x.  Each iteration
-    evaluates one trial point.  The iteration also stops where the Jacobian's
+    started at the bracket's, solve the residual of the forward map
+    comb_from_gaps at _INNER_QTOL by Newton with step halving: the Newton step
+    on the exact Jacobian (comb_jacobian) is solved once at every accepted
+    iterate still above the stop tolerance, and x + length * step is taken
+    when it lowers |residual|^2; otherwise length halves, from 1 at each
+    accepted iterate.  A trial point that breaks b0 + margin < a_1 < b_1 <
+    ... < b_N < a0 - margin is rejected without being evaluated, and one
+    where the inner solve raises is rejected too.  Each iteration evaluates
+    one trial point.  The iteration also stops where the Jacobian's
     quadrature does not converge, on bands thinner than about 1e-7 of the
-    diameter or gaps thinner than about 1e-9.  SolverError if max |residual|
-    stays above 1e-8.
+    diameter or gaps thinner than about 1e-9, or where the Jacobian is
+    singular.  SolverError if max |residual| stays above 1e-8.
     """
     n = len(comb.teeth)
     if comb.tail_bound != 0.0:
@@ -210,33 +207,30 @@ def gaps_from_comb(comb, bracket):
         try:
             gs = GapSystem(b0=b0, a0=a0, gaps=_endpoints_to_gaps(x))
             cp = critical_points(gs, _INNER_QTOL)
-            om = frequencies(gs, cp, _INNER_QTOL)
+            found = comb_from_gaps(gs, cp, _INNER_QTOL)
         except (SolverError, ValidationError):
             return None
-        return np.concatenate([om, cp.h]) - target, gs, cp
+        return np.concatenate([found.omegas, found.heights]) - target, gs, cp
 
     x = np.array([v for g in bracket.gaps for v in g])
     point = evaluate(x)
     if point is None:
         raise SolverError("comb inversion: the bracket is not a feasible start", iterate=x)
     r, gs, cp = point
-    jac, lam = None, 0.0
-    for _ in range(_LM_MAX_ITER):
-        if np.max(np.abs(r)) <= _LM_RESIDUAL_TOL or lam > _LM_MAX_DAMPING:
+    step, length = None, 1.0
+    for _ in range(_MAX_ITER):
+        if np.max(np.abs(r)) <= _RESIDUAL_TOL or length < _MIN_STEP_LENGTH:
             break
-        if jac is None:
+        if step is None:
             try:
-                jac = comb_jacobian(gs, cp, _INNER_QTOL)
-            except SolverError:
+                step = np.linalg.solve(comb_jacobian(gs, cp, _INNER_QTOL), -r)
+            except (SolverError, np.linalg.LinAlgError):
                 break  # no step without a Jacobian; the residual decides below
-        # min |jac step + r|^2 + lam |D step|^2, D the column norms of jac (Marquardt scaling)
-        damped = np.vstack([jac, np.diag(np.sqrt(lam) * np.linalg.norm(jac, axis=0))])
-        step = np.linalg.lstsq(damped, np.concatenate([-r, np.zeros(x.size)]), rcond=None)[0]
-        trial = evaluate(x + step)
+        trial = evaluate(x + length * step)
         if trial is not None and trial[0] @ trial[0] < r @ r:
-            x, (r, gs, cp), jac, lam = x + step, trial, None, lam / 3.0
+            x, (r, gs, cp), step, length = x + length * step, trial, None, 1.0
         else:
-            lam = 10.0 * lam if lam else _LM_FIRST_DAMPING
+            length *= 0.5
     if np.max(np.abs(r)) > 1e-8:
         raise SolverError(
             "comb inversion did not reach tolerance", residual=float(np.max(np.abs(r))), iterate=x

@@ -218,6 +218,14 @@ class TestContract:
         path.write_text("{not json")
         assert main(["critical", "--input", str(path)]) == 2
 
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"[" * 100000],
+                             ids=["not-utf-8", "nested-too-deep"])
+    def test_undecodable_input_exit_2(self, capsys, tmp_path, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        assert main(["critical", "--input", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_missing_field_exit_2(self, capsys, tmp_path):
         code, _ = run(capsys, ["critical"], {"gaps": []}, tmp_path)
         assert code == 2

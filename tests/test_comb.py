@@ -133,12 +133,16 @@ class TestCombJacobian:
 
 
 class TestLevenbergMarquardt:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    """The comb inverse, Newton with step halving.  The class keeps the name of
+    the damped solver it first tested, so that its test ids stay put."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 12, 16])
     @pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (0.25, -0.4), (4.0, 6.5)])
     def test_moved_set_roundtrip(self, n, scale, shift):
         rng = np.random.default_rng([n, int(100 * scale)])
         for _ in range(2):
-            gs = spaced_gap_system(rng, n, scale=scale, shift=shift)
+            gs = spaced_gap_system(rng, n, scale=scale, shift=shift,
+                                   min_share=min(0.02, 0.3 / (2 * n + 1)))
             rec = cb.gaps_from_comb(cb.comb_from_gaps(gs), _perturbed_bracket(gs, rng))
             err = np.max(np.abs(np.asarray(rec.gaps) - np.asarray(gs.gaps)))
             assert err <= 1e-12 * gs.diameter
@@ -152,7 +156,29 @@ class TestLevenbergMarquardt:
             cb.gaps_from_comb(comb, bracket)
         assert np.isfinite(info.value.residual) and info.value.residual > 1e-8
         # one start, then one trial point per iteration; the Jacobian solves nothing
-        assert len(seen) <= 1 + cb._LM_MAX_ITER
+        assert len(seen) <= 1 + cb._MAX_ITER
+
+    def test_halved_step_on_feasible_comb(self, monkeypatch):
+        # the full Newton step from this bracket raises the residual, so the
+        # first accepted step is a halved one
+        comb = cb.CombData(teeth=((0.3, 0.4),))
+        bracket = GapSystem(-2.0, 2.0, ((-0.5, 0.5),))
+        seen = _record_inner_sets(monkeypatch)
+        jacobians, jacobian = [], cb.comb_jacobian
+
+        def counting(*args):
+            jacobians.append(args[0])
+            return jacobian(*args)
+
+        monkeypatch.setattr(cb, "comb_jacobian", counting)
+        rec = cb.gaps_from_comb(comb, bracket)
+        # without a rejected trial point, every evaluated set but the start
+        # is an accepted iterate, and each of those but the last takes a Jacobian
+        assert len(seen) > len(jacobians) + 1
+        found = cb.comb_from_gaps(rec, qtol=1e-13)
+        residual = np.concatenate([np.subtract(found.omegas, comb.omegas),
+                                   np.subtract(found.heights, comb.heights)])
+        assert np.max(np.abs(residual)) <= 1e-12
 
     def test_residual_sees_only_ordered_sets(self, monkeypatch, two_gap, two_gap_cp):
         seen = _record_inner_sets(monkeypatch)
