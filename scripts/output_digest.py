@@ -11,8 +11,10 @@ The sweep (all seeded):
 - geometry: spaced sets at N = 1..24, two per N, each in the frames x,
   1e-3 x - 7 and 250 x + 1e4, at qtol 1e-12 and 1e-10: the critical points
   (c, h, s) on a cold and on a warm harmonic-measure cache, G at one point per
-  gap, omega_k at three points for every k, the frequencies, the Abel map and
-  the kernel at the origin for one divisor, and at N <= 3 the comb round trip;
+  gap, omega_k at three points for every k, the frequencies, the dos CDF at one
+  interior point per band, omega_k for every k at a0 + 1e3 diameters (a ray
+  integral that doubles past 64 nodes), the Abel map and the kernel at the
+  origin for one divisor, and at N <= 3 the comb round trip;
 - divisors: N = 1..16, the same three frames, 128 and 256 bits, four divisors
   (random, on every a_j, on every b_j, and 1e-13 gap widths inside alternate
   ends), each read at sites 0..9 of the continued fraction: 3840 reads;
@@ -70,6 +72,11 @@ def _geometry(gs, rng, qtol, out):
     divisor = Divisor(tuple((x, int(rng.choice([-1, 1]))) for x in xs))
     _record(out, lambda: _hex([spectral_set.green(gs, cp, x, qtol) for x in xs]))
     _record(out, lambda: _hex(spectral_set.frequencies(gs, cp, qtol)))
+    _record(out, lambda: _hex([spectral_set.dos_cdf(gs, cp, lo + 0.37 * (hi - lo), qtol)
+                               for lo, hi in gs.bands]))
+    far = gs.a0 + 1e3 * gs.diameter
+    _record(out, lambda: _hex([spectral_set.harmonic_measure(gs, k, far, qtol)
+                               for k in range(1, gs.n_gaps + 1)]))
     _record(out, lambda: _hex(abel.abel_map(gs, divisor, qtol).alpha))
     _record(out, lambda: _hex([abel.kernel_at_origin(gs, cp, divisor, qtol)]))
     if gs.n_gaps <= 3 and qtol == 1e-12:

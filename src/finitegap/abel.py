@@ -132,7 +132,7 @@ def _abel_series(gs):
     """
     n = gs.n_gaps
     cs = gs.centred
-    poly = _lagrange_basis(cs, _harmonic_poly_coeffs(gs, DEFAULT_QTOL)[0])
+    poly = _lagrange_basis(cs, _harmonic_poly_coeffs(gs, DEFAULT_QTOL).coeffs)
     lo, hi = np.array(cs.gaps).T[..., None]
     root = _rest_root(cs, lo, hi)
     signs = np.array([[gap_branch_sign(gs, k)] for k in range(1, n + 1)])
@@ -174,7 +174,7 @@ def abel_map(gs, divisor, qtol=DEFAULT_QTOL):
     divisor = divisor.normalized(gs)
     if n == 0:
         return Character(alpha=())
-    poly = _lagrange_basis(gs.centred, _harmonic_poly_coeffs(gs, qtol)[0])
+    poly = _lagrange_basis(gs.centred, _harmonic_poly_coeffs(gs, qtol).coeffs)
     xs, eps = np.array(divisor.points).T
     inc = _gap_increment(gs, poly, range(1, n + 1), xs, qtol)  # inc[j, k]
     alpha = np.sum(0.5 * eps * inc, axis=1)
@@ -441,7 +441,7 @@ def measure_box(gs, box, qtol=DEFAULT_QTOL):
     entries = _parse_box(gs, box)
     if not entries:
         return 1.0
-    poly = _lagrange_basis(gs.centred, _harmonic_poly_coeffs(gs, qtol)[0])
+    poly = _lagrange_basis(gs.centred, _harmonic_poly_coeffs(gs, qtol).coeffs)
     js, a, b, _ = zip(*entries)
     inc = _gap_increment(gs, poly, js + js, b + a, qtol)
     # cols[s, j - 1] = omega_j(b_s) - omega_j(a_s), the transpose of the matrix above

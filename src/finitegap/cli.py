@@ -93,9 +93,9 @@ def _parse_z(args, default=None):
         return default
     parts = args.z.split(",")
     try:
-        re = float(parts[0])
-        im = float(parts[1]) if len(parts) > 1 else 0.0
-    except (ValueError, IndexError):
+        # RE alone has IM = 0; a third part fails the unpacking
+        re, im = map(float, parts + ["0"] * (2 - len(parts)))
+    except ValueError:
         raise ValidationError(f"cannot parse --z {args.z!r} as RE[,IM]")
     if not (isfinite(re) and isfinite(im)):
         raise ValidationError(f"--z {args.z!r} is not finite")

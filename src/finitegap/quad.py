@@ -3,7 +3,10 @@
 All routines work on vectorized integrands ``f(x: ndarray) -> ndarray`` and
 refine by node doubling until two successive estimates agree to ``qtol``.
 An integrand of shape (..., n) on n nodes gives one integral per row, all
-converged together.
+converged together.  The first two orders, 32 and 64 nodes, share one call
+of the integrand on their 96 nodes side by side, and each rule sums its own
+slice; an integrand works element by element along the node axis, so the
+values are those of one call per order.  Every later order is one call.
 
 The interval can be a stack: limits of shape (K, 1) put the nodes of K
 intervals on one (K, n) array, so a single call integrates over K bands or
@@ -33,6 +36,29 @@ def _leggauss(n):
     return x, w
 
 
+def _doubling(f, nodes, rule, n_max, qtol, name):
+    """rule(n, f(nodes(n))) for n = _N_START, 2 _N_START, ..., n_max until two successive
+    estimates agree to qtol, relative to max(1, |estimate|); SolverError with the last
+    difference as residual otherwise.  The first two orders share one call of f on their
+    nodes joined along the last axis, which each order reads back as its own slice."""
+    head = f(np.concatenate([nodes(_N_START), nodes(2 * _N_START)], axis=-1))
+    prev = np.inf
+    n = _N_START
+    while n <= n_max:
+        if n == _N_START:
+            fx = head[..., :n]
+        elif n == 2 * _N_START:
+            fx = head[..., _N_START:]
+        else:
+            fx = f(nodes(n))
+        val = rule(n, fx)
+        if (diff := np.abs(val - prev).max()) <= qtol * max(1.0, np.abs(val).max()):
+            return val
+        prev = val
+        n *= 2
+    raise SolverError(f"{name} doubling did not converge", residual=diff)
+
+
 def gl_quad(f, a, b, qtol=DEFAULT_QTOL):
     """Adaptive-order Gauss-Legendre on [a, b] for a smooth integrand, up to _GL_N_MAX nodes;
     a and b may be stacks of shape (K, 1)."""
@@ -41,16 +67,14 @@ def gl_quad(f, a, b, qtol=DEFAULT_QTOL):
     if not np.any(half):
         return 0.0 * f(mid + np.zeros(1))[..., 0]
     rows = half[..., 0] if np.ndim(half) else half  # one scale per row of a stack
-    prev = np.inf
-    n = _N_START
-    while n <= _GL_N_MAX:
-        x, w = _leggauss(n)
-        val = rows * np.add.reduce(w * f(mid + half * x), axis=-1)
-        if (diff := np.abs(val - prev).max()) <= qtol * max(1.0, np.abs(val).max()):
-            return val
-        prev = val
-        n *= 2
-    raise SolverError("Gauss-Legendre doubling did not converge", residual=diff)
+    return _doubling(f, lambda n: mid + half * _leggauss(n)[0],
+                     lambda n, fx: rows * np.add.reduce(_leggauss(n)[1] * fx, axis=-1),
+                     _GL_N_MAX, qtol, "Gauss-Legendre")
+
+
+def _chebyshev_nodes(n):
+    """cos(theta_i), theta_i = (2i - 1) pi / (2n), i = 1..n: the Gauss-Chebyshev nodes on [-1, 1]."""
+    return np.cos((2 * np.arange(1, n + 1) - 1) * (np.pi / (2 * n)))
 
 
 def chebyshev_quad(g, lo, hi, qtol=DEFAULT_QTOL):
@@ -62,24 +86,16 @@ def chebyshev_quad(g, lo, hi, qtol=DEFAULT_QTOL):
     """
     m = 0.5 * (lo + hi)
     r = 0.5 * (hi - lo)
-    prev = np.inf
-    n = _N_START
-    while n <= _N_MAX:
-        theta = (2 * np.arange(1, n + 1) - 1) * (np.pi / (2 * n))
-        val = (np.pi / n) * np.add.reduce(g(m + r * np.cos(theta)), axis=-1)
-        if (diff := np.abs(val - prev).max()) <= qtol * max(1.0, np.abs(val).max()):
-            return val
-        prev = val
-        n *= 2
-    raise SolverError("Chebyshev doubling did not converge", residual=diff)
+    return _doubling(g, lambda n: m + r * _chebyshev_nodes(n),
+                     lambda n, gx: (np.pi / n) * np.add.reduce(gx, axis=-1),
+                     _N_MAX, qtol, "Chebyshev")
 
 
 def chebyshev_quad_fixed(g, lo, hi, n):
     """Fixed-order variant of :func:`chebyshev_quad`; unused, but bench/tracer.py wraps it."""
     m = 0.5 * (lo + hi)
     r = 0.5 * (hi - lo)
-    theta = (2 * np.arange(1, n + 1) - 1) * (np.pi / (2 * n))
-    return (np.pi / n) * np.sum(g(m + r * np.cos(theta)), axis=-1)
+    return (np.pi / n) * np.sum(g(m + r * _chebyshev_nodes(n)), axis=-1)
 
 
 def _chart_angle(lo, hi, x):

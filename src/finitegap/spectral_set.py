@@ -15,8 +15,10 @@ _ray_integral runs straight from the nearest branch point to a point outside
 _branch_integral picks the path for a point value of G or of a harmonic
 measure.  A quantity with one integral per gap or band (the moments, the
 periods and heights of the critical points, the band masses, the Abel map)
-takes one quadrature call for the whole stack.  The polynomials of the period
-problems (the critical points, the harmonic-measure polynomials, the comb
+takes one quadrature call for the whole stack.  The moments and the solved
+period problems of a set are cached per tolerance (_harmonic_poly_coeffs), and
+that entry keeps the critical points once they are solved.  The polynomials of
+the period problems (the critical points, the harmonic-measure polynomials, the comb
 Jacobian) are written in one Lagrange basis on the gap midpoints
 (_lagrange_basis), whose period matrix stays close to diagonal for any N.
 """
@@ -345,37 +347,54 @@ def _lagrange_roots(xi, w):
     return s + np.where(on_node.any(axis=1), 0.0, (1.0 + r @ w) / ((r * r) @ w))
 
 
-def critical_points(gs, qtol=DEFAULT_QTOL):
-    """Solve the N period conditions for the critical points of G.
+@dataclass(frozen=True, eq=False)
+class _PeriodSolve:
+    """The period problems of the centred set of gs at qtol, solved in the Lagrange basis
+    (_lagrange_basis): coeffs, row k - 1 the coefficients of P_k for k = 1..N, and p, the
+    coefficients of the critical polynomial P; critical_points is solved from p on first use."""
 
-    In the centred coordinate, where the periods and G are the same, they are
-    linear, and _harmonic_poly_coeffs solves them: prod(s - s_k) is a multiple of
-    P = Q / kappa + sum_{m<N} p_m l_m (_lagrange_basis), whose gap periods vanish.
-    P = (Q / kappa)(1 + sum_m w_m / (s - xi_m)), w_m = kappa p_m / Q'(xi_m), has the
-    zeros of _lagrange_roots.  One quadrature over the gaps and the gaps up to the
-    s_j gives the periods and the signed halves H_j, h_j = |H_j|; |H_j| +
-    |period_j - H_j| is int |P| / sqrt|R| over gap j, and each period must lie
-    within 1e3 qtol of it."""
-    n = gs.n_gaps
-    if n == 0:
+    gs: GapSystem
+    qtol: float
+    coeffs: np.ndarray
+    p: np.ndarray
+
+    @cached_property
+    def critical_points(self):
+        """The N period conditions for the critical points of G are linear in the centred
+        coordinate, where the periods and G are the same: prod(s - s_k) is a multiple of
+        P = Q / kappa + sum_{m<N} p_m l_m (_lagrange_basis), whose gap periods vanish.
+        P = (Q / kappa)(1 + sum_m w_m / (s - xi_m)), w_m = kappa p_m / Q'(xi_m), has the
+        zeros of _lagrange_roots.  One quadrature over the gaps and the gaps up to the
+        s_j gives the periods and the signed halves H_j, h_j = |H_j|; |H_j| +
+        |period_j - H_j| is int |P| / sqrt|R| over gap j, and each period must lie
+        within 1e3 qtol of it."""
+        gs, qtol = self.gs, self.qtol
+        n = gs.n_gaps
+        cs = gs.centred
+        xi, dq = _lagrange_nodes(cs)
+        s = np.sort(_lagrange_roots(xi, self.p * np.abs(dq).max() / dq))
+        mid, half = gs.frame
+        lo, hi = np.array(cs.gaps).T
+        if not np.all((lo < s) & (s < hi)):
+            raise SolverError("critical point outside its gap", iterate=mid + half * s)
+        # the full gaps, then the gaps up to their critical points, in one call
+        ints = _edge_integral(cs, partial(_prod, roots=s), np.tile(lo, 2), np.tile(hi, 2),
+                              np.concatenate([hi, s]), qtol)
+        period, part = ints[:n], ints[n:]
+        if np.any(np.abs(period) > 1e3 * qtol * (np.abs(part) + np.abs(period - part))):
+            raise SolverError(
+                "period residual above tolerance", residual=np.max(np.abs(period)),
+                iterate=mid + half * s)
+        return CriticalPoints(c=tuple(mid + half * s), h=tuple(np.abs(part)), s=tuple(s))
+
+
+def critical_points(gs, qtol=DEFAULT_QTOL):
+    """The critical points of G, with their heights: solved once per cache entry of
+    _harmonic_poly_coeffs, on first use, and the same CriticalPoints from then on.
+    A SolverError is not kept, so a set that fails raises on every call."""
+    if gs.n_gaps == 0:
         return CriticalPoints(c=(), h=(), s=())
-    cs = gs.centred
-    xi, dq = _lagrange_nodes(cs)
-    p = _harmonic_poly_coeffs(gs, qtol)[1]
-    s = np.sort(_lagrange_roots(xi, p * np.abs(dq).max() / dq))
-    mid, half = gs.frame
-    lo, hi = np.array(cs.gaps).T
-    if not np.all((lo < s) & (s < hi)):
-        raise SolverError("critical point outside its gap", iterate=mid + half * s)
-    # the full gaps, then the gaps up to their critical points, in one call
-    ints = _edge_integral(cs, partial(_prod, roots=s), np.tile(lo, 2), np.tile(hi, 2),
-                          np.concatenate([hi, s]), qtol)
-    period, part = ints[:n], ints[n:]
-    if np.any(np.abs(period) > 1e3 * qtol * (np.abs(part) + np.abs(period - part))):
-        raise SolverError(
-            "period residual above tolerance", residual=np.max(np.abs(period)),
-            iterate=mid + half * s)
-    return CriticalPoints(c=tuple(mid + half * s), h=tuple(np.abs(part)), s=tuple(s))
+    return _harmonic_poly_coeffs(gs, qtol).critical_points
 
 
 def green(gs, cp, z, qtol=DEFAULT_QTOL):
@@ -388,8 +407,9 @@ def green(gs, cp, z, qtol=DEFAULT_QTOL):
 @lru_cache(maxsize=32)
 def _harmonic_poly_coeffs(gs, qtol):
     """The period problems of the centred set, solved in the Lagrange basis
-    (_lagrange_basis): (coefficients of P_k, row k - 1 for k = 1..N, coefficients p
-    of the critical polynomial P of critical_points).
+    (_lagrange_basis), as a _PeriodSolve: the coefficients of the P_k and the coefficients
+    p of the critical polynomial P, which also holds the critical points once
+    critical_points has asked for them, so every reader of one entry shares one solve.
 
     M[j - 1, m] = int_{gap j} l_m(s) ds / sqrt|R(s)| for the N + 1 basis rows is one
     quadrature over the gaps at qtol, which callers pass positionally so that equal
@@ -401,7 +421,7 @@ def _harmonic_poly_coeffs(gs, qtol):
     """
     n = gs.n_gaps
     if n == 0:
-        return np.zeros((0, 0)), np.zeros(0)
+        return _PeriodSolve(gs, qtol, np.zeros((0, 0)), np.zeros(0))
     cs = gs.centred
     lo, hi = np.array(cs.gaps).T
     mom = _edge_integral(cs, _lagrange_basis(cs), lo, hi, hi, qtol).T
@@ -411,7 +431,7 @@ def _harmonic_poly_coeffs(gs, qtol):
         p = np.linalg.solve(mom[:, :n], -mom[:, n])
     except np.linalg.LinAlgError:
         raise SolverError("singular period matrix")
-    return coeffs.T, p
+    return _PeriodSolve(gs, qtol, coeffs.T, p)
 
 
 def _gap_increment(gs, num, js, xs, qtol):
@@ -458,7 +478,7 @@ def harmonic_measure(gs, k, x, qtol=DEFAULT_QTOL):
     depends on E alone, not on the critical points.
     """
     _, b_k = gs.gap(k)
-    poly = _lagrange_basis(gs.centred, _harmonic_poly_coeffs(gs, qtol)[0][k - 1])
+    poly = _lagrange_basis(gs.centred, _harmonic_poly_coeffs(gs, qtol).coeffs[k - 1])
     edge, inc = _branch_integral(gs, poly, x, qtol)
     return float(edge >= b_k) + inc
 
@@ -476,7 +496,7 @@ def harmonic_measure_density(gs, k, x):
     if min(x - lo, hi - x) < _EDGE_TOL * scale:
         raise ValidationError("square-root blow-up: x at a gap endpoint")
     mid, half = gs.frame
-    poly = _lagrange_basis(gs.centred, _harmonic_poly_coeffs(gs, DEFAULT_QTOL)[0][k - 1])
+    poly = _lagrange_basis(gs.centred, _harmonic_poly_coeffs(gs, DEFAULT_QTOL).coeffs[k - 1])
     return float(half**gs.n_gaps * poly((x - mid) / half) / sqrt_R_gap(gs, j, x))
 
 

@@ -256,11 +256,15 @@ class TestContract:
         (["harmonic", "--k", "1", "--z", "1,1"], ONE_GAP),
         (["dos", "--z", "0,1"], ONE_GAP),
         (["truncate"], {"teeth": [{"omega": 0.3, "h": 0.4}], "tail_bound": 0.0}),
+        (["green", "--z=1,2,3"], ONE_GAP),
+        (["green", "--z=1,2,"], ONE_GAP),
+        (["resolvents", "--z=0.1,0.2,0.3"], ONE_GAP_DIV),
     ], ids=["samples-0", "samples-negative", "seed-negative", "verify-seed-negative",
             "qtol-inf", "qtol-nan", "steps-negative", "green-z-nan", "harmonic-z-nan",
             "dos-z-nan", "resolvents-z-nan", "transfer-z-nan", "green-im-inf",
             "green-no-z", "green-z-unparsable", "harmonic-z-complex", "dos-z-complex",
-            "truncate-no-n"])
+            "truncate-no-n", "green-z-three-parts", "green-z-trailing-comma",
+            "resolvents-z-three-parts"])
     def test_out_of_range_option_exit_2(self, capsys, tmp_path, argv, doc):
         code, out = run(capsys, argv, doc, tmp_path)
         assert code == 2 and out == ""

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_gap_system, spaced_gap_system
 from finitegap import spectral_set
-from finitegap.abel import kernel_at_origin
+from finitegap.abel import abel_map, kernel_at_origin
 from finitegap.errors import SolverError, ValidationError
 from finitegap.herglotz import Divisor
 from finitegap.spectral_set import (
@@ -127,9 +127,84 @@ class TestCriticalPoints:
             return s
 
         critical_points(gs)
+        # the cache entry holds the solved points; a fresh entry runs the period check
+        spectral_set._harmonic_poly_coeffs.cache_clear()
         monkeypatch.setattr(spectral_set, "_lagrange_roots", moved)
         with pytest.raises(SolverError, match="period residual above tolerance"):
             critical_points(gs)
+
+
+class TestCriticalPointsCache:
+    """The _harmonic_poly_coeffs entry of a set and qtol keeps its critical points."""
+
+    RULES = ("chebyshev_quad", "theta_partial_quad", "gl_quad")
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """The rule calls made through spectral_set, and the _lagrange_roots calls."""
+        seen = []
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                seen.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in self.RULES + ("_lagrange_roots",):
+            monkeypatch.setattr(spectral_set, name, spy(name, getattr(spectral_set, name)))
+        spectral_set._harmonic_poly_coeffs.cache_clear()
+        return seen
+
+    def test_repeated_call_is_the_same_object(self, three_gap, spies):
+        cp = critical_points(three_gap)
+        assert spies == ["chebyshev_quad", "_lagrange_roots", "theta_partial_quad"]
+        spies.clear()
+        assert critical_points(three_gap) is cp
+        assert critical_points(GapSystem(three_gap.b0, three_gap.a0, three_gap.gaps)) is cp
+        assert spies == []
+
+    def test_other_qtol_solves_again(self, three_gap, spies):
+        cp = critical_points(three_gap)
+        spies.clear()
+        loose = critical_points(three_gap, 1e-10)
+        assert loose is not cp
+        assert spies == ["chebyshev_quad", "_lagrange_roots", "theta_partial_quad"]
+        assert critical_points(three_gap, 1e-10) is loose
+        assert spectral_set._harmonic_poly_coeffs.cache_info().currsize == 2
+
+    def test_harmonic_measure_solves_no_critical_points(self, three_gap, spies):
+        harmonic_measure(three_gap, 2, -3.0)
+        divisor = Divisor(tuple((0.5 * (a + b), 1) for a, b in three_gap.gaps))
+        abel_map(three_gap, divisor)
+        assert "_lagrange_roots" not in spies
+        spies.clear()
+        critical_points(three_gap)
+        # the moments are cached; the points are solved on this first request
+        assert spies == ["_lagrange_roots", "theta_partial_quad"]
+
+    def test_error_is_not_kept(self, monkeypatch):
+        gs = GapSystem(b0=-2.0, a0=2.0, gaps=((-1.0, -0.5), (0.5, 1.0)))
+        tries = []
+
+        def lost(xi, w):
+            tries.append(1)
+            return np.array([0.37, 0.38])
+
+        spectral_set._harmonic_poly_coeffs.cache_clear()
+        monkeypatch.setattr(spectral_set, "_lagrange_roots", lost)
+        for attempt in (1, 2):
+            with pytest.raises(SolverError, match="critical point outside its gap"):
+                critical_points(gs)
+            assert len(tries) == attempt
+
+    def test_cache_clear_drops_the_points(self, three_gap, spies):
+        cp = critical_points(three_gap)
+        spectral_set._harmonic_poly_coeffs.cache_clear()
+        spies.clear()
+        again = critical_points(three_gap)
+        assert again is not cp and again == cp
+        assert spies == ["chebyshev_quad", "_lagrange_roots", "theta_partial_quad"]
 
 
 _REF_THETA = (np.arange(1 << 14) + 0.5) * (np.pi / (1 << 14))
@@ -305,7 +380,7 @@ class TestHarmonicMeasure:
         mid, half = two_gap.frame
         cs = two_gap.centred
         for k in (1, 2):
-            coeffs = spectral_set._harmonic_poly_coeffs(two_gap, 1e-12)[0][k - 1]
+            coeffs = spectral_set._harmonic_poly_coeffs(two_gap, 1e-12).coeffs[k - 1]
             poly = spectral_set._lagrange_basis(cs, coeffs)
             if x > two_gap.a0:
                 rest = ends[ends != two_gap.a0]

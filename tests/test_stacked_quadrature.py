@@ -53,8 +53,8 @@ def test_one_rule_call_per_stack(n, monkeypatch):
     # moments, the one solve of both period problems; periods and heights
     ss._harmonic_poly_coeffs.cache_clear()
     assert calls(lambda: ss.critical_points(gs)) == ["chebyshev_quad", "theta_partial_quad"]
-    # with the period solve cached
-    assert calls(lambda: ss.critical_points(gs)) == ["theta_partial_quad"]
+    # the cache entry holds the critical points
+    assert calls(lambda: ss.critical_points(gs)) == []
     assert calls(lambda: ss.frequencies(gs, cp)) == ["chebyshev_quad"]
     ss._harmonic_poly_coeffs.cache_clear()
     assert calls(lambda: ss._harmonic_poly_coeffs(gs, DEFAULT_QTOL)) == ["chebyshev_quad"]
@@ -174,7 +174,7 @@ def test_stacked_matches_per_interval(n, seed, scale, shift, min_share):
     # at 9 points of [-1, 1], relative to the largest |P_k| there
     ss._harmonic_poly_coeffs.cache_clear()
     cs = gs.centred
-    poly = ss._lagrange_basis(cs, ss._harmonic_poly_coeffs(gs, qtol)[0])
+    poly = ss._lagrange_basis(cs, ss._harmonic_poly_coeffs(gs, qtol).coeffs)
     ref_poly = _ref_harmonic(gs)
     lo, hi = np.array(cs.gaps).T
     pts = np.append(lo + np.array([[0.1], [0.35], [0.6], [0.85]]) * (hi - lo), np.linspace(-1, 1, 9))
