@@ -17,7 +17,9 @@ measure.  A quantity with one integral per gap or band (the moments, the
 periods and heights of the critical points, the band masses, the Abel map)
 takes one quadrature call for the whole stack.  The moments and the solved
 period problems of a set are cached per tolerance (_harmonic_poly_coeffs), and
-that entry keeps the critical points once they are solved.  The polynomials of
+that entry keeps the critical points and the dos masses of the N + 1 bands once
+they are first asked for, so the frequencies and the full bands of the density
+of states take no quadrature on a warm entry.  The polynomials of
 the period problems (the critical points, the harmonic-measure polynomials, the comb
 Jacobian) are written in one Lagrange basis on the gap midpoints
 (_lagrange_basis), whose period matrix stays close to diagonal for any N.
@@ -351,7 +353,9 @@ def _lagrange_roots(xi, w):
 class _PeriodSolve:
     """The period problems of the centred set of gs at qtol, solved in the Lagrange basis
     (_lagrange_basis): coeffs, row k - 1 the coefficients of P_k for k = 1..N, and p, the
-    coefficients of the critical polynomial P; critical_points is solved from p on first use."""
+    coefficients of the critical polynomial P.  critical_points is solved from p, and
+    band_masses from the critical points, each on first use; a SolverError is not kept,
+    so a set that fails raises on every request."""
 
     gs: GapSystem
     qtol: float
@@ -370,6 +374,8 @@ class _PeriodSolve:
         within 1e3 qtol of it."""
         gs, qtol = self.gs, self.qtol
         n = gs.n_gaps
+        if n == 0:
+            return CriticalPoints(c=(), h=(), s=())
         cs = gs.centred
         xi, dq = _lagrange_nodes(cs)
         s = np.sort(_lagrange_roots(xi, self.p * np.abs(dq).max() / dq))
@@ -387,13 +393,20 @@ class _PeriodSolve:
                 iterate=mid + half * s)
         return CriticalPoints(c=tuple(mid + half * s), h=tuple(np.abs(part)), s=tuple(s))
 
+    @cached_property
+    def band_masses(self):
+        """The dos masses of the N + 1 bands of gs, left to right: one Chebyshev call over
+        the bands of the centred set, with the centred critical points of this entry."""
+        cs = self.gs.centred
+        lo, hi = np.array(cs.bands).T
+        num = _dos_numerator(self.critical_points.s)
+        return _edge_integral(cs, num, lo, hi, hi, self.qtol) / np.pi
+
 
 def critical_points(gs, qtol=DEFAULT_QTOL):
     """The critical points of G, with their heights: solved once per cache entry of
     _harmonic_poly_coeffs, on first use, and the same CriticalPoints from then on.
     A SolverError is not kept, so a set that fails raises on every call."""
-    if gs.n_gaps == 0:
-        return CriticalPoints(c=(), h=(), s=())
     return _harmonic_poly_coeffs(gs, qtol).critical_points
 
 
@@ -408,8 +421,8 @@ def green(gs, cp, z, qtol=DEFAULT_QTOL):
 def _harmonic_poly_coeffs(gs, qtol):
     """The period problems of the centred set, solved in the Lagrange basis
     (_lagrange_basis), as a _PeriodSolve: the coefficients of the P_k and the coefficients
-    p of the critical polynomial P, which also holds the critical points once
-    critical_points has asked for them, so every reader of one entry shares one solve.
+    p of the critical polynomial P, which also holds the critical points and the band
+    masses once they are first asked for, so every reader of one entry shares one solve.
 
     M[j - 1, m] = int_{gap j} l_m(s) ds / sqrt|R(s)| for the N + 1 basis rows is one
     quadrature over the gaps at qtol, which callers pass positionally so that equal
@@ -522,38 +535,34 @@ def _dos_numerator(roots):
     return lambda s: np.abs(_prod(s, roots))
 
 
-def _band_masses(gs, cp, x, qtol):
-    """dos masses of the bands of E cap (-inf, x], on the centred set with the centred
-    roots, which carry the same measure: one quadrature call for the full bands and
-    one for a band that x cuts."""
-    mid, half = gs.frame
-    cs = gs.centred
-    num = _dos_numerator(cp.s)
-    lo, hi = np.array(cs.bands).T
-    xc = (x - mid) / half
-    full = hi <= xc
-    masses = np.zeros(0)
-    if np.any(full):
-        masses = _edge_integral(cs, num, lo[full], hi[full], hi[full], qtol) / np.pi
-    cut = (lo < xc) & (xc < hi)
-    if np.any(cut):
-        part = _edge_integral(cs, num, lo[cut], hi[cut], [xc], qtol) / np.pi
-        masses = np.append(masses, part)
-    return masses
-
-
 def frequencies(gs, cp, qtol=DEFAULT_QTOL):
-    """omega_k = dos mass of E_k = bands k..N, for k = 1..N."""
+    """omega_k = dos mass of E_k = bands k..N, for k = 1..N, summed from the band masses
+    of the cache entry of gs at qtol, whose critical points are cp = critical_points(gs,
+    qtol): the full bands are integrated once per entry."""
     n = gs.n_gaps
     if n == 0:
         return np.zeros(0)
-    masses = _band_masses(gs, cp, gs.a0, qtol)
+    masses = _harmonic_poly_coeffs(gs, qtol).band_masses
     return np.array([masses[k:].sum() for k in range(1, n + 1)])
 
 
 def dos_cdf(gs, cp, x, qtol=DEFAULT_QTOL):
-    """Integrated density of states: dos mass of E cap (-inf, x]."""
-    return min(1.0, float(np.sum(_band_masses(gs, cp, x, qtol))))
+    """Integrated density of states: dos mass of E cap (-inf, x], with the masses of the
+    cache entry of gs at qtol, whose critical points are cp = critical_points(gs, qtol).
+    The full bands below x come from the entry's band_masses, so a call integrates only
+    a band that x cuts, on the centred set with the entry's centred critical points."""
+    entry = _harmonic_poly_coeffs(gs, qtol)
+    mid, half = gs.frame
+    cs = gs.centred
+    lo, hi = np.array(cs.bands).T
+    xc = (x - mid) / half
+    full = hi <= xc
+    masses = entry.band_masses[full] if np.any(full) else np.zeros(0)
+    cut = (lo < xc) & (xc < hi)
+    if np.any(cut):
+        num = _dos_numerator(entry.critical_points.s)
+        masses = np.append(masses, _edge_integral(cs, num, lo[cut], hi[cut], [xc], qtol) / np.pi)
+    return min(1.0, float(np.sum(masses)))
 
 
 def thouless_potential(gs, cp, z, qtol=DEFAULT_QTOL):

@@ -150,7 +150,11 @@ class TestTorusCommands:
         (["measure"], {"box": []}, {"measure": 1.0}),
         (["measure-mc"], {}, {"estimate": 1.0, "stderr": 0.0}),
         (["shift-check"], {}, {"residual": 0.0}),
-    ], ids=["abel", "invert", "kernel0", "measure", "measure-mc", "shift-check"])
+        (["dos", "--z", "0"], {}, {"cdf": pytest.approx(0.5, abs=1e-15), "frequencies": []}),
+        (["comb"], {}, {"teeth": []}),
+        (["critical"], {}, {"c": [], "h": []}),
+    ], ids=["abel", "invert", "kernel0", "measure", "measure-mc", "shift-check", "dos", "comb",
+            "critical"])
     def test_free_set(self, capsys, tmp_path, argv, extra, expected):
         # with no gaps the torus is a point: every command returns its N = 0 value
         doc = run_json(capsys, argv, dict(FREE, **extra), tmp_path)
@@ -229,6 +233,14 @@ class TestContract:
     def test_missing_field_exit_2(self, capsys, tmp_path):
         code, _ = run(capsys, ["critical"], {"gaps": []}, tmp_path)
         assert code == 2
+
+    def test_thin_gap_band_masses_exit_3_alone(self, capsys, tmp_path):
+        # the critical points of this set converge and its band masses do not: only the
+        # commands that read the masses fail
+        doc = {"band": [-2.0, 2.0], "gaps": [[1.5698628375269088, 1.56986283780736]]}
+        assert run(capsys, ["critical"], doc, tmp_path)[0] == 0
+        assert run(capsys, ["green", "--z", "0.3"], doc, tmp_path)[0] == 0
+        assert run(capsys, ["dos", "--z", "0"], doc, tmp_path)[0] == 3
 
     def test_numeric_failure_exit_3(self, capsys, tmp_path):
         # inverse comb problem with an unreachable target comb

@@ -134,27 +134,26 @@ class TestCriticalPoints:
             critical_points(gs)
 
 
+@pytest.fixture
+def spies(monkeypatch):
+    """The rule calls made through spectral_set, and the _lagrange_roots calls."""
+    seen = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            seen.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("chebyshev_quad", "theta_partial_quad", "gl_quad", "_lagrange_roots"):
+        monkeypatch.setattr(spectral_set, name, spy(name, getattr(spectral_set, name)))
+    spectral_set._harmonic_poly_coeffs.cache_clear()
+    return seen
+
+
 class TestCriticalPointsCache:
     """The _harmonic_poly_coeffs entry of a set and qtol keeps its critical points."""
-
-    RULES = ("chebyshev_quad", "theta_partial_quad", "gl_quad")
-
-    @pytest.fixture
-    def spies(self, monkeypatch):
-        """The rule calls made through spectral_set, and the _lagrange_roots calls."""
-        seen = []
-
-        def spy(name, fn):
-            def wrapper(*args, **kwargs):
-                seen.append(name)
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for name in self.RULES + ("_lagrange_roots",):
-            monkeypatch.setattr(spectral_set, name, spy(name, getattr(spectral_set, name)))
-        spectral_set._harmonic_poly_coeffs.cache_clear()
-        return seen
 
     def test_repeated_call_is_the_same_object(self, three_gap, spies):
         cp = critical_points(three_gap)
@@ -205,6 +204,55 @@ class TestCriticalPointsCache:
         again = critical_points(three_gap)
         assert again is not cp and again == cp
         assert spies == ["chebyshev_quad", "_lagrange_roots", "theta_partial_quad"]
+
+
+class TestBandMassesCache:
+    """The _harmonic_poly_coeffs entry of a set and qtol keeps the dos masses of its bands."""
+
+    # critical points converge here, while the Chebyshev rule over the bands does not
+    THIN = GapSystem(b0=-2.0, a0=2.0, gaps=((1.5698628375269088, 1.56986283780736),))
+
+    def test_integrated_once(self, three_gap, spies):
+        cp = critical_points(three_gap)
+        entry = spectral_set._harmonic_poly_coeffs(three_gap, 1e-12)
+        spies.clear()
+        masses = entry.band_masses
+        assert spies == ["chebyshev_quad"] and masses.shape == (4,)
+        assert entry.band_masses is masses
+        frequencies(three_gap, cp)
+        dos_cdf(three_gap, cp, three_gap.a0)
+        dos_cdf(three_gap, cp, -1.7)  # in gap 1
+        assert spies == ["chebyshev_quad"]
+        # a point in a band integrates that band alone
+        dos_cdf(three_gap, cp, 0.5)
+        assert spies == ["chebyshev_quad", "theta_partial_quad"]
+
+    def test_other_readers_integrate_no_masses(self, three_gap, spies):
+        cp = critical_points(three_gap)
+        for z in (-1.7, 4.0, 0.3 + 1.0j):
+            green(three_gap, cp, z)
+        harmonic_measure(three_gap, 2, -1.7)
+        abel_map(three_gap, Divisor(tuple((0.5 * (a + b), 1) for a, b in three_gap.gaps)))
+        assert "band_masses" not in vars(spectral_set._harmonic_poly_coeffs(three_gap, 1e-12))
+
+    def test_error_is_not_kept(self, spies):
+        cp = critical_points(self.THIN)
+        for _ in range(2):
+            spies.clear()
+            with pytest.raises(SolverError, match="Chebyshev doubling did not converge"):
+                frequencies(self.THIN, cp)
+            assert spies == ["chebyshev_quad"]
+        assert critical_points(self.THIN) is cp
+
+    def test_cache_clear_drops_the_masses(self, three_gap, spies):
+        critical_points(three_gap)
+        masses = spectral_set._harmonic_poly_coeffs(three_gap, 1e-12).band_masses
+        spectral_set._harmonic_poly_coeffs.cache_clear()
+        critical_points(three_gap)
+        spies.clear()
+        again = spectral_set._harmonic_poly_coeffs(three_gap, 1e-12).band_masses
+        assert again is not masses and np.array_equal(again, masses)
+        assert spies == ["chebyshev_quad"]
 
 
 _REF_THETA = (np.arange(1 << 14) + 0.5) * (np.pi / (1 << 14))
@@ -442,6 +490,19 @@ class TestDensityOfStates:
             assert dos_density(free_set, cp, x) == pytest.approx(
                 1.0 / (np.pi * np.sqrt(4.0 - x * x)), abs=1e-14
             )
+
+    @pytest.mark.parametrize("b0, a0", [(-2.0, 2.0), (9500.0, 10500.0), (-7.002, -6.998)],
+                             ids=["free", "moved", "scaled"])
+    def test_free_cdf_is_the_arcsine_law(self, b0, a0):
+        # with no gaps the dos is the equilibrium measure of [b0, a0]
+        gs = GapSystem(b0=b0, a0=a0)
+        cp = critical_points(gs)
+        mid, half = gs.frame
+        for x in (b0 - half, b0, b0 + 1e-3 * half, mid - 0.4 * half, mid, mid + 0.7 * half,
+                  a0 - 1e-9 * half, a0, a0 + half):
+            s = min(1.0, max(-1.0, (x - mid) / half))
+            assert abs(dos_cdf(gs, cp, x) - (0.5 + np.arcsin(s) / np.pi)) <= 1e-14
+        assert frequencies(gs, cp).shape == (0,)
 
     def test_total_mass(self, three_gap, three_gap_cp):
         assert dos_cdf(three_gap, three_gap_cp, three_gap.a0) == pytest.approx(1.0, abs=1e-10)
