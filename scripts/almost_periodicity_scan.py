@@ -16,7 +16,7 @@ import json
 
 from finitegap import jacobi_cf as jc
 from finitegap.herglotz import Divisor
-from finitegap.spectral_set import GapSystem, critical_points, frequencies
+from finitegap.spectral_set import GapSystem, frequencies
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,8 +35,7 @@ def main() -> int:
         doc = json.load(fh)
     gs = GapSystem.from_json(doc)
     divisor = Divisor.from_json(doc).validate(gs)
-    cp = critical_points(gs)
-    omega = frequencies(gs, cp)
+    omega = frequencies(gs)
 
     length = args.length if args.length is not None else args.window + 600
     seg = jc.coefficients(gs, divisor, 0, length)

@@ -65,24 +65,23 @@ def _geometry(gs, rng, qtol, out):
         a, b = gs.gap(k)
         pts = k_points + [a + 0.3 * (b - a)]
         _record(out, lambda: _hex([spectral_set.harmonic_measure(gs, k, x, qtol) for x in pts]))
-    cp = spectral_set.critical_points(gs, qtol)
-    for c in (cold, cp):
+    for c in (cold, spectral_set.critical_points(gs, qtol)):
         out.extend(_hex(c.c + c.h + c.s))
     xs = [a + rng.uniform(0.05, 0.95) * (b - a) for a, b in gs.gaps]
     divisor = Divisor(tuple((x, int(rng.choice([-1, 1]))) for x in xs))
-    _record(out, lambda: _hex([spectral_set.green(gs, cp, x, qtol) for x in xs]))
-    _record(out, lambda: _hex(spectral_set.frequencies(gs, cp, qtol)))
-    _record(out, lambda: _hex([spectral_set.dos_cdf(gs, cp, lo + 0.37 * (hi - lo), qtol)
+    _record(out, lambda: _hex([spectral_set.green(gs, x, qtol) for x in xs]))
+    _record(out, lambda: _hex(spectral_set.frequencies(gs, qtol)))
+    _record(out, lambda: _hex([spectral_set.dos_cdf(gs, lo + 0.37 * (hi - lo), qtol)
                                for lo, hi in gs.bands]))
     far = gs.a0 + 1e3 * gs.diameter
     _record(out, lambda: _hex([spectral_set.harmonic_measure(gs, k, far, qtol)
                                for k in range(1, gs.n_gaps + 1)]))
     _record(out, lambda: _hex(abel.abel_map(gs, divisor, qtol).alpha))
-    _record(out, lambda: _hex([abel.kernel_at_origin(gs, cp, divisor, qtol)]))
+    _record(out, lambda: _hex([abel.kernel_at_origin(gs, divisor, qtol)]))
     if gs.n_gaps <= 3 and qtol == 1e-12:
         width = min(b - a for a, b in gs.bands + gs.gaps)
         bracket = GapSystem(gs.b0, gs.a0, tuple((a + 0.1 * width, b - 0.1 * width) for a, b in gs.gaps))
-        _record(out, lambda: _hex(comb.gaps_from_comb(comb.comb_from_gaps(gs, cp), bracket).gaps))
+        _record(out, lambda: _hex(comb.gaps_from_comb(comb.comb_from_gaps(gs), bracket).gaps))
 
 
 def _starts(gs, rng):

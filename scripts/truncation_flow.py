@@ -15,7 +15,7 @@ import argparse
 import json
 
 from finitegap import comb as cb
-from finitegap.spectral_set import GapSystem, critical_points
+from finitegap.spectral_set import GapSystem
 
 
 def main() -> int:
@@ -29,8 +29,7 @@ def main() -> int:
     with open(args.input) as fh:
         doc = json.load(fh)
     gs = GapSystem.from_json(doc)
-    cp = critical_points(gs)
-    comb = cb.comb_from_gaps(gs, cp)
+    comb = cb.comb_from_gaps(gs)
     delta0 = comb.delta0
 
     n_list = []

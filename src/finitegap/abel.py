@@ -7,7 +7,7 @@ rapidly converging Fourier series, which makes Newton inversion and
 Monte-Carlo sampling over the torus cheap; the series are checked against
 direct harmonic-measure quadrature.  The Abel map and the invariant measure
 are built from the harmonic measures of E alone; only the kernel values and
-the shift frequencies need the critical points.
+the shift frequencies read the critical points (spectral_set.critical_points).
 """
 
 import math
@@ -26,6 +26,7 @@ from .spectral_set import (
     _lagrange_basis,
     _prod,
     _rest_root,
+    critical_points,
     frequencies,
     gap_branch_sign,
 )
@@ -364,13 +365,13 @@ def invert_abel(gs, alpha):
     raise SolverError("Abel inversion did not converge", residual=best[0], iterate=best[1])
 
 
-def shift_covariance_residual(gs, cp, divisor, prec=DEFAULT_PREC, steps=1, qtol=DEFAULT_QTOL):
+def shift_covariance_residual(gs, divisor, prec=DEFAULT_PREC, steps=1, qtol=DEFAULT_QTOL):
     """Torus distance between the Abel image of the divisor advanced by the
     coefficient stripping iteration and the frequency translate
-    alpha(D) - steps * omega."""
+    alpha(D) - steps * omega, omega = frequencies(gs, qtol)."""
     if steps < 0:
         raise ValidationError(f"shift steps must be nonnegative, got {steps}")
-    omega = frequencies(gs, cp, qtol)
+    omega = frequencies(gs, qtol)
     state = iterate(initial_state(gs, divisor, prec=prec), steps)[2]
     a0 = abel_map(gs, divisor, qtol)
     a1 = abel_map(gs, state.divisor, qtol)
@@ -378,9 +379,10 @@ def shift_covariance_residual(gs, cp, divisor, prec=DEFAULT_PREC, steps=1, qtol=
     return a1.distance(expected)
 
 
-def kernel_at_origin(gs, cp, divisor, qtol=DEFAULT_QTOL):
+def kernel_at_origin(gs, divisor, qtol=DEFAULT_QTOL):
     """Reproducing-kernel value at the origin for the divisor's character:
-    exp(-sum_j [h_j + eps_j G(x_j)]); lies in [Delta(0)^2, 1].
+    exp(-sum_j [h_j + eps_j G(x_j)]), h_j the heights of critical_points(gs, qtol); lies
+    in [Delta(0)^2, 1].
 
     G at the divisor points inside their gaps is one stacked _gap_increment,
     as `green` takes it one point at a time, clipped at 0 per point; at a gap
@@ -388,6 +390,7 @@ def kernel_at_origin(gs, cp, divisor, qtol=DEFAULT_QTOL):
     divisor = divisor.normalized(gs)
     if gs.n_gaps == 0:
         return 1.0
+    cp = critical_points(gs, qtol)
     xs, eps = np.array(divisor.points).T
     a, b = np.array(gs.gaps).T
     inside = (a < xs) & (xs < b)
@@ -399,9 +402,9 @@ def kernel_at_origin(gs, cp, divisor, qtol=DEFAULT_QTOL):
     return float(np.exp(-np.sum(np.asarray(cp.h) + eps * g)))
 
 
-def widom_delta(cp):
-    """Delta(0) = exp(-sum_j h_j) for a finite-gap set."""
-    return float(np.exp(-sum(cp.h)))
+def widom_delta(gs, qtol=DEFAULT_QTOL):
+    """Delta(0) = exp(-sum_j h_j), h_j the heights of the critical points of gs at qtol."""
+    return float(np.exp(-sum(critical_points(gs, qtol).h)))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,9 @@ def _check_options(args):
         raise ValidationError("qtol must be positive and finite")
     if args.seed < 0:
         raise ValidationError("seed must be nonnegative")
+    # islice takes a window or a step count up to sys.maxsize, and truncate takes 1 / n
+    if max(abs(args.n0), abs(args.n1), abs(args.steps), abs(args.n or 0)) > sys.maxsize:
+        raise ValidationError(f"--from, --to, --steps and --n must lie within +-{sys.maxsize}")
 
 
 def _meta(args):
@@ -77,10 +80,10 @@ def _load_doc(args):
                 doc = json.load(fh)
         else:
             doc = json.load(sys.stdin)
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"input is not UTF-8 text: {exc}")
     except RecursionError:
         raise ValidationError("input document is nested too deeply")
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer past int()'s digit limit
+        raise ValidationError(f"input is not a JSON document: {exc}")
     if not isinstance(doc, dict):
         raise ValidationError("input document must be a JSON object")
     return doc
@@ -122,16 +125,14 @@ def _emit(doc, args):
 
 
 def _cmd_critical(args, doc):
-    gs = GapSystem.from_json(doc)
-    cp = critical_points(gs, args.qtol)
+    cp = critical_points(GapSystem.from_json(doc), args.qtol)
     return {"c": list(cp.c), "h": list(cp.h)}
 
 
 def _cmd_green(args, doc):
     gs = GapSystem.from_json(doc)
-    cp = critical_points(gs, args.qtol)
     z = _parse_z(args)
-    return {"z": z, "green": green(gs, cp, z, args.qtol)}
+    return {"z": z, "green": green(gs, z, args.qtol)}
 
 
 def _cmd_harmonic(args, doc):
@@ -144,15 +145,14 @@ def _cmd_harmonic(args, doc):
 
 def _cmd_dos(args, doc):
     gs = GapSystem.from_json(doc)
-    cp = critical_points(gs, args.qtol)
     z = _parse_z(args)
     if z.imag != 0.0:
         raise ValidationError("density of states lives on the real line")
-    out = {"x": z.real, "cdf": dos_cdf(gs, cp, z.real, args.qtol),
-           "frequencies": frequencies(gs, cp, args.qtol)}
+    out = {"x": z.real, "cdf": dos_cdf(gs, z.real, args.qtol),
+           "frequencies": frequencies(gs, args.qtol)}
     kind = gs.locate(z.real)
     if kind[0] == "band":
-        out["density"] = dos_density(gs, cp, z.real)
+        out["density"] = dos_density(gs, z.real, args.qtol)
     return out
 
 
@@ -221,18 +221,15 @@ def _cmd_invert(args, doc):
 def _cmd_shift_check(args, doc):
     gs = GapSystem.from_json(doc)
     d = Divisor.from_json(doc).validate(gs)
-    cp = critical_points(gs, args.qtol)
-    res = abel.shift_covariance_residual(gs, cp, d, prec=args.prec, steps=args.steps,
-                                         qtol=args.qtol)
+    res = abel.shift_covariance_residual(gs, d, prec=args.prec, steps=args.steps, qtol=args.qtol)
     return {"steps": args.steps, "residual": res}
 
 
 def _cmd_kernel0(args, doc):
     gs = GapSystem.from_json(doc)
     d = Divisor.from_json(doc).validate(gs)
-    cp = critical_points(gs, args.qtol)
-    delta0 = abel.widom_delta(cp)
-    return {"k0": abel.kernel_at_origin(gs, cp, d, args.qtol),
+    delta0 = abel.widom_delta(gs, args.qtol)
+    return {"k0": abel.kernel_at_origin(gs, d, args.qtol),
             "delta0": delta0, "delta0_sq": delta0 ** 2}
 
 
@@ -300,7 +297,6 @@ def _verify_instance(name, doc, args, rng):
         })
 
     gs = GapSystem.from_json(doc)
-    cp = critical_points(gs, args.qtol)
     d = Divisor.from_json(doc).validate(gs) if "divisor" in doc else Divisor(())
     pair = split_resolvents(gs, d)
 
@@ -329,9 +325,9 @@ def _verify_instance(name, doc, args, rng):
 
     if gs.n_gaps:
         record("shift_covariance",
-               abel.shift_covariance_residual(gs, cp, d, prec=args.prec, qtol=args.qtol), 1e-6)
-        delta0 = abel.widom_delta(cp)
-        k0 = abel.kernel_at_origin(gs, cp, d, args.qtol)
+               abel.shift_covariance_residual(gs, d, prec=args.prec, qtol=args.qtol), 1e-6)
+        delta0 = abel.widom_delta(gs, args.qtol)
+        k0 = abel.kernel_at_origin(gs, d, args.qtol)
         record("kernel_bounds", max(0.0, k0 - 1.0, delta0 ** 2 - k0), 1e-12)
         alpha = abel.abel_map(gs, d, args.qtol)
         record("abel_roundtrip",
@@ -343,7 +339,7 @@ def _verify_instance(name, doc, args, rng):
         room = np.minimum(np.diff(pts)[:-1], np.diff(pts)[1:])
         inner = pts[1:-1] - 0.05 * room * (-1.0) ** np.arange(room.size)
         bracket = GapSystem(gs.b0, gs.a0, tuple(zip(inner[::2], inner[1::2])))
-        comb = comb_mod.comb_from_gaps(gs, cp, args.qtol)
+        comb = comb_mod.comb_from_gaps(gs, args.qtol)
         rec = comb_mod.gaps_from_comb(comb, bracket)
         err = max(
             abs(np.asarray(rec.gaps).ravel() - np.asarray(gs.gaps).ravel()),
@@ -392,7 +388,7 @@ def main(argv=None):
         _check_options(args)
         doc = {} if args.command == "verify" else _load_doc(args)
         result = _COMMANDS[args.command](args, doc)
-    except (ValidationError, json.JSONDecodeError, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -4,7 +4,8 @@ finite-band truncation diagnostics.
 
 The comb encodes E through the conformal map of the upper half-plane onto a
 half-strip with vertical slits: slit abscissas are -pi omega_k and slit
-heights are the Green's function values h_k at its critical points.
+heights are the Green's function values h_k at its critical points, which each
+function reads from the cached entry of the set (spectral_set.critical_points).
 """
 
 from dataclasses import dataclass, field
@@ -123,12 +124,10 @@ class CombData:
         return cls(teeth=teeth, tail_bound=tail_bound)
 
 
-def comb_from_gaps(gs, cp=None, qtol=DEFAULT_QTOL):
-    """Forward parameter map: omega_j = frequency of gap j, h_j = G(c_j)."""
-    if cp is None:
-        cp = critical_points(gs, qtol)
-    om = frequencies(gs, cp, qtol)
-    return CombData(teeth=tuple(zip(om, cp.h)))
+def comb_from_gaps(gs, qtol=DEFAULT_QTOL):
+    """Forward parameter map: omega_j = frequency of gap j, h_j = G(c_j), both of gs at qtol."""
+    heights = critical_points(gs, qtol).h
+    return CombData(teeth=tuple(zip(frequencies(gs, qtol), heights)))
 
 
 def _endpoints_to_gaps(x):
@@ -136,9 +135,9 @@ def _endpoints_to_gaps(x):
     return pairs
 
 
-def comb_jacobian(gs, cp, qtol=DEFAULT_QTOL):
+def comb_jacobian(gs, qtol=DEFAULT_QTOL):
     """Jacobian d(omega_1..N, h_1..N) / d(a_1, b_1, ..., a_N, b_N) of the forward map at gs,
-    with b0 and a0 held fixed; cp are the critical points of gs.
+    with b0 and a0 held fixed, at the critical points of gs at qtol.
 
     Forward-mode differentiation of the stacked rules on the centred set
     (_endpoint_jet), in one call over the gaps, the bands and the gaps up to
@@ -159,7 +158,8 @@ def comb_jacobian(gs, cp, qtol=DEFAULT_QTOL):
     gaps, bands = np.array(cs.gaps).T, np.array(cs.bands).T
     # the gaps, the bands, and the gaps up to their critical points, in one call
     lo, hi = np.concatenate([gaps, bands, gaps], axis=1)
-    mom, jet = _endpoint_jet(cs, cp.s, lo, hi, np.concatenate([gaps[1], bands[1], cp.s]), qtol)
+    s = critical_points(gs, qtol).s
+    mom, jet = _endpoint_jet(cs, s, lo, hi, np.concatenate([gaps[1], bands[1], s]), qtol)
     try:
         dq = -np.linalg.solve(mom[:n, :n].T, jet[:, :n].T)  # dq[m, i] = dq_m / de_i
     except np.linalg.LinAlgError:
@@ -200,35 +200,34 @@ def gaps_from_comb(comb, bracket):
     margin = 1e-8 * (a0 - b0)
 
     def evaluate(x):
-        """(residual, gap system, critical points) at x, or None where x breaks the
-        order or the inner solve raises."""
+        """(residual, gap system) at x, or None where x breaks the order or the inner
+        solve raises."""
         if not np.all(np.diff(np.concatenate(([b0 + margin], x, [a0 - margin]))) > 0.0):
             return None
         try:
             gs = GapSystem(b0=b0, a0=a0, gaps=_endpoints_to_gaps(x))
-            cp = critical_points(gs, _INNER_QTOL)
-            found = comb_from_gaps(gs, cp, _INNER_QTOL)
+            found = comb_from_gaps(gs, _INNER_QTOL)
         except (SolverError, ValidationError):
             return None
-        return np.concatenate([found.omegas, found.heights]) - target, gs, cp
+        return np.concatenate([found.omegas, found.heights]) - target, gs
 
     x = np.array([v for g in bracket.gaps for v in g])
     point = evaluate(x)
     if point is None:
         raise SolverError("comb inversion: the bracket is not a feasible start", iterate=x)
-    r, gs, cp = point
+    r, gs = point
     step, length = None, 1.0
     for _ in range(_MAX_ITER):
         if np.max(np.abs(r)) <= _RESIDUAL_TOL or length < _MIN_STEP_LENGTH:
             break
         if step is None:
             try:
-                step = np.linalg.solve(comb_jacobian(gs, cp, _INNER_QTOL), -r)
+                step = np.linalg.solve(comb_jacobian(gs, _INNER_QTOL), -r)
             except (SolverError, np.linalg.LinAlgError):
                 break  # no step without a Jacobian; the residual decides below
         trial = evaluate(x + length * step)
         if trial is not None and trial[0] @ trial[0] < r @ r:
-            x, (r, gs, cp), step, length = x + length * step, trial, None, 1.0
+            x, (r, gs), step, length = x + length * step, trial, None, 1.0
         else:
             length *= 0.5
     if np.max(np.abs(r)) > 1e-8:
@@ -282,15 +281,14 @@ def kernel_truncation_report(base_gs, n_list, eps=-1, rel_positions=None, qtol=D
             b0=base_gs.b0, a0=base_gs.a0, gaps=tuple(base_gs.gaps[j] for j in survivors)
         )
         gs_n = gaps_from_comb(trunc, bracket)
-        cp_n = critical_points(gs_n, qtol)
         pts = []
         for i, j in enumerate(survivors):
             if rel_positions is None:
-                x = cp_n.c[i]
+                x = critical_points(gs_n, qtol).c[i]
             else:
                 a, b = gs_n.gaps[i]
                 x = a + float(rel_positions[j]) * (b - a)
             pts.append((x, int(eps_arr[j])))
-        k0 = kernel_at_origin(gs_n, cp_n, Divisor(tuple(pts)), qtol)
+        k0 = kernel_at_origin(gs_n, Divisor(tuple(pts)), qtol)
         report.append({"n": int(n), "teeth": len(survivors), "k0": float(k0), "delta_n0": trunc.delta0})
     return report

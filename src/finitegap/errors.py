@@ -1,6 +1,6 @@
 """Exception types, and the number check of the JSON readers, shared across the package."""
 
-from math import isfinite
+from sys import float_info
 
 
 class ValidationError(ValueError):
@@ -22,10 +22,11 @@ class SolverError(RuntimeError):
 def json_number(value):
     """value itself, unless it is a string or a bool: float() would read "0.3"
     as a number and True passes an index or sign test as 1; or a NaN or an
-    infinity, which json.load reads from NaN and Infinity.  Raises TypeError
+    infinity, which json.load reads from NaN and Infinity, or an integer above
+    the largest float, which float() raises OverflowError on.  Raises TypeError
     or ValueError, which each JSON reader turns into ValidationError."""
     if isinstance(value, (str, bool)):
         raise TypeError(f"expected a number, got {value!r}")
-    if isinstance(value, float) and not isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
+    if isinstance(value, (int, float)) and not abs(value) <= float_info.max:
+        raise ValueError("expected a finite number within the float range")
     return value

@@ -21,7 +21,8 @@ from operator import mul
 import numpy as np
 
 from .errors import SolverError, ValidationError, json_number
-from .spectral_set import GapSystem, _prod, dos_density, gap_branch_sign, sqrt_R
+from .quad import DEFAULT_QTOL
+from .spectral_set import GapSystem, _prod, critical_points, dos_density, gap_branch_sign, sqrt_R
 
 # fixed-point bits of T in split_resolvents; at 64 T missed float64 by 1.5e-11
 _T_BITS = 128
@@ -256,14 +257,13 @@ def reflectionless_residual(gs, pair, x):
     return abs(-u - np.conj(v))
 
 
-def wronskian_residual(gs, pair, x, cp):
+def wronskian_residual(gs, pair, x, qtol=DEFAULT_QTOL):
     """Residual of the density identity Im R00(x+i0)/pi = W(x) dos(x) at x in the
     interior of E, W = prod (x - x_j)/(x - c_j) over the divisor of pair and the
-    critical points cp of gs.  R00 = -Pi/sqrt(R) holds no T, so neither does this
+    critical points of gs at qtol.  R00 = -Pi/sqrt(R) holds no T, so neither does this
     check; the reflectionless relation is reflectionless_residual.
     """
-    dos = dos_density(gs, cp, x)
     w = 1.0
-    for xj, cj in zip(pair.divisor.xs, cp.c):
+    for xj, cj in zip(pair.divisor.xs, critical_points(gs, qtol).c):
         w *= (x - xj) / (x - cj)
-    return abs(np.imag(r00(gs, pair.divisor, x)) / np.pi - w * dos)
+    return abs(np.imag(r00(gs, pair.divisor, x)) / np.pi - w * dos_density(gs, x, qtol))

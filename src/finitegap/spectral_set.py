@@ -19,10 +19,11 @@ takes one quadrature call for the whole stack.  The moments and the solved
 period problems of a set are cached per tolerance (_harmonic_poly_coeffs), and
 that entry keeps the critical points and the dos masses of the N + 1 bands once
 they are first asked for, so the frequencies and the full bands of the density
-of states take no quadrature on a warm entry.  The polynomials of
-the period problems (the critical points, the harmonic-measure polynomials, the comb
-Jacobian) are written in one Lagrange basis on the gap midpoints
-(_lagrange_basis), whose period matrix stays close to diagonal for any N.
+of states take no quadrature on a warm entry.  Every function of a set takes
+(gs, ..., qtol) and reads the critical points from that entry (critical_points).
+The polynomials of the period problems (the critical points, the harmonic-measure
+polynomials, the comb Jacobian) are written in one Lagrange basis on the gap
+midpoints (_lagrange_basis), whose period matrix stays close to diagonal for any N.
 """
 
 from dataclasses import dataclass
@@ -410,11 +411,12 @@ def critical_points(gs, qtol=DEFAULT_QTOL):
     return _harmonic_poly_coeffs(gs, qtol).critical_points
 
 
-def green(gs, cp, z, qtol=DEFAULT_QTOL):
-    """Green's function G(z) of the complement of E, pole at infinity: the real part of
-    the abelian integral of prod(s - s_j) ds / sqrt(R) on the centred set from a branch
-    point (_branch_integral), where G = 0 by construction of the critical points."""
-    return max(0.0, _branch_integral(gs, partial(_prod, roots=np.asarray(cp.s)), z, qtol)[1])
+def green(gs, z, qtol=DEFAULT_QTOL):
+    """Green's function G(z) of the complement of E, pole at infinity: the real part of the
+    abelian integral of prod(s - s_j) ds / sqrt(R), s_j the critical points of gs at qtol, on
+    the centred set from a branch point (_branch_integral), where G = 0 by their construction."""
+    roots = np.asarray(critical_points(gs, qtol).s)
+    return max(0.0, _branch_integral(gs, partial(_prod, roots=roots), z, qtol)[1])
 
 
 @lru_cache(maxsize=32)
@@ -513,9 +515,9 @@ def harmonic_measure_density(gs, k, x):
     return float(half**gs.n_gaps * poly((x - mid) / half) / sqrt_R_gap(gs, j, x))
 
 
-def dos_density(gs, cp, x):
-    """Density of the density-of-states measure at x in the interior of E:
-    half^N |prod(s - s_j)| / (pi sqrt|R(x)|) at s = (x - mid) / half."""
+def dos_density(gs, x, qtol=DEFAULT_QTOL):
+    """Density of the density-of-states measure at x in the interior of E: half^N |prod(s - s_j)|
+    / (pi sqrt|R(x)|) at s = (x - mid) / half, s_j the centred critical points of gs at qtol."""
     kind = gs.locate(x)
     if kind[0] != "band":
         raise ValidationError("density of states lives on E")
@@ -525,7 +527,8 @@ def dos_density(gs, cp, x):
         raise ValidationError("integrable singularity at band endpoint")
     mid, half = gs.frame
     root = np.sqrt(np.abs(_prod(x, np.array(gs.endpoints))))
-    return float(half**gs.n_gaps * _dos_numerator(cp.s)((x - mid) / half) / (np.pi * root))
+    dos = _dos_numerator(critical_points(gs, qtol).s)
+    return float(half**gs.n_gaps * dos((x - mid) / half) / (np.pi * root))
 
 
 def _dos_numerator(roots):
@@ -535,10 +538,9 @@ def _dos_numerator(roots):
     return lambda s: np.abs(_prod(s, roots))
 
 
-def frequencies(gs, cp, qtol=DEFAULT_QTOL):
+def frequencies(gs, qtol=DEFAULT_QTOL):
     """omega_k = dos mass of E_k = bands k..N, for k = 1..N, summed from the band masses
-    of the cache entry of gs at qtol, whose critical points are cp = critical_points(gs,
-    qtol): the full bands are integrated once per entry."""
+    of the cache entry of gs at qtol: the full bands are integrated once per entry."""
     n = gs.n_gaps
     if n == 0:
         return np.zeros(0)
@@ -546,11 +548,11 @@ def frequencies(gs, cp, qtol=DEFAULT_QTOL):
     return np.array([masses[k:].sum() for k in range(1, n + 1)])
 
 
-def dos_cdf(gs, cp, x, qtol=DEFAULT_QTOL):
+def dos_cdf(gs, x, qtol=DEFAULT_QTOL):
     """Integrated density of states: dos mass of E cap (-inf, x], with the masses of the
-    cache entry of gs at qtol, whose critical points are cp = critical_points(gs, qtol).
-    The full bands below x come from the entry's band_masses, so a call integrates only
-    a band that x cuts, on the centred set with the entry's centred critical points."""
+    cache entry of gs at qtol.  The full bands below x come from the entry's band_masses,
+    so a call integrates only a band that x cuts, on the centred set with the entry's
+    centred critical points."""
     entry = _harmonic_poly_coeffs(gs, qtol)
     mid, half = gs.frame
     cs = gs.centred
@@ -565,13 +567,13 @@ def dos_cdf(gs, cp, x, qtol=DEFAULT_QTOL):
     return min(1.0, float(np.sum(masses)))
 
 
-def thouless_potential(gs, cp, z, qtol=DEFAULT_QTOL):
-    """Logarithmic potential int_E log|z - x| d omega(x): log half plus the same
-    potential of the centred set at (z - mid) / half, one quadrature call over its bands."""
+def thouless_potential(gs, z, qtol=DEFAULT_QTOL):
+    """Logarithmic potential int_E log|z - x| d omega(x), with the critical points of gs at
+    qtol: log half plus that of the centred set at (z - mid) / half, one call over its bands."""
     mid, half = gs.frame
     cs = gs.centred
     zc = (complex(z) - mid) / half
-    dos = _dos_numerator(cp.s)
+    dos = _dos_numerator(critical_points(gs, qtol).s)
 
     def num(s):
         return np.log(np.abs(zc - s)) * dos(s)
@@ -580,16 +582,15 @@ def thouless_potential(gs, cp, z, qtol=DEFAULT_QTOL):
     return float(np.log(half) + np.sum(_edge_integral(cs, num, lo, hi, hi, qtol)) / np.pi)
 
 
-def robin_constant(gs, cp, qtol=DEFAULT_QTOL):
+def robin_constant(gs, qtol=DEFAULT_QTOL):
     """The constant c in the Thouless identity G(z) = c + int log|z-x| d omega:
-    c = int_a0^inf (P/sqrt(R) - 1/(t - b0)) dt - log(a0 - b0), P = prod (t - s_j),
-    integrated on the centred set.  t = a0 + u^2 takes the edge factor out as
-    in _ray_integral, u = v / (1 - v) maps [0, inf) onto [0, 1), and P/sqrt(R)
-    is one factor (t - c_j) / sqrt((t - a_j)(t - b_j)) per gap, so no product
-    overflows."""
+    c = int_a0^inf (P/sqrt(R) - 1/(t - b0)) dt - log(a0 - b0), P = prod (t - s_j) over the
+    critical points of gs at qtol, integrated on the centred set.  t = a0 + u^2 takes the edge
+    factor out as in _ray_integral, u = v / (1 - v) maps [0, inf) onto [0, 1), and P/sqrt(R)
+    is one factor (t - c_j) / sqrt((t - a_j)(t - b_j)) per gap, so no product overflows."""
     mid, half = gs.frame
     # a0 - x on the centred set for the s_j, and from the differences on gs for the a_j, b_j
-    dc = (gs.a0 - mid) / half - np.array(cp.s, dtype=float)[:, None]
+    dc = (gs.a0 - mid) / half - np.array(critical_points(gs, qtol).s, dtype=float)[:, None]
     da, db = (gs.a0 - np.array(gs.gaps).reshape(-1, 2).T[..., None]) / half
 
     def f(v):

@@ -299,15 +299,15 @@ class TestInversion:
 
 
 class TestShiftCovariance:
-    def test_one_step(self, one_gap, one_gap_cp, rng):
+    def test_one_step(self, one_gap, rng):
         for _ in range(5):
             d = random_divisor(one_gap, rng)
-            assert ab.shift_covariance_residual(one_gap, one_gap_cp, d) < 1e-6
+            assert ab.shift_covariance_residual(one_gap, d) < 1e-6
 
-    def test_multi_step_linearity(self, two_gap, two_gap_cp, rng):
+    def test_multi_step_linearity(self, two_gap, rng):
         d = random_divisor(two_gap, rng)
         for k in (1, 4, 10):
-            assert ab.shift_covariance_residual(two_gap, two_gap_cp, d, steps=k) < 1e-6
+            assert ab.shift_covariance_residual(two_gap, d, steps=k) < 1e-6
 
     @pytest.mark.parametrize("n", [24, 32])
     def test_many_gaps(self, n):
@@ -325,25 +325,24 @@ class TestShiftCovariance:
                    for j, (a, b) in enumerate(gs.gaps, start=1)]
             assert 0.0 < ab.measure_box(gs, box) < 1.0
             if seed in (0, 2):
-                cp = critical_points(gs)
-                assert ab.shift_covariance_residual(gs, cp, d, steps=3) <= 1e-12
+                assert ab.shift_covariance_residual(gs, d, steps=3) <= 1e-12
 
 
 class TestKernel:
-    def test_bounds_random(self, two_gap, two_gap_cp, rng):
-        lo = ab.widom_delta(two_gap_cp) ** 2
+    def test_bounds_random(self, two_gap, rng):
+        lo = ab.widom_delta(two_gap) ** 2
         for _ in range(50):
             d = random_divisor(two_gap, rng)
-            k0 = ab.kernel_at_origin(two_gap, two_gap_cp, d)
+            k0 = ab.kernel_at_origin(two_gap, d)
             assert lo - 1e-12 <= k0 <= 1.0 + 1e-12
 
     def test_equality_cases(self, two_gap, two_gap_cp):
         cs = two_gap_cp.c
         up = Divisor(tuple((c, 1) for c in cs))
         dn = Divisor(tuple((c, -1) for c in cs))
-        assert ab.kernel_at_origin(two_gap, two_gap_cp, dn) == pytest.approx(1.0, abs=1e-12)
-        assert ab.kernel_at_origin(two_gap, two_gap_cp, up) == pytest.approx(
-            ab.widom_delta(two_gap_cp) ** 2, abs=1e-12
+        assert ab.kernel_at_origin(two_gap, dn) == pytest.approx(1.0, abs=1e-12)
+        assert ab.kernel_at_origin(two_gap, up) == pytest.approx(
+            ab.widom_delta(two_gap) ** 2, abs=1e-12
         )
 
     @pytest.mark.parametrize("name", ["one_gap", "two_gap", "three_gap", "thin_band", "thin_gap",
@@ -364,8 +363,8 @@ class TestKernel:
                    for j, (gap, (_, e)) in enumerate(zip(gs.gaps, divisors[0].points))]
             divisors.append(Divisor(tuple(pts)))
         for d in divisors:
-            expo = sum(h + e * green(gs, cp, x) for (x, e), h in zip(d.normalized(gs).points, cp.h))
-            assert ab.kernel_at_origin(gs, cp, d) == pytest.approx(np.exp(-expo), rel=1e-13)
+            expo = sum(h + e * green(gs, x) for (x, e), h in zip(d.normalized(gs).points, cp.h))
+            assert ab.kernel_at_origin(gs, d) == pytest.approx(np.exp(-expo), rel=1e-13)
 
 
 

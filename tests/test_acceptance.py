@@ -108,8 +108,7 @@ def test_criterion_05_thouless_formula():
     worst_avg = 0.0
     for _ in range(5):
         gs = random_gap_system(rng, 1)
-        cp = critical_points(gs)
-        rc = robin_constant(gs, cp)
+        rc = robin_constant(gs)
         st = jc.initial_state(gs, random_divisor(gs, rng, margin=0.02))
         _, psqs, _ = jc.iterate(st, 1000)
         avg = -0.5 * float(np.mean(np.log(psqs)))
@@ -117,9 +116,9 @@ def test_criterion_05_thouless_formula():
     assert worst_avg <= 1e-2
     gs = random_gap_system(rng, 2)
     cp = critical_points(gs)
-    rc = robin_constant(gs, cp)
+    rc = robin_constant(gs)
     worst_pt = max(
-        abs(green(gs, cp, z) - rc - thouless_potential(gs, cp, z))
+        abs(green(gs, z) - rc - thouless_potential(gs, z))
         for z in (4.0, -3.5, 0.3 + 1.2j, cp.c[0])
     )
     assert worst_pt <= 1e-6
@@ -165,15 +164,13 @@ def test_criterion_07_abel_shift_covariance():
     for n_gaps, count in ((1, 20), (2, 20), (3, 10)):
         for _ in range(count):
             gs = random_gap_system(rng, n_gaps)
-            cp = critical_points(gs)
             d = random_divisor(gs, rng, margin=0.02)
-            worst = max(worst, ab.shift_covariance_residual(gs, cp, d))
+            worst = max(worst, ab.shift_covariance_residual(gs, d))
     assert worst <= 1e-6
     gs = random_gap_system(rng, 2)
-    cp = critical_points(gs)
     d = random_divisor(gs, rng, margin=0.02)
     worst_k = max(
-        ab.shift_covariance_residual(gs, cp, d, steps=k) for k in (2, 5, 10)
+        ab.shift_covariance_residual(gs, d, steps=k) for k in (2, 5, 10)
     )
     assert worst_k <= 1e-6
     _report(7, "Abel shift covariance, 50 instances", worst, 1e-6)
@@ -202,12 +199,12 @@ def test_criterion_08_invariant_measure_monte_carlo(one_gap, two_gap):
 
 def test_criterion_09_kernel_bounds(two_gap, two_gap_cp):
     rng = np.random.default_rng(SEED + 4)
-    lo = ab.widom_delta(two_gap_cp) ** 2
+    lo = ab.widom_delta(two_gap) ** 2
     worst = 0.0
     strict = True
     for _ in range(1000):
         d = random_divisor(two_gap, rng, margin=1e-3)
-        k0 = ab.kernel_at_origin(two_gap, two_gap_cp, d)
+        k0 = ab.kernel_at_origin(two_gap, d)
         worst = max(worst, k0 - 1.0, lo - k0)
         if not lo < k0 < 1.0:
             strict = False
@@ -216,8 +213,8 @@ def test_criterion_09_kernel_bounds(two_gap, two_gap_cp):
     up = Divisor(tuple((c, 1) for c in two_gap_cp.c))
     dn = Divisor(tuple((c, -1) for c in two_gap_cp.c))
     eq = max(
-        abs(ab.kernel_at_origin(two_gap, two_gap_cp, dn) - 1.0),
-        abs(ab.kernel_at_origin(two_gap, two_gap_cp, up) - lo),
+        abs(ab.kernel_at_origin(two_gap, dn) - 1.0),
+        abs(ab.kernel_at_origin(two_gap, up) - lo),
     )
     assert eq <= 1e-12
     _report(9, "kernel bounds, 1000 divisors", worst, 1)
@@ -245,7 +242,7 @@ def test_criterion_10_finite_band_approximation():
     _report(10, "comb roundtrip N=6 relative error", err, 1e-6)
 
 
-def test_criterion_11_spectral_localization(two_gap, two_gap_cp):
+def test_criterion_11_spectral_localization(two_gap):
     rng = np.random.default_rng(SEED + 5)
     d = random_divisor(two_gap, rng)
     seg = jc.coefficients(two_gap, d, -200, 200)
@@ -253,7 +250,7 @@ def test_criterion_11_spectral_localization(two_gap, two_gap_cp):
     ev = np.sort(eigh_tridiagonal(diag, off)[0])
     margin = max(two_gap.b0 - ev.min(), ev.max() - two_gap.a0)
     assert margin <= 0.05
-    cdf = np.array([dos_cdf(two_gap, two_gap_cp, x) for x in ev])
+    cdf = np.array([dos_cdf(two_gap, x) for x in ev])
     n = len(ev)
     ks = max(
         np.max(np.abs(np.arange(1, n + 1) / n - cdf)),
@@ -264,9 +261,9 @@ def test_criterion_11_spectral_localization(two_gap, two_gap_cp):
     _report(11, "Kolmogorov-Smirnov distance to dos", ks, 5e-2)
 
 
-def test_criterion_12_almost_periodicity(one_gap, one_gap_cp):
+def test_criterion_12_almost_periodicity(one_gap):
     rng = np.random.default_rng(SEED + 6)
-    om = frequencies(one_gap, one_gap_cp)
+    om = frequencies(one_gap)
     n_near = None
     for n in range(1, 5000):
         dist = abs(n * om[0] - round(n * om[0]))

@@ -86,28 +86,28 @@ def test_cleared_cache_resolves(key, expr):
 # that spectral_set holds as module attributes; a helper that bound a rule at
 # definition time would run uncounted
 _CALLERS = [
-    pytest.param(lambda ss, gs, cp: ss.critical_points(gs), "chebyshev_quad",
+    pytest.param(lambda ss, gs: ss.critical_points(gs), "chebyshev_quad",
                  id="critical_points-moments"),
-    pytest.param(lambda ss, gs, cp: ss.critical_points(gs), "theta_partial_quad",
+    pytest.param(lambda ss, gs: ss.critical_points(gs), "theta_partial_quad",
                  id="critical_points-heights"),
-    pytest.param(lambda ss, gs, cp: ss.green(gs, cp, -0.6), "theta_partial_quad", id="green-gap"),
-    pytest.param(lambda ss, gs, cp: ss.green(gs, cp, 4.0), "gl_quad", id="green-outside"),
-    pytest.param(lambda ss, gs, cp: ss.green(gs, cp, 1.0j), "gl_quad", id="green-complex"),
-    pytest.param(lambda ss, gs, cp: ss.harmonic_measure(gs, 1, -0.6), "theta_partial_quad",
+    pytest.param(lambda ss, gs: ss.green(gs, -0.6), "theta_partial_quad", id="green-gap"),
+    pytest.param(lambda ss, gs: ss.green(gs, 4.0), "gl_quad", id="green-outside"),
+    pytest.param(lambda ss, gs: ss.green(gs, 1.0j), "gl_quad", id="green-complex"),
+    pytest.param(lambda ss, gs: ss.harmonic_measure(gs, 1, -0.6), "theta_partial_quad",
                  id="harmonic_measure-gap"),
-    pytest.param(lambda ss, gs, cp: ss.harmonic_measure(gs, 1, 4.0), "gl_quad",
+    pytest.param(lambda ss, gs: ss.harmonic_measure(gs, 1, 4.0), "gl_quad",
                  id="harmonic_measure-outside"),
-    pytest.param(lambda ss, gs, cp: ss.dos_cdf(gs, cp, 0.0), "theta_partial_quad", id="dos_cdf"),
-    pytest.param(lambda ss, gs, cp: ss.frequencies(gs, cp), "chebyshev_quad", id="frequencies"),
-    pytest.param(lambda ss, gs, cp: ss.thouless_potential(gs, cp, 4.0), "chebyshev_quad",
+    pytest.param(lambda ss, gs: ss.dos_cdf(gs, 0.0), "theta_partial_quad", id="dos_cdf"),
+    pytest.param(lambda ss, gs: ss.frequencies(gs), "chebyshev_quad", id="frequencies"),
+    pytest.param(lambda ss, gs: ss.thouless_potential(gs, 4.0), "chebyshev_quad",
                  id="thouless_potential"),
-    pytest.param(lambda ss, gs, cp: importlib.import_module("finitegap.comb").comb_jacobian(gs, cp),
+    pytest.param(lambda ss, gs: importlib.import_module("finitegap.comb").comb_jacobian(gs),
                  "theta_partial_quad", id="comb_jacobian"),
 ]
 
 
 @pytest.mark.parametrize("call, rule", _CALLERS)
-def test_quadrature_rule_looked_up_at_call_time(call, rule, two_gap, two_gap_cp, monkeypatch):
+def test_quadrature_rule_looked_up_at_call_time(call, rule, two_gap, monkeypatch):
     ss = importlib.import_module("finitegap.spectral_set")
     seen = []
 
@@ -121,5 +121,5 @@ def test_quadrature_rule_looked_up_at_call_time(call, rule, two_gap, two_gap_cp,
     for name in ("chebyshev_quad", "theta_partial_quad", "gl_quad"):
         monkeypatch.setattr(ss, name, spy(name, getattr(ss, name)))
     ss._harmonic_poly_coeffs.cache_clear()
-    call(ss, two_gap, two_gap_cp)
+    call(ss, two_gap)
     assert rule in seen

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finitegap import cli, comb
+from finitegap import spectral_set
 from finitegap.cli import main
-from finitegap.spectral_set import GapSystem, critical_points, sqrt_R_gap
+from finitegap.quad import DEFAULT_QTOL
+from finitegap.spectral_set import GapSystem, sqrt_R_gap
 
 ONE_GAP = {"band": [-2.0, 2.0], "gaps": [[-1.0, 1.0]]}
 ONE_GAP_DIV = dict(ONE_GAP, divisor=[{"x": 0.3, "eps": 1}])
@@ -21,9 +22,11 @@ FREE = json.loads(
 
 
 def run(capsys, argv, doc=None, tmp_path=None):
+    """main on argv with doc as its input file: a str is written as it is, anything else
+    through json.dumps."""
     if doc is not None:
         path = tmp_path / "in.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         argv = argv + ["--input", str(path)]
     code = main(argv)
     out = capsys.readouterr().out
@@ -178,18 +181,13 @@ SOLVE_CASES = [
 
 
 @pytest.mark.parametrize("argv, doc, solves", [pytest.param(*c, id=c[0][0]) for c in SOLVE_CASES])
-def test_critical_points_solved_only_where_read(capsys, tmp_path, monkeypatch, argv, doc, solves):
-    # harmonic measures, the Abel map and the invariant measure depend on E alone
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return critical_points(*args, **kwargs)
-
-    for mod in (cli, comb):
-        monkeypatch.setattr(mod, "critical_points", spy)
+def test_critical_points_solved_only_where_read(capsys, tmp_path, argv, doc, solves):
+    # harmonic measures, the Abel map and the invariant measure depend on E alone; the
+    # cache entry of the set stores its critical points once any reader solves them
+    spectral_set._harmonic_poly_coeffs.cache_clear()
     run_json(capsys, argv, doc, tmp_path)
-    assert bool(calls) == solves
+    entry = spectral_set._harmonic_poly_coeffs(GapSystem.from_json(doc), DEFAULT_QTOL)
+    assert ("critical_points" in vars(entry)) == solves
 
 
 class TestCombCommands:
@@ -271,12 +269,18 @@ class TestContract:
         (["green", "--z=1,2,3"], ONE_GAP),
         (["green", "--z=1,2,"], ONE_GAP),
         (["resolvents", "--z=0.1,0.2,0.3"], ONE_GAP_DIV),
+        (["coeffs", "--to", str(10**400)], ONE_GAP_DIV),
+        (["coeffs", "--from", str(-10**400), "--to", "3"], ONE_GAP_DIV),
+        (["shift-check", "--steps", str(10**400)], ONE_GAP_DIV),
+        (["transfer", "--n", str(10**400)], ONE_GAP_DIV),
+        (["truncate", "--n", str(10**400)], {"teeth": [{"omega": 0.3, "h": 0.4}]}),
     ], ids=["samples-0", "samples-negative", "seed-negative", "verify-seed-negative",
             "qtol-inf", "qtol-nan", "steps-negative", "green-z-nan", "harmonic-z-nan",
             "dos-z-nan", "resolvents-z-nan", "transfer-z-nan", "green-im-inf",
             "green-no-z", "green-z-unparsable", "harmonic-z-complex", "dos-z-complex",
             "truncate-no-n", "green-z-three-parts", "green-z-trailing-comma",
-            "resolvents-z-three-parts"])
+            "resolvents-z-three-parts", "to-past-maxsize", "from-past-maxsize",
+            "steps-past-maxsize", "transfer-n-past-maxsize", "truncate-n-past-float"])
     def test_out_of_range_option_exit_2(self, capsys, tmp_path, argv, doc):
         code, out = run(capsys, argv, doc, tmp_path)
         assert code == 2 and out == ""
@@ -317,6 +321,12 @@ class TestContract:
         (["comb"], {"teeth": [{"omega": 0.3, "h": 0.4}], "tail_bound": 0.0}),
         (["invert"], dict(ONE_GAP, alpha=[0.1, 0.2])),
         (["invert"], dict(FREE, alpha=[0.3])),
+        (["critical"], {"band": [-2.0, 2.0], "gaps": [[-1.0, 10**400]]}),
+        (["comb"], {"teeth": [{"omega": 0.3, "h": 10**400}],
+                    "bracket": {"band": [-2.0, 2.0], "gaps": [[-0.5, 0.5]]}}),
+        (["measure"], dict(ONE_GAP, box=[{"gap": 10**400, "a": -0.5, "b": 0.5, "eps": 1}])),
+        # past int()'s default digit limit (Python >= 3.11), which json.dumps cannot write
+        (["critical"], '{"band": [-2, 1' + "0" * 4999 + "]}"),
     ], ids=["band-string", "gap-one-end", "divisor-x-string", "eps-1.7", "eps-minus-1.5",
             "eps-string", "box-without-b", "box-gap-1.9", "box-eps-1.7", "alpha-string",
             "tail-bound-string", "comb-number", "critical-list", "numeric-strings-and-true",
@@ -325,7 +335,8 @@ class TestContract:
             "omega-numeric-string", "tail-bound-numeric-string", "band-minus-infinity",
             "gap-nan", "divisor-x-nan", "box-b-infinity", "tail-bound-nan", "alpha-nan",
             "comb-h-infinity", "comb-teeth-without-bracket", "alpha-too-long",
-            "alpha-on-free-set"])
+            "alpha-on-free-set", "gap-past-float", "comb-h-past-float", "box-gap-past-float",
+            "band-past-digit-limit"])
     def test_malformed_document_exit_2(self, capsys, tmp_path, argv, doc):
         code, out = run(capsys, argv, doc, tmp_path)
         assert code == 2 and out == ""

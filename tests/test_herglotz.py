@@ -131,11 +131,11 @@ class TestBoundaryIdentities:
         with pytest.raises(ValidationError):
             reflectionless_residual(two_gap, pair, -0.5)
 
-    def test_wronskian_identity(self, two_gap, two_gap_cp, rng):
+    def test_wronskian_identity(self, two_gap, rng):
         d = random_divisor(two_gap, rng, margin=0.05)
         pair = split_resolvents(two_gap, d)
         for x in (-1.3, 0.4, 2.1):
-            assert wronskian_residual(two_gap, pair, x, two_gap_cp) < 1e-10
+            assert wronskian_residual(two_gap, pair, x) < 1e-10
 
 
 @settings(max_examples=20, deadline=None)

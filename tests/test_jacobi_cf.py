@@ -14,7 +14,7 @@ from finitegap import jacobi_cf as jc
 from finitegap.abel import shift_covariance_residual
 from finitegap.errors import SolverError, ValidationError
 from finitegap.herglotz import Divisor, _fixed_state, _pfromroots, _to_fixed, split_resolvents
-from finitegap.spectral_set import GapSystem, critical_points, frequencies
+from finitegap.spectral_set import GapSystem, frequencies
 from oracle_stieltjes import halfline_measure, stieltjes_coefficients
 
 # period-2 coefficients of the symmetric one-gap set with divisor (0.3, +1),
@@ -300,13 +300,12 @@ class TestSiteZeroDivisor:
     @pytest.mark.parametrize("eps", [1, -1])
     def test_points_next_to_an_edge_read_back(self, share, eps):
         gs = self.GS
-        cp = critical_points(gs)
         for j, (a, b) in enumerate(gs.gaps):
             for x in (a + share * (b - a), b - share * (b - a)):
                 pts = [(x, eps) if k == j else (0.5 * (lo + hi), -eps) for k, (lo, hi) in enumerate(gs.gaps)]
                 d = Divisor(tuple(pts))
                 assert jc.initial_state(gs, d).divisor == d.normalized(gs)
-                assert shift_covariance_residual(gs, cp, d, steps=0) == 0.0
+                assert shift_covariance_residual(gs, d, steps=0) == 0.0
 
 
 class TestDualState:
@@ -547,15 +546,15 @@ class TestAlmostPeriodicity:
         rep = jc.almost_periodicity_report(seg, np.zeros(0), delta=1.0, window=50)
         assert all(e["sup_discrepancy"] == 0.0 for e in rep)
 
-    def test_rational_frequency_exact_period(self, sym_one_gap, sym_one_gap_cp):
-        om = frequencies(sym_one_gap, sym_one_gap_cp)
+    def test_rational_frequency_exact_period(self, sym_one_gap):
+        om = frequencies(sym_one_gap)
         seg = jc.coefficients(sym_one_gap, Divisor(((0.3, 1),)), 0, 120)
         rep = jc.almost_periodicity_report(seg, om, delta=1e-6, window=60)
         by_n = {e["n"]: e for e in rep}
         assert by_n[2]["sup_discrepancy"] < 1e-11
 
-    def test_matches_per_site_sup(self, one_gap, one_gap_cp, rng):
-        om = frequencies(one_gap, one_gap_cp)
+    def test_matches_per_site_sup(self, one_gap, rng):
+        om = frequencies(one_gap)
         seg = jc.coefficients(one_gap, random_divisor(one_gap, rng), -20, 99)
         rep = jc.almost_periodicity_report(seg, om, delta=1.0, window=40)
         assert sorted(e["n"] for e in rep) == list(range(1, 81))
@@ -565,8 +564,8 @@ class TestAlmostPeriodicity:
                        for k in range(-20, 20))
             assert e["sup_discrepancy"] == want
 
-    def test_discrepancy_scales_with_torus_distance(self, one_gap, one_gap_cp, rng):
-        om = frequencies(one_gap, one_gap_cp)
+    def test_discrepancy_scales_with_torus_distance(self, one_gap, rng):
+        om = frequencies(one_gap)
         seg = jc.coefficients(one_gap, random_divisor(one_gap, rng), 0, 300)
         rep = jc.almost_periodicity_report(seg, om, delta=0.05, window=50)
         assert rep, "expected at least one near-period"

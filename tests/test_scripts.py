@@ -5,6 +5,7 @@ import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,3 +58,17 @@ def test_truncation_flow(monkeypatch, capsys):
     assert rows[-1][2] == delta0
     # eps = -1 at the critical points is the upper envelope k_n(0) = 1
     assert all(r[3] == "1.0000000000" for r in rows)
+
+
+def test_output_digest_groups():
+    # the digest script's three groups on one N = 2 set, so a signature change that
+    # breaks it fails here as well as in its own full sweep
+    digest = runpy.run_path(str(ROOT / "scripts" / "output_digest.py"), run_name="digest")
+    gs = digest["_set"](np.random.default_rng([2, 0]), 2, 1.0, 0.0)
+    geometry, divisors, windows = [], [], []
+    digest["_geometry"](gs, np.random.default_rng([2, 0, 1]), 1e-12, geometry)
+    starts = digest["_starts"](gs, np.random.default_rng([2, 3]))
+    assert digest["_divisors"](gs, starts, 128, divisors) == 40
+    digest["_windows"](gs, starts, 128, windows)
+    for out in (geometry, divisors, windows):
+        assert out and not any(line.startswith("error:") for line in out)

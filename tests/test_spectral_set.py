@@ -213,24 +213,23 @@ class TestBandMassesCache:
     THIN = GapSystem(b0=-2.0, a0=2.0, gaps=((1.5698628375269088, 1.56986283780736),))
 
     def test_integrated_once(self, three_gap, spies):
-        cp = critical_points(three_gap)
+        critical_points(three_gap)
         entry = spectral_set._harmonic_poly_coeffs(three_gap, 1e-12)
         spies.clear()
         masses = entry.band_masses
         assert spies == ["chebyshev_quad"] and masses.shape == (4,)
         assert entry.band_masses is masses
-        frequencies(three_gap, cp)
-        dos_cdf(three_gap, cp, three_gap.a0)
-        dos_cdf(three_gap, cp, -1.7)  # in gap 1
+        frequencies(three_gap)
+        dos_cdf(three_gap, three_gap.a0)
+        dos_cdf(three_gap, -1.7)  # in gap 1
         assert spies == ["chebyshev_quad"]
         # a point in a band integrates that band alone
-        dos_cdf(three_gap, cp, 0.5)
+        dos_cdf(three_gap, 0.5)
         assert spies == ["chebyshev_quad", "theta_partial_quad"]
 
     def test_other_readers_integrate_no_masses(self, three_gap, spies):
-        cp = critical_points(three_gap)
         for z in (-1.7, 4.0, 0.3 + 1.0j):
-            green(three_gap, cp, z)
+            green(three_gap, z)
         harmonic_measure(three_gap, 2, -1.7)
         abel_map(three_gap, Divisor(tuple((0.5 * (a + b), 1) for a, b in three_gap.gaps)))
         assert "band_masses" not in vars(spectral_set._harmonic_poly_coeffs(three_gap, 1e-12))
@@ -240,7 +239,7 @@ class TestBandMassesCache:
         for _ in range(2):
             spies.clear()
             with pytest.raises(SolverError, match="Chebyshev doubling did not converge"):
-                frequencies(self.THIN, cp)
+                frequencies(self.THIN)
             assert spies == ["chebyshev_quad"]
         assert critical_points(self.THIN) is cp
 
@@ -284,27 +283,26 @@ def test_affine_covariance(seed, n_gaps, log_scale, shift_share):
 
 class TestGreen:
     def test_free_closed_form(self, free_set):
-        cp = critical_points(free_set)
         for z in (3.0, -2.5, 1.0 + 2.0j, 0.5 + 0.1j):
             # branch of sqrt(z^2-4) that behaves like z at infinity
             sr = np.sqrt(complex(z) - 2.0) * np.sqrt(complex(z) + 2.0)
             expect = np.log(abs((z + sr) / 2.0))
-            assert green(free_set, cp, z) == pytest.approx(expect, abs=1e-10)
+            assert green(free_set, z) == pytest.approx(expect, abs=1e-10)
 
-    def test_zero_on_bands(self, two_gap, two_gap_cp):
+    def test_zero_on_bands(self, two_gap):
         for x in (-1.5, 0.3, 2.5):
-            assert green(two_gap, two_gap_cp, x) == 0.0
+            assert green(two_gap, x) == 0.0
 
     def test_maximum_at_critical_point(self, one_gap, one_gap_cp):
         c = one_gap_cp.c[0]
         h = one_gap_cp.h[0]
-        assert green(one_gap, one_gap_cp, c) == pytest.approx(h, abs=1e-12)
-        assert green(one_gap, one_gap_cp, c + 0.1) < h
-        assert green(one_gap, one_gap_cp, c - 0.1) < h
+        assert green(one_gap, c) == pytest.approx(h, abs=1e-12)
+        assert green(one_gap, c + 0.1) < h
+        assert green(one_gap, c - 0.1) < h
 
-    def test_positive_off_set(self, two_gap, two_gap_cp):
+    def test_positive_off_set(self, two_gap):
         for z in (-3.0, 4.0, 1.2, 1.0j):
-            assert green(two_gap, two_gap_cp, z) > 0
+            assert green(two_gap, z) > 0
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_thouless_identity_off_the_axis(self, n):
@@ -314,17 +312,16 @@ class TestGreen:
         rng = np.random.default_rng(100 + n)
         scale, shift = ((1.0, 0.0), (1e-2, 3.0), (1.0, 100.0), (50.0, -1e4))[n % 4]
         gs = spaced_gap_system(rng, n, scale=scale, shift=shift)
-        cp = critical_points(gs)
-        rc = robin_constant(gs, cp)
+        rc = robin_constant(gs)
         d = gs.diameter
         upper = rng.uniform(gs.b0, gs.a0, 6) + 1j * d * 10 ** rng.uniform(-3, 0, 6)
         outer = np.concatenate([gs.b0 - d * 10 ** rng.uniform(-3, 1, 6),
                                 gs.a0 + d * 10 ** rng.uniform(-3, 1, 6)])
         for z in (*upper, *outer):
-            g = green(gs, cp, z)
+            g = green(gs, z)
             assert g > 0.0
-            assert abs(g - rc - thouless_potential(gs, cp, z)) <= 1e-10 * max(1.0, g)
-            assert green(gs, cp, np.conj(z)) == g
+            assert abs(g - rc - thouless_potential(gs, z)) <= 1e-10 * max(1.0, g)
+            assert green(gs, np.conj(z)) == g
 
     @pytest.mark.parametrize("n", [24, 32, 48, 64])
     def test_thouless_identity_many_gaps(self, n):
@@ -333,27 +330,25 @@ class TestGreen:
         rng = np.random.default_rng(100 + n)
         scale, shift = {24: (1.0, 0.0), 32: (0.5, 40.0), 48: (1.0, 0.0), 64: (1e-2, 3.0)}[n]
         gs = spaced_gap_system(rng, n, scale=scale, shift=shift, min_share=0.3 / (2 * n + 1))
-        cp = critical_points(gs)
-        rc = robin_constant(gs, cp)
+        rc = robin_constant(gs)
         d = gs.diameter
         upper = rng.uniform(gs.b0, gs.a0, 4) + 1j * d * 10 ** rng.uniform(-2, 0, 4)
         outer = np.concatenate([gs.b0 - d * 10 ** rng.uniform(-2, 1, 2),
                                 gs.a0 + d * 10 ** rng.uniform(-2, 1, 2)])
         for z in (*upper, *outer):
-            g = green(gs, cp, z)
-            assert abs(g - rc - thouless_potential(gs, cp, z)) <= 1e-12 * max(1.0, g)
+            g = green(gs, z)
+            assert abs(g - rc - thouless_potential(gs, z)) <= 1e-12 * max(1.0, g)
 
     @pytest.mark.parametrize("name", ["thin_band", "thin_gap"])
     def test_complex_points_near_an_edge(self, name, request):
         # 1e-9 to 1e-1 diameters from each branch point, in every direction
         # of the upper half-plane
         gs = request.getfixturevalue(name)
-        cp = critical_points(gs)
         rng = np.random.default_rng(7)
         for e in gs.endpoints:
             r = gs.diameter * 10 ** rng.uniform(-9, -1, 6)
             for z in e + r * np.exp(1j * rng.uniform(0.01, np.pi - 0.01, 6)):
-                assert np.isfinite(green(gs, cp, z)) and green(gs, cp, z) >= 0.0
+                assert np.isfinite(green(gs, z)) and green(gs, z) >= 0.0
 
     def test_gap_point_next_to_an_edge(self, two_gap, two_gap_cp):
         # 2e-13 inside gap 1 from a_1 = -1 and from b_1 = -0.3: G = 2 sqrt|x - e| |P(e)|
@@ -363,8 +358,8 @@ class TestGreen:
             rest = np.array([f for f in two_gap.endpoints if f != e])
             lead = 2.0 * np.sqrt(abs(x - e)) * np.prod(np.abs(e - np.array(two_gap_cp.c))) / np.sqrt(
                 np.prod(np.abs(e - rest)))
-            assert green(two_gap, two_gap_cp, x) == pytest.approx(lead, rel=1e-9)
-            assert green(two_gap, two_gap_cp, complex(x, 0.0)) == green(two_gap, two_gap_cp, x)
+            assert green(two_gap, x) == pytest.approx(lead, rel=1e-9)
+            assert green(two_gap, complex(x, 0.0)) == green(two_gap, x)
 
 
 class TestHarmonicMeasure:
@@ -412,7 +407,7 @@ class TestHarmonicMeasure:
         assert loose == pytest.approx(harmonic_measure(two_gap, 1, -0.6), abs=1e-6)
         seen_partial.clear()
         cp = critical_points(two_gap, qtol=1e-6)
-        green(two_gap, cp, -0.6, qtol=1e-6)
+        green(two_gap, -0.6, qtol=1e-6)
         assert seen_partial == [1e-6] * 2
         assert cp.h == pytest.approx(two_gap_cp.h, abs=1e-6)
 
@@ -444,10 +439,10 @@ class TestHarmonicMeasure:
                            epsabs=0.0, epsrel=1e-13, limit=200)[0]
             assert harmonic_measure(two_gap, k, x) == pytest.approx(ref, rel=1e-10)
 
-    def test_tends_to_frequencies(self, two_gap, two_gap_cp):
+    def test_tends_to_frequencies(self, two_gap):
         # harmonic measure at infinity of E_k is the dos mass of bands k..N,
         # which frequencies computes from band integrals
-        om = frequencies(two_gap, two_gap_cp)
+        om = frequencies(two_gap)
         for x in (-1e6 * two_gap.diameter, 1e6 * two_gap.diameter):
             for k in (1, 2):
                 assert abs(harmonic_measure(two_gap, k, x) - om[k - 1]) < 1e-5
@@ -485,9 +480,8 @@ class TestHarmonicMeasure:
 
 class TestDensityOfStates:
     def test_free_arcsine(self, free_set):
-        cp = critical_points(free_set)
         for x in (-1.0, 0.0, 1.3):
-            assert dos_density(free_set, cp, x) == pytest.approx(
+            assert dos_density(free_set, x) == pytest.approx(
                 1.0 / (np.pi * np.sqrt(4.0 - x * x)), abs=1e-14
             )
 
@@ -496,19 +490,18 @@ class TestDensityOfStates:
     def test_free_cdf_is_the_arcsine_law(self, b0, a0):
         # with no gaps the dos is the equilibrium measure of [b0, a0]
         gs = GapSystem(b0=b0, a0=a0)
-        cp = critical_points(gs)
         mid, half = gs.frame
         for x in (b0 - half, b0, b0 + 1e-3 * half, mid - 0.4 * half, mid, mid + 0.7 * half,
                   a0 - 1e-9 * half, a0, a0 + half):
             s = min(1.0, max(-1.0, (x - mid) / half))
-            assert abs(dos_cdf(gs, cp, x) - (0.5 + np.arcsin(s) / np.pi)) <= 1e-14
-        assert frequencies(gs, cp).shape == (0,)
+            assert abs(dos_cdf(gs, x) - (0.5 + np.arcsin(s) / np.pi)) <= 1e-14
+        assert frequencies(gs).shape == (0,)
 
-    def test_total_mass(self, three_gap, three_gap_cp):
-        assert dos_cdf(three_gap, three_gap_cp, three_gap.a0) == pytest.approx(1.0, abs=1e-10)
+    def test_total_mass(self, three_gap):
+        assert dos_cdf(three_gap, three_gap.a0) == pytest.approx(1.0, abs=1e-10)
 
-    def test_frequencies_match_symmetric_half(self, sym_one_gap, sym_one_gap_cp):
-        om = frequencies(sym_one_gap, sym_one_gap_cp)
+    def test_frequencies_match_symmetric_half(self, sym_one_gap):
+        om = frequencies(sym_one_gap)
         assert om[0] == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -520,23 +513,21 @@ class TestDensityOfStates:
             return round(x * 2**20) / 2**20
 
         ends = [grid(e) for e in spaced_gap_system(np.random.default_rng(n), n).endpoints]
-        (gs, cp), (img, cp_img) = (
-            (g, critical_points(g)) for g in (
-                GapSystem(e[0], e[-1], tuple(zip(e[1:-1:2], e[2:-1:2])))
-                for e in (ends, [x + 1e4 for x in ends])))
-        assert np.max(np.abs(frequencies(img, cp_img) - frequencies(gs, cp))) <= 1e-14
+        gs, img = (GapSystem(e[0], e[-1], tuple(zip(e[1:-1:2], e[2:-1:2])))
+                   for e in (ends, [x + 1e4 for x in ends]))
+        assert np.max(np.abs(frequencies(img) - frequencies(gs))) <= 1e-14
         for lo, hi in gs.bands:
             x = grid(lo + 0.3 * (hi - lo))
-            assert abs(dos_cdf(img, cp_img, x + 1e4) - dos_cdf(gs, cp, x)) <= 1e-14
+            assert abs(dos_cdf(img, x + 1e4) - dos_cdf(gs, x)) <= 1e-14
 
-    def test_cdf_monotone(self, two_gap, two_gap_cp):
+    def test_cdf_monotone(self, two_gap):
         xs = np.linspace(-2.0, 3.0, 31)
-        vals = [dos_cdf(two_gap, two_gap_cp, x) for x in xs]
+        vals = [dos_cdf(two_gap, x) for x in xs]
         assert all(b - a >= -1e-12 for a, b in zip(vals, vals[1:]))
 
-    def test_density_validation(self, two_gap, two_gap_cp):
+    def test_density_validation(self, two_gap):
         with pytest.raises(ValidationError):
-            dos_density(two_gap, two_gap_cp, -0.5)  # gap point
+            dos_density(two_gap, -0.5)  # gap point
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -558,13 +549,12 @@ def test_readers_of_critical_points_are_covariant(n):
     def readers(alpha, beta):
         gs = GapSystem(alpha * ends[0] + beta, alpha * ends[-1] + beta,
                        tuple((alpha * a + beta, alpha * b + beta) for a, b in gaps))
-        cp = critical_points(gs)
         divisor = Divisor(tuple((alpha * x + beta, e) for x, e in points))
         return np.array([
-            *(green(gs, cp, alpha * z + beta) for z in zs),
-            *(thouless_potential(gs, cp, alpha * z + beta) - np.log(alpha) for z in zs),
-            robin_constant(gs, cp) + np.log(alpha),
-            kernel_at_origin(gs, cp, divisor),
+            *(green(gs, alpha * z + beta) for z in zs),
+            *(thouless_potential(gs, alpha * z + beta) - np.log(alpha) for z in zs),
+            robin_constant(gs) + np.log(alpha),
+            kernel_at_origin(gs, divisor),
         ])
 
     base = readers(1.0, 0.0)
@@ -574,19 +564,18 @@ def test_readers_of_critical_points_are_covariant(n):
 
 class TestThouless:
     def test_identity_pointwise(self, one_gap, one_gap_cp):
-        rc = robin_constant(one_gap, one_gap_cp)
+        rc = robin_constant(one_gap)
         for z in (4.0, -3.0, 0.2 + 1.0j, one_gap_cp.c[0]):
-            lhs = green(one_gap, one_gap_cp, z)
-            rhs = rc + thouless_potential(one_gap, one_gap_cp, z)
+            lhs = green(one_gap, z)
+            rhs = rc + thouless_potential(one_gap, z)
             assert lhs == pytest.approx(rhs, abs=1e-6)
 
     def test_free_capacity_one(self, free_set):
-        cp = critical_points(free_set)
-        assert abs(robin_constant(free_set, cp)) < 1e-10
+        assert abs(robin_constant(free_set)) < 1e-10
 
-    def test_symmetric_one_gap_capacity(self, sym_one_gap, sym_one_gap_cp):
+    def test_symmetric_one_gap_capacity(self, sym_one_gap):
         # cap([-2,-1] u [1,2]) = sqrt(3)/2 via the quadratic preimage of [-2,2]
-        assert robin_constant(sym_one_gap, sym_one_gap_cp) == pytest.approx(
+        assert robin_constant(sym_one_gap) == pytest.approx(
             -np.log(np.sqrt(3.0) / 2.0), abs=1e-10
         )
 
@@ -594,7 +583,7 @@ class TestThouless:
     def test_moved_symmetric_one_gap_capacity(self, scale, shift):
         # cap = sqrt(3)/2 scale for the image of [-2,-1] u [1,2]
         gs = GapSystem(shift - 2.0 * scale, shift + 2.0 * scale, ((shift - scale, shift + scale),))
-        assert robin_constant(gs, critical_points(gs)) == pytest.approx(
+        assert robin_constant(gs) == pytest.approx(
             -np.log(np.sqrt(3.0) / 2.0 * scale), abs=1e-12
         )
 
@@ -607,17 +596,16 @@ class TestThouless:
 
         base = spaced_gap_system(np.random.default_rng(n), n)
         ends = [grid(e) for e in base.endpoints]
-        c0 = robin_constant(*self._with_cp(ends, 1.0, 0.0))
+        c0 = robin_constant(self._moved(ends, 1.0, 0.0))
         for alpha, beta in ((2.0**-10, 0.0), (2.0**10, 0.0), (1.0, 100.0), (0.125, -7.0), (256.0, 1e4)):
-            assert robin_constant(*self._with_cp(ends, alpha, beta)) == pytest.approx(
+            assert robin_constant(self._moved(ends, alpha, beta)) == pytest.approx(
                 c0 - np.log(alpha), abs=1e-12
             )
 
     @staticmethod
-    def _with_cp(ends, alpha, beta):
+    def _moved(ends, alpha, beta):
         e = [alpha * x + beta for x in ends]
-        gs = GapSystem(e[0], e[-1], tuple(zip(e[1:-1:2], e[2:-1:2])))
-        return gs, critical_points(gs)
+        return GapSystem(e[0], e[-1], tuple(zip(e[1:-1:2], e[2:-1:2])))
 
 
 @settings(max_examples=15, deadline=None)
@@ -630,6 +618,6 @@ def test_random_geometry_invariants(data):
     cp = critical_points(gs)
     assert all(a < c < b for c, (a, b) in zip(cp.c, gs.gaps))
     assert all(h > 0 for h in cp.h)
-    om = frequencies(gs, cp)
+    om = frequencies(gs)
     assert np.all(om > 0) and np.all(om < 1)
     assert np.all(np.diff(om) < 0)  # tail masses strictly decrease

@@ -41,7 +41,6 @@ def _spy_rules(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_one_rule_call_per_stack(n, monkeypatch):
     gs = spaced_gap_system(np.random.default_rng(n), n)
-    cp = ss.critical_points(gs)
     divisor = random_divisor(gs, np.random.default_rng(n))
     seen = _spy_rules(monkeypatch)
 
@@ -56,7 +55,7 @@ def test_one_rule_call_per_stack(n, monkeypatch):
     # the cache entry holds the critical points
     assert calls(lambda: ss.critical_points(gs)) == []
     # one call over the bands fills the band masses of the entry
-    assert calls(lambda: ss.frequencies(gs, cp)) == ["chebyshev_quad"]
+    assert calls(lambda: ss.frequencies(gs)) == ["chebyshev_quad"]
     ss._harmonic_poly_coeffs.cache_clear()
     assert calls(lambda: ss._harmonic_poly_coeffs(gs, DEFAULT_QTOL)) == ["chebyshev_quad"]
     # with the harmonic-measure polynomials cached, as every later call finds them
@@ -64,15 +63,15 @@ def test_one_rule_call_per_stack(n, monkeypatch):
     box = [{"gap": j, "a": a + 0.25 * (b - a), "b": a + 0.75 * (b - a), "eps": 1}
            for j, (a, b) in enumerate(gs.gaps, start=1)]
     assert calls(lambda: abel.measure_box(gs, box)) == ["theta_partial_quad"]
-    assert calls(lambda: ss.thouless_potential(gs, cp, 2.0 * gs.a0)) == ["chebyshev_quad"]
-    # the points again, which the cache_clear above dropped with the entry; then at most
-    # the band that x cuts and, once per entry, the band masses
+    # the points again, which the cache_clear above dropped with the entry
     ss.critical_points(gs)
+    assert calls(lambda: ss.thouless_potential(gs, 2.0 * gs.a0)) == ["chebyshev_quad"]
+    # at most the band that x cuts and, once per entry, the band masses
     for lo, hi in gs.bands:
         for x in (0.5 * (lo + hi), hi):
-            assert len(calls(lambda: ss.dos_cdf(gs, cp, x))) <= 2
+            assert len(calls(lambda: ss.dos_cdf(gs, x))) <= 2
     # the entry holds the masses of the full bands
-    assert calls(lambda: ss.dos_cdf(gs, cp, 0.5 * sum(gs.gap(1)))) == []
+    assert calls(lambda: ss.dos_cdf(gs, 0.5 * sum(gs.gap(1)))) == []
 
 
 # per-interval reference: one scalar rule call per gap, band or point
@@ -173,7 +172,7 @@ def test_stacked_matches_per_interval(n, seed, scale, shift, min_share):
 
     ref_masses = _ref_band_masses(gs, s, gs.a0)
     ref_omega = np.array([ref_masses[k:].sum() for k in range(1, n + 1)])
-    assert np.max(np.abs(ss.frequencies(gs, cp) - ref_omega)) <= qtol
+    assert np.max(np.abs(ss.frequencies(gs) - ref_omega)) <= qtol
 
     # P_k at 4 points of every gap, where P_k / sqrt(R) is the density of omega_k, and
     # at 9 points of [-1, 1], relative to the largest |P_k| there
@@ -192,10 +191,10 @@ def test_stacked_matches_per_interval(n, seed, scale, shift, min_share):
         for k in range(1, n + 1):
             ref = float(j > k) + inc[k - 1]
             assert abs(ss.harmonic_measure(gs, k, x) - ref) <= qtol
-        assert abs(ss.dos_cdf(gs, cp, x) - _ref_band_masses(gs, s, x).sum()) <= qtol
+        assert abs(ss.dos_cdf(gs, x) - _ref_band_masses(gs, s, x).sum()) <= qtol
     for lo, hi in gs.bands:
         x = lo + rng.uniform(0.05, 0.95) * (hi - lo)
-        assert abs(ss.dos_cdf(gs, cp, x) - _ref_band_masses(gs, s, x).sum()) <= qtol
+        assert abs(ss.dos_cdf(gs, x) - _ref_band_masses(gs, s, x).sum()) <= qtol
 
     divisor = random_divisor(gs, rng).normalized(gs)
     alpha = sum(0.5 * e * _ref_increment(gs, ref_poly, k, x)
