@@ -41,9 +41,12 @@ def _check_options(args):
         raise ValidationError("qtol must be positive and finite")
     if args.seed < 0:
         raise ValidationError("seed must be nonnegative")
-    # islice takes a window or a step count up to sys.maxsize, and truncate takes 1 / n
-    if max(abs(args.n0), abs(args.n1), abs(args.steps), abs(args.n or 0)) > sys.maxsize:
-        raise ValidationError(f"--from, --to, --steps and --n must lie within +-{sys.maxsize}")
+    # islice takes a window or a step count up to sys.maxsize, truncate takes 1 / n,
+    # and a sample count past it could never finish
+    if max(abs(args.n0), abs(args.n1), abs(args.steps), abs(args.n or 0),
+           abs(args.mc_samples)) > sys.maxsize:
+        raise ValidationError(
+            f"--from, --to, --steps, --n and --mc-samples must lie within +-{sys.maxsize}")
 
 
 def _meta(args):
@@ -117,7 +120,7 @@ def _to_json(obj):
 def _emit(doc, args):
     doc = dict(doc)
     doc["meta"] = _meta(args)
-    sys.stdout.write(json.dumps(doc, indent=2, default=_to_json) + "\n")
+    sys.stdout.write(json.dumps(doc, default=_to_json) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +192,7 @@ def _cmd_transfer(args, doc):
     n = args.n if args.n is not None else 5
     seg = jacobi_cf.coefficients(gs, d, 0, n + 1, prec=args.prec)
     z = _parse_z(args, default=2j)
-    a = jacobi_cf.transfer_matrix(seg, z, n)
+    a, rows = jacobi_cf._transfer(seg, z, n)
     out = {
         "z": z,
         "n": n,
@@ -197,9 +200,11 @@ def _cmd_transfer(args, doc):
         "det": complex(np.linalg.det(a)),
     }
     if z.imag > 0:
-        out["cd_residual"] = jacobi_cf.cd_residual(seg, z, n)
+        out["cd_residual"] = jacobi_cf._cd(a, rows, z)
     else:
-        out["j_unitarity_residual"] = jacobi_cf.j_unitarity_residual(seg, z.real, n)
+        # the j-form is read on the real line, at Re z
+        out["j_unitarity_residual"] = jacobi_cf._j_unitarity(
+            jacobi_cf.transfer_matrix(seg, z.real, n) if z.imag else a)
     return out
 
 

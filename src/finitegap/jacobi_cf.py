@@ -18,24 +18,33 @@ q_n = mid + half q, p_n^2 = half^2 p^2 and the divisor x = mid + half s
 leave through one correctly rounded integer true division each.
 
 R(z) = prod (z - e) over the 2N+2 endpoints is built once per window and
-carried with every state.  There is one step body, the generator `_steps`:
-it forms once per window what does not change from site to site (R 2^W,
-max |r_k|, the shift of the remainder test, the frame's integer ratios for
-q and p^2) and then runs site after site on plain integer lists.  A step
-reads only the coefficients it needs: each coefficient of a product, of
-R - T^2 and of its quotient by Pi is one exact sum of integer products over
-the pairs of factors that form it, shifted once, and the coefficients of
-T^2 are symmetric squares, twice the products below the middle plus the
-middle square; quotients are `(a << W) // b`.  Every step runs at the
-state's own W bits.  `cf_step` takes one site of `_steps`; `iterate` runs a
-whole window of them and builds a CFState only at its end.  A step whose
-remainder test fails raises `SolverError`.  The orthogonal polynomials come
-from one pass of the three-term recurrence (`_polys`).
+carried with every state; what the division reads of it (R 2^W, max |r_k|,
+the shift of the remainder test) is formed once per window by `_r_terms`
+and shared by the forward sites, the dual division and the backward sites.
+There is one step body, the generator `_steps`: it forms the frame's
+integer ratios for q and p^2 once and then runs site after site on plain
+integer lists.  A site reads only the coefficients it needs: each
+coefficient of a product, of R - T^2 and of its quotient by Pi is one exact
+sum of integer products over the pairs of factors that form it, shifted
+once, and the coefficients of T^2 are symmetric squares, twice the
+products below the middle plus the middle square; quotients are
+`(a << W) // b`.  Every step runs at the state's own W bits.
+
+A site yields q_n, which needs only (T_n, Pi_n), before the division that
+advances to the next site, so a window runs only the divisions its outputs
+read: `coefficients` on [n0, n1] runs n1 forward divisions (one at
+[0, 0]) and, for n0 < 0, the dual division and |n0| backward ones.  Each
+division's remainder test covers the (T, Pi) it starts from and the one it
+makes, so every pair an output reads has been tested; a test that fails
+raises `SolverError`.  `cf_step` takes two sites of `_steps`, one division,
+and `iterate` nsteps + 1 sites, nsteps divisions, building a CFState only
+at its end.  The orthogonal polynomials come from one pass of the
+three-term recurrence (`_polys`).
 """
 
 from dataclasses import dataclass, replace
 from itertools import islice
-from math import isqrt
+from math import isqrt, sqrt
 from operator import mul
 
 import numpy as np
@@ -284,15 +293,17 @@ def _eps_from_t(gs, ends, t_coeffs, roots, w):
     return tuple(eps)
 
 
-def _steps(state):
-    """The continued-fraction steps from state at its prec bits, one site per
-    next(): yields (q_n, p_(n+1)^2, 4 p_(n+1)^2, Pi', T'), the floats
-    correctly rounded and the rest in fixed point.  R's terms and the
-    frame's integer ratios are formed once."""
+def _steps(state, r_terms):
+    """The sites of the continued fraction from state's own site on, at its
+    prec bits, one per next(): yields (q_n, p_n^2, 4 p_n^2, Pi_n, T_n), the
+    floats correctly rounded and the rest in fixed point.  q_n needs only
+    (T_n, Pi_n), so a site is yielded before the division that advances to
+    the next one: k sites have run k - 1 divisions.  r_terms comes from
+    _r_terms; the frame's integer ratios are formed once."""
     n, w = state.gs.n_gaps, state.prec
     mid, half = state.gs.frame
-    pi, t, r = state.pi_coeffs, state.t_coeffs, state.r_coeffs
-    r_top, r_terms = r[2 * n + 1] << w, _r_terms(r, w)
+    four_psq, pi, t = state.four_p0sq, state.pi_coeffs, state.t_coeffs
+    r_top = state.r_coeffs[2 * n + 1] << w
     q_off, q_scale, q_den = _fixed_ratio(w, half, mid=mid)
     _, p_scale, p_den = _fixed_ratio(w + 2, half, 2)
     while True:
@@ -302,16 +313,18 @@ def _steps(state):
         # 2 a_N a_(N+1), so q is explicit
         a = [t[0]] + [ti - 2 * pii for ti, pii in zip(t[1:], pi)]
         q = ((a[n] * a[n + 1] << 1) - r_top) >> (w + 2)
+        yield (q_off + q_scale * q) / q_den, p_scale * four_psq / p_den, four_psq, pi, t
         # the next T is -(A + qB)
         t = [-(ai + (2 * pii * q >> w)) for ai, pii in zip(a, pi)] + [-a[-1]]
         four_psq, pi = _reduce_divide(t, pi, w, r_terms)
-        yield (q_off + q_scale * q) / q_den, p_scale * four_psq / p_den, four_psq, pi, t
 
 
 def _cf_step_at_prec(state):
-    """One site of _steps, as (q_n, p_{n+1}^2, next state); bench/tracer.py
-    counts its calls."""
-    q, psq, four_psq, pi, t = next(_steps(state))
+    """The first two sites of _steps, as (q_n, p_{n+1}^2, next state);
+    bench/tracer.py counts its calls."""
+    sites = _steps(state, _r_terms(state.r_coeffs, state.prec))
+    q = next(sites)[0]
+    _, psq, four_psq, pi, t = next(sites)
     return q, psq, replace(state, pi_coeffs=tuple(pi), t_coeffs=tuple(t), four_p0sq=four_psq)
 
 
@@ -320,40 +333,59 @@ def cf_step(state):
     return _cf_step_at_prec(state)
 
 
+def _dual(state, r_terms):
+    """dual_state with R's terms given."""
+    _, quot = _reduce_divide(state.t_coeffs, state.pi_coeffs, state.prec, r_terms)
+    return replace(state, pi_coeffs=tuple(quot))
+
+
 def dual_state(state):
     """State generating the negative-index coefficients of the same matrix.
 
     Its Pi is (R - T^2) / (-4 p0^2 Pi); T and p0^2 are unchanged.
     """
-    w = state.prec
-    _, quot = _reduce_divide(state.t_coeffs, state.pi_coeffs, w, _r_terms(state.r_coeffs, w))
-    return replace(state, pi_coeffs=tuple(quot))
+    return _dual(state, _r_terms(state.r_coeffs, state.prec))
 
 
 def iterate(state, nsteps):
     """Run nsteps of cf_step; returns (qs, psqs, final state).
 
-    The steps run as one loop on the integer lists of _steps, and the final
-    state is built once.
+    It reads nsteps + 1 sites of _steps, which run nsteps divisions, as one
+    loop on integer lists, and builds the final state once.
     """
     qs, psqs = [], []
-    four_psq, pi, t = state.four_p0sq, state.pi_coeffs, state.t_coeffs
-    for q, psq, four_psq, pi, t in islice(_steps(state), max(nsteps, 0)):
+    for q, psq, four_psq, pi, t in islice(_steps(state, _r_terms(state.r_coeffs, state.prec)),
+                                          max(nsteps, 0) + 1):
         qs.append(q)
         psqs.append(psq)
-    return qs, psqs, replace(state, pi_coeffs=tuple(pi), t_coeffs=tuple(t), four_p0sq=four_psq)
+    return qs[:-1], psqs[1:], replace(state, pi_coeffs=tuple(pi), t_coeffs=tuple(t),
+                                      four_p0sq=four_psq)
 
 
 def coefficients(gs, divisor, n0, n1, prec=DEFAULT_PREC):
-    """Jacobi coefficients p_n, q_n for n0 <= n <= n1 from the divisor at site 0."""
+    """Jacobi coefficients p_n, q_n for n0 <= n <= n1 from the divisor at site 0.
+
+    The window runs the divisions its outputs read, and no more: n1 forward
+    ones for sites 0..n1, and for n0 < 0 the dual division and |n0| backward
+    ones for the dual's sites 0..|n0|.  A division tests the remainder of the
+    site it starts from and of the one it makes, so every (T, Pi) read has
+    been tested; at [0, 0], where no other division would test T_0, the
+    forward run takes one division.  R's terms are formed once per window.
+    """
     if not n0 <= 0 <= n1:
         raise ValidationError("window must contain the origin: n0 <= 0 <= n1")
     state = initial_state(gs, divisor, prec=prec)
-    # the forward lists hold q_0.., p_1..; the backward ones q_-1.., p_-1..
-    qs_fwd, psqs_fwd, _ = iterate(state, n1 + 1)
-    qs_bwd, psqs_bwd, _ = iterate(dual_state(state), -n0) if n0 else ([], [], None)
-    p = np.sqrt(psqs_bwd[::-1]).tolist() + [state.p0] + np.sqrt(psqs_fwd[:n1]).tolist()
-    return JacobiSegment(n0=n0, n1=n1, p=tuple(p), q=tuple(qs_bwd[::-1] + qs_fwd))
+    r_terms = _r_terms(state.r_coeffs, prec)
+    # forward sites give q_0, q_1, .. and p_0, p_1, ..; the dual's give q_-1, q_-2, ..
+    # and p_0, p_-1, ..; at [0, 0] a second site runs the one division that tests T_0
+    fwd = list(islice(_steps(state, r_terms), n1 + 1 if n0 or n1 else 2))[:n1 + 1]
+    q = [s[0] for s in fwd]
+    p = [state.p0] + [sqrt(s[1]) for s in fwd[1:]]
+    if n0:
+        bwd = list(islice(_steps(_dual(state, r_terms), r_terms), 1 - n0))
+        q = [s[0] for s in bwd[-2::-1]] + q
+        p = [sqrt(s[1]) for s in bwd[:0:-1]] + p
+    return JacobiSegment(n0=n0, n1=n1, p=tuple(p), q=tuple(q))
 
 
 # ---------------------------------------------------------------------------
@@ -401,23 +433,32 @@ def transfer_matrix(seg, z, n):
     return _transfer(seg, z, n)[0]
 
 
+def _cd(a, rows, z):
+    """cd_residual from _transfer's matrix and rows at non-real z."""
+    lhs = _j_form(a) / (z - np.conj(z))
+    y = np.array(rows[:-1])
+    rhs = y.conj().T @ y
+    scale = max(1.0, float(np.max(np.abs(rhs))))
+    return float(np.max(np.abs(lhs - rhs)) / scale)
+
+
 def cd_residual(seg, z, n):
     """Christoffel-Darboux identity residual at non-real z for the n-th transfer matrix,
     relative to the size of the kernel sum Y^* Y over the rows (P_k, Q_k), k = 0..n."""
     z = complex(z)
     if z.imag == 0:
         raise ValidationError("Christoffel-Darboux quotient needs Im z != 0")
-    a, rows = _transfer(seg, z, n)
-    lhs = _j_form(a) / (z - np.conj(z))
-    y = np.array(rows[:n + 1])
-    rhs = y.conj().T @ y
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    return _cd(*_transfer(seg, z, n), z)
+
+
+def _j_unitarity(a):
+    """j_unitarity_residual of a transfer matrix."""
+    return float(np.max(np.abs(_j_form(a))))
 
 
 def j_unitarity_residual(seg, x, n):
     """|A^* j A - j| at real x (holds identically since det A = 1)."""
-    return float(np.max(np.abs(_j_form(transfer_matrix(seg, complex(x), n)))))
+    return _j_unitarity(transfer_matrix(seg, complex(x), n))
 
 
 def j_expanding_min_eig(seg, z, n):

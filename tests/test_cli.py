@@ -8,14 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finitegap import spectral_set
+from finitegap import cli, jacobi_cf, spectral_set
 from finitegap.cli import main
+from finitegap.herglotz import Divisor
 from finitegap.quad import DEFAULT_QTOL
 from finitegap.spectral_set import GapSystem, sqrt_R_gap
 
 ONE_GAP = {"band": [-2.0, 2.0], "gaps": [[-1.0, 1.0]]}
 ONE_GAP_DIV = dict(ONE_GAP, divisor=[{"x": 0.3, "eps": 1}])
 ONE_GAP_BOX = dict(ONE_GAP, box=[{"gap": 1, "a": -0.5, "b": 0.5, "eps": 1}])
+TWO_GAP_DIV = {"band": [-2.0, 3.0], "gaps": [[-1.0, -0.3], [0.8, 1.6]],
+               "divisor": [{"x": -0.6, "eps": 1}, {"x": 1.1, "eps": -1}]}
 FREE = json.loads(
     (Path(__file__).resolve().parent.parent / "src/finitegap/fixtures/n0_free.json").read_text()
 )
@@ -103,6 +106,19 @@ class TestBasicCommands:
         assert code == 0
         assert out.splitlines()[0] == "n,p,q"
 
+    def test_coeffs_csv_bytes(self, capsys, tmp_path):
+        # --csv writes its own text, not through the JSON encoder: these bytes are pinned
+        code, out = run(capsys, ["coeffs", "--from", "-2", "--to", "3", "--csv"], TWO_GAP_DIV,
+                        tmp_path)
+        assert code == 0 and out == (
+            "n,p,q\n"
+            "-2,1.5203633696305836,0.017471931311770807\n"
+            "-1,0.987526565369241,0.8490832812971938\n"
+            "0,1.3288052563671569,0.5500000000000002\n"
+            "1,1.2729990536724742,-0.015617593947123918\n"
+            "2,1.148196894116377,1.2481516298168134\n"
+            "3,1.1861897520656868,-0.07459684893858481\n")
+
     def test_transfer(self, capsys, tmp_path):
         doc = run_json(capsys, ["transfer", "--z", "0.3,0.9", "--n", "4"], ONE_GAP_DIV, tmp_path)
         assert complex(*doc["det"]) == pytest.approx(1.0, abs=1e-10)
@@ -113,6 +129,27 @@ class TestBasicCommands:
         assert doc["z"] == [0.5, 0.0] and doc["n"] == 5
         assert doc["j_unitarity_residual"] < 1e-8
         assert "cd_residual" not in doc
+
+    @pytest.mark.parametrize("z", ["0.3,0.9", "0.5", "0.5,-0.4"])
+    def test_transfer_builds_its_rows_once(self, capsys, tmp_path, monkeypatch, z):
+        # the matrix and its residual share one pass of the recurrence; below
+        # the real line the j-form is read at Re z, from a second matrix
+        polys, points = jacobi_cf._polys, []
+
+        def spy(seg, x, n):
+            points.append(x)
+            return polys(seg, x, n)
+
+        monkeypatch.setattr(jacobi_cf, "_polys", spy)
+        doc = run_json(capsys, ["transfer", "--z", z, "--n", "4"], TWO_GAP_DIV, tmp_path)
+        zc = complex(*doc["z"])
+        assert points == [zc] + ([zc.real] if zc.imag < 0 else [])
+        gs, d = GapSystem.from_json(TWO_GAP_DIV), Divisor.from_json(TWO_GAP_DIV)
+        seg = jacobi_cf.coefficients(gs, d, 0, 5)
+        if zc.imag > 0:
+            assert doc["cd_residual"] == jacobi_cf.cd_residual(seg, zc, 4)
+        else:
+            assert doc["j_unitarity_residual"] == jacobi_cf.j_unitarity_residual(seg, zc.real, 4)
 
     def test_document_from_standard_input(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(ONE_GAP)))
@@ -214,6 +251,27 @@ class TestCombCommands:
         assert out["teeth"] == [{"omega": 0.3, "h": pytest.approx(0.4)}]
 
 
+# one run of each subcommand that writes JSON
+JSON_CASES = [
+    (["critical"], ONE_GAP),
+    (["green", "--z", "0.3,0.2"], ONE_GAP),
+    (["harmonic", "--k", "1", "--z", "0.3"], ONE_GAP),
+    (["dos", "--z", "1.5"], ONE_GAP),
+    (["resolvents"], ONE_GAP_DIV),
+    (["coeffs", "--from", "-3", "--to", "4"], TWO_GAP_DIV),
+    (["transfer", "--n", "4"], TWO_GAP_DIV),
+    (["abel"], ONE_GAP_DIV),
+    (["invert"], dict(ONE_GAP, alpha=[0.3])),
+    (["shift-check"], ONE_GAP_DIV),
+    (["kernel0"], ONE_GAP_DIV),
+    (["measure"], ONE_GAP_BOX),
+    (["measure-mc", "--mc-samples", "200"], ONE_GAP_BOX),
+    (["comb"], ONE_GAP),
+    (["truncate", "--n", "10"], {"teeth": [{"omega": 0.3, "h": 0.5}], "tail_bound": 0.0}),
+    (["verify"], None),
+]
+
+
 class TestContract:
     def test_malformed_input_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -250,6 +308,7 @@ class TestContract:
     @pytest.mark.parametrize("argv, doc", [
         (["measure-mc", "--mc-samples", "0"], ONE_GAP_BOX),
         (["measure-mc", "--mc-samples", "-5"], ONE_GAP_BOX),
+        (["measure-mc", "--mc-samples", str(10**400)], ONE_GAP_BOX),
         (["measure-mc", "--mc-samples", "10", "--seed", "-1"], ONE_GAP_BOX),
         (["verify", "--seed", "-1"], None),
         (["critical", "--qtol", "inf"], ONE_GAP),
@@ -274,8 +333,8 @@ class TestContract:
         (["shift-check", "--steps", str(10**400)], ONE_GAP_DIV),
         (["transfer", "--n", str(10**400)], ONE_GAP_DIV),
         (["truncate", "--n", str(10**400)], {"teeth": [{"omega": 0.3, "h": 0.4}]}),
-    ], ids=["samples-0", "samples-negative", "seed-negative", "verify-seed-negative",
-            "qtol-inf", "qtol-nan", "steps-negative", "green-z-nan", "harmonic-z-nan",
+    ], ids=["samples-0", "samples-negative", "samples-past-maxsize", "seed-negative",
+            "verify-seed-negative", "qtol-inf", "qtol-nan", "steps-negative", "green-z-nan", "harmonic-z-nan",
             "dos-z-nan", "resolvents-z-nan", "transfer-z-nan", "green-im-inf",
             "green-no-z", "green-z-unparsable", "harmonic-z-complex", "dos-z-complex",
             "truncate-no-n", "green-z-three-parts", "green-z-trailing-comma",
@@ -353,6 +412,15 @@ class TestContract:
 
     def test_verify_passes_on_fixtures(self, capsys):
         assert main(["verify"]) == 0
+
+    @pytest.mark.parametrize("argv, doc", [pytest.param(*c, id=c[0][0]) for c in JSON_CASES])
+    def test_json_output_is_one_line(self, capsys, tmp_path, argv, doc):
+        code, out = run(capsys, argv, doc, tmp_path)
+        assert code == 0 and out.endswith("\n") and out.count("\n") == 1
+        assert json.loads(out)["meta"]["fmt"] == "json"
+
+    def test_every_json_command_is_checked(self):
+        assert {c[0][0] for c in JSON_CASES} == set(cli._COMMANDS)
 
 
 class TestRuntimeDependencies:

@@ -209,6 +209,31 @@ class TestWindow:
         for start in (st, jc.dual_state(st)):
             assert _bits(jc.iterate(start, 12)) == _bits(_chain(start, 12))
 
+    @pytest.mark.parametrize("n0, n1", [(0, 0), (0, 1), (0, 7), (-1, 0), (-4, 0), (-3, 12)])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_window_runs_the_divisions_it_reads(self, n, n0, n1, monkeypatch):
+        # n1 forward divisions, or one at [0, 0]; for n0 < 0 the dual one and
+        # |n0| backward ones
+        divide, calls = jc._reduce_divide, []
+
+        def spy(t, pi, w, r_terms):
+            calls.append(w)
+            return divide(t, pi, w, r_terms)
+
+        monkeypatch.setattr(jc, "_reduce_divide", spy)
+        gs = spaced_gap_system(np.random.default_rng(n), n)
+        jc.coefficients(gs, random_divisor(gs, np.random.default_rng(n + 1)), n0, n1)
+        assert len(calls) == (n1 or n0 == 0) + (1 - n0 if n0 else 0)
+
+    @pytest.mark.parametrize("n0, n1", [(0, 0), (-1, 0), (0, 1), (-2, 3)])
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_window_tests_the_origin_state(self, n, n0, n1, monkeypatch):
+        # at [0, 0] the one forward division is T_0's only remainder test
+        for bad in _moved_t_states(n):
+            monkeypatch.setattr(jc, "initial_state", lambda gs, d, prec, bad=bad: bad)
+            with pytest.raises(SolverError, match=_REMAINDER):
+                jc.coefficients(bad.gs, None, n0, n1)
+
 @pytest.mark.parametrize("prec", [128, 256])
 @pytest.mark.parametrize("doc", _PINNED, ids=[f"n{len(d['gaps'])}" for d in _PINNED])
 def test_pinned_window(doc, prec):
