@@ -19,7 +19,9 @@ The sweep (all seeded):
   (random, on every a_j, on every b_j, and 1e-13 gap widths inside alternate
   ends), each read at sites 0..9 of the continued fraction: 3840 reads;
 - windows: the same sets, precisions and divisors, the coefficients
-  p_n, q_n for -8 <= n <= 8 of each, from jacobi_cf.coefficients.
+  p_n, q_n for -8 <= n <= 8 of each, from jacobi_cf.coefficients;
+- resolvents: the same sets and divisors, T's centred coefficients, p0^2
+  and q0 of herglotz.split_resolvents.
 A SolverError is recorded by its message, so failures are compared as well.
 """
 
@@ -30,7 +32,7 @@ import numpy as np
 
 from finitegap import abel, comb, jacobi_cf, spectral_set
 from finitegap.errors import SolverError
-from finitegap.herglotz import Divisor
+from finitegap.herglotz import Divisor, split_resolvents
 from finitegap.spectral_set import GapSystem
 
 FRAMES = ((1.0, 0.0), (1e-3, -7.0), (250.0, 1e4))
@@ -121,8 +123,18 @@ def _windows(gs, starts, prec, out):
         _record(out, window)
 
 
+def _resolvents(gs, starts, out):
+    """Appends T's centred coefficients, p0^2 and q0 of the pair of each of starts to out."""
+    for divisor in starts:
+        def pair():
+            res = split_resolvents(gs, divisor)
+            return _hex(res.t_centred + (res.p0sq, res.q0))
+
+        _record(out, pair)
+
+
 def main():
-    groups = {"geometry": [], "divisors": [], "windows": []}
+    groups = {"geometry": [], "divisors": [], "windows": [], "resolvents": []}
     for n in range(1, 25):
         for seed in (0, 1):
             for scale, shift in FRAMES:
@@ -134,8 +146,9 @@ def main():
     for n in range(1, 17):
         for scale, shift in FRAMES:
             gs = _set(np.random.default_rng([n, 2]), n, scale, shift)
+            starts = _starts(gs, np.random.default_rng([n, 3]))
+            _resolvents(gs, starts, groups["resolvents"])
             for prec in (128, 256):
-                starts = _starts(gs, np.random.default_rng([n, 3]))
                 reads += _divisors(gs, starts, prec, groups["divisors"])
                 _windows(gs, starts, prec, groups["windows"])
     doc = {name: {"values": len(vals), "sha256": hashlib.sha256("\n".join(vals).encode()).hexdigest()}

@@ -16,7 +16,6 @@ jacobi_cf.initial_state runs it at w = prec.
 
 from dataclasses import dataclass
 from math import isqrt, prod
-from operator import mul
 
 import numpy as np
 
@@ -158,13 +157,6 @@ def _from_fixed(v, w, half=1.0, k=1, mid=0.0):
     return (off + scale * v) / den
 
 
-def _conv(a, b, k):
-    """Exact z^k coefficient of a * b for integer coefficients: the sum of
-    the products a_i b_(k-i), at the sum of the two scales."""
-    lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
-    return sum(map(mul, a[lo:hi + 1], b[k - hi:k - lo + 1][::-1]))
-
-
 def _mul_linear(p, r, w):
     """Ascending fixed-point coefficients of p(z) (z - r) at w bits."""
     return [-(r * p[0] >> w)] + [p[i - 1] - (r * p[i] >> w) for i in range(1, len(p))] + [p[-1]]
@@ -176,6 +168,13 @@ def _pfromroots(roots, w):
     for r in roots:
         out = _mul_linear(out, r, w)
     return out
+
+
+def _trace_q(half_e, pi):
+    """q of the site with divisor polynomial Pi, in fixed point, by the trace
+    identity q = sum(ends) / 2 - sum x_j: half_e is sum(ends) >> 1, and the
+    z^(N-1) coefficient of the monic Pi is exactly -sum x_j."""
+    return half_e + (pi[-2] if len(pi) > 1 else 0)
 
 
 def t_poly(ends, xs, sigmas, w):
@@ -197,7 +196,7 @@ def t_poly(ends, xs, sigmas, w):
     """
     n = len(xs)
     pi = _pfromroots(xs, w)
-    t = _mul_linear(pi, (sum(ends) >> 1) - sum(xs), w)
+    t = _mul_linear(pi, _trace_q(sum(ends) >> 1, pi), w)
     for j, (x, sigma) in enumerate(zip(xs, sigmas)):
         y = isqrt(prod(abs(x - e) for e in ends))
         c = (-y if sigma < 0 else y) // (prod(x - xk for k, xk in enumerate(xs) if k != j) << w)
@@ -212,7 +211,8 @@ def _fixed_state(gs, divisor, w):
     """(normalized divisor, ends, Pi, T, R, 4 p0^2) in fixed point at w bits
     on the set centred by s = (t - mid) / half: ends b0, a_1, b_1, ..., a0,
     R their product, Pi and T from t_poly on the s_j of the divisor (in their
-    closed gaps, as rounding is monotone) and 4 p0^2 = -[z^2N](R - T^2)."""
+    closed gaps, as rounding is monotone) and, T being monic of degree N+1,
+    4 p0^2 = -[z^2N](R - T^2) = 2 t_(N-1) + t_N^2 - r_2N."""
     divisor = divisor.normalized(gs)
     mid, half = gs.frame
     ends = [_to_fixed(e, w) for e in gs.centred.endpoints]
@@ -221,7 +221,7 @@ def _fixed_state(gs, divisor, w):
     pi, t = t_poly(ends, xs, sigmas, w)
     r = _pfromroots(ends, w)
     n = len(xs)
-    four_p0sq = (_conv(t, t, 2 * n) - (r[2 * n] << w)) >> w
+    four_p0sq = (2 * t[n - 1] if n else 0) + (t[n] * t[n] - (r[2 * n] << w) >> w)
     if four_p0sq <= 0:
         raise SolverError(f"nonpositive p0^2 = {four_p0sq / (4 << w) * half**2}: invalid divisor data")
     return divisor, ends, pi, t, r, four_p0sq
@@ -230,20 +230,20 @@ def _fixed_state(gs, divisor, w):
 def split_resolvents(gs, divisor):
     """Construct the resolvent pair (u, v) = ((sqrt R + T)/2Pi, (sqrt R - T)/2Pi).
 
-    T and 4 p0^2 come from _fixed_state at _T_BITS on the centred set
-    s = (t - mid) / half, rounded to float64; in raw coordinates T scales by
-    half^(N+1) and p0^2 by half^2.  q0 is read from the expansion of u at
-    infinity.
+    T, 4 p0^2 and q0 (_trace_q) come from _fixed_state at _T_BITS on the
+    centred set s = (t - mid) / half, each rounded once to float64, the bits
+    of the continued fraction's site 0 at that prec; in raw coordinates T
+    scales by half^(N+1), p0^2 by half^2 and q0 = mid + half q.
     """
-    divisor, _, _, t, _, four_p0sq = _fixed_state(gs, divisor, _T_BITS)
+    divisor, ends, pi, t, _, four_p0sq = _fixed_state(gs, divisor, _T_BITS)
     mid, half = gs.frame
+    q0 = _from_fixed(_trace_q(sum(ends) >> 1, pi), _T_BITS, half, mid=mid)
     t = [_from_fixed(c, _T_BITS) for c in t]
     # half^(N+1) T((z - mid) / half) by Horner in z - mid
     t_raw = np.array(t[-1:])
     for k, c in enumerate(reversed(t[:-1]), start=1):
         t_raw = np.convolve(t_raw, [-mid, 1.0])
         t_raw[0] += half ** k * c
-    q0 = -sum(divisor.xs) + 0.5 * sum(gs.endpoints)
     return HerglotzPair(gs=gs, divisor=divisor, t_coeffs=tuple(map(float, t_raw)), t_centred=tuple(t),
                         p0sq=_from_fixed(four_p0sq, _T_BITS + 2, half, 2), q0=q0)
 

@@ -15,7 +15,9 @@ plain Python integers: v stands for v / 2^W with W = prec bits, since
 errors accumulate linearly in the number of steps.  `initial_state` is
 `herglotz._fixed_state`, the one build of (T, R, 4 p0^2), at prec bits;
 q_n = mid + half q, p_n^2 = half^2 p^2 and the divisor x = mid + half s
-leave through one correctly rounded integer true division each.
+leave through one correctly rounded integer true division each.  q is the
+trace identity q_n = sum(ends) / 2 - sum x_j(n), `herglotz._trace_q`: the
+z^(N-1) coefficient of the monic Pi_n is exactly -sum x_j(n).
 
 R(z) = prod (z - e) over the 2N+2 endpoints is built once per window and
 carried with every state; what the division reads of it (R 2^W, max |r_k|,
@@ -30,7 +32,7 @@ once, and the coefficients of T^2 are symmetric squares, twice the
 products below the middle plus the middle square; quotients are
 `(a << W) // b`.  Every step runs at the state's own W bits.
 
-A site yields q_n, which needs only (T_n, Pi_n), before the division that
+A site yields q_n, which needs only Pi_n, before the division that
 advances to the next site, so a window runs only the divisions its outputs
 read: `coefficients` on [n0, n1] runs n1 forward divisions (one at
 [0, 0]) and, for n0 < 0, the dual division and |n0| backward ones.  Each
@@ -50,7 +52,7 @@ from operator import mul
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .herglotz import Divisor, _fixed_ratio, _fixed_state, _from_fixed, _to_fixed, split_resolvents
+from .herglotz import Divisor, _fixed_ratio, _fixed_state, _from_fixed, _to_fixed, _trace_q, split_resolvents
 from .spectral_set import gap_branch_sign
 
 DEFAULT_PREC = 128
@@ -297,24 +299,21 @@ def _steps(state, r_terms):
     """The sites of the continued fraction from state's own site on, at its
     prec bits, one per next(): yields (q_n, p_n^2, 4 p_n^2, Pi_n, T_n), the
     floats correctly rounded and the rest in fixed point.  q_n needs only
-    (T_n, Pi_n), so a site is yielded before the division that advances to
+    Pi_n, so a site is yielded before the division that advances to
     the next one: k sites have run k - 1 divisions.  r_terms comes from
     _r_terms; the frame's integer ratios are formed once."""
-    n, w = state.gs.n_gaps, state.prec
+    w = state.prec
     mid, half = state.gs.frame
     four_psq, pi, t = state.four_p0sq, state.pi_coeffs, state.t_coeffs
-    r_top = state.r_coeffs[2 * n + 1] << w
+    half_e = sum(state.ends) >> 1
     q_off, q_scale, q_den = _fixed_ratio(w, half, mid=mid)
     _, p_scale, p_den = _fixed_ratio(w + 2, half, 2)
     while True:
-        # q from the vanishing z^(2N+1) coefficient of R - (A + qB)^2 with
-        # A = T - 2z Pi and B = 2 Pi; B^2 has degree 2N and, T and Pi being
-        # monic, the z^(2N+1) coefficient of 2AB is -4 and that of A^2 is
-        # 2 a_N a_(N+1), so q is explicit
-        a = [t[0]] + [ti - 2 * pii for ti, pii in zip(t[1:], pi)]
-        q = ((a[n] * a[n + 1] << 1) - r_top) >> (w + 2)
+        q = _trace_q(half_e, pi)
         yield (q_off + q_scale * q) / q_den, p_scale * four_psq / p_den, four_psq, pi, t
-        # the next T is -(A + qB)
+        # the next T is -(A + qB) with A = T - 2z Pi and B = 2 Pi: monic, with
+        # z^N coefficient -half_e, as T is
+        a = [t[0]] + [ti - 2 * pii for ti, pii in zip(t[1:], pi)]
         t = [-(ai + (2 * pii * q >> w)) for ai, pii in zip(a, pi)] + [-a[-1]]
         four_psq, pi = _reduce_divide(t, pi, w, r_terms)
 

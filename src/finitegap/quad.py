@@ -12,7 +12,9 @@ The interval can be a stack: limits of shape (K, 1) put the nodes of K
 intervals on one (K, n) array, so a single call integrates over K bands or
 gaps at once and returns (..., K).  Convergence is judged on the whole
 stack, and a stack that cannot converge raises SolverError with the last
-difference as its residual.
+difference as its residual.  So does a stack whose next order would pass
+_ELEMENT_BUDGET integrand values: the size of an order's output is read
+from the shared first call, before that order's nodes are formed.
 """
 
 import math
@@ -28,6 +30,10 @@ _N_START = 32
 _N_MAX = 1 << 16
 # leggauss forms an n x n matrix, so the Gauss-Legendre order stays small
 _GL_N_MAX = 2048
+# the most values one order of an integrand may return, 128 MiB of float64 (its
+# temporaries take a few times that); 63 times the largest order of any converging
+# call in the tests, scripts/output_digest.py and the benchmark workloads
+_ELEMENT_BUDGET = 1 << 24
 
 
 @lru_cache(maxsize=64)
@@ -39,9 +45,11 @@ def _leggauss(n):
 def _doubling(f, nodes, rule, n_max, qtol, name):
     """rule(n, f(nodes(n))) for n = _N_START, 2 _N_START, ..., n_max until two successive
     estimates agree to qtol, relative to max(1, |estimate|); SolverError with the last
-    difference as residual otherwise.  The first two orders share one call of f on their
-    nodes joined along the last axis, which each order reads back as its own slice."""
+    difference as residual otherwise, or before an order whose values of f would pass
+    _ELEMENT_BUDGET.  The first two orders share one call of f on their nodes joined along
+    the last axis, which each order reads back as its own slice."""
     head = f(np.concatenate([nodes(_N_START), nodes(2 * _N_START)], axis=-1))
+    per_node = head.size // (3 * _N_START)
     prev = np.inf
     n = _N_START
     while n <= n_max:
@@ -49,6 +57,9 @@ def _doubling(f, nodes, rule, n_max, qtol, name):
             fx = head[..., :n]
         elif n == 2 * _N_START:
             fx = head[..., _N_START:]
+        elif per_node * n > _ELEMENT_BUDGET:
+            raise SolverError(f"{name} doubling stopped before {n} nodes: {per_node * n} values "
+                              f"would pass the budget of {_ELEMENT_BUDGET}", residual=diff)
         else:
             fx = f(nodes(n))
         val = rule(n, fx)

@@ -5,8 +5,10 @@ import pytest
 
 from conftest import random_divisor, random_gap_system, spaced_gap_system
 from finitegap import abel as ab
+from finitegap import spectral_set
 from finitegap.errors import SolverError, ValidationError
 from finitegap.herglotz import Divisor
+from finitegap.quad import DEFAULT_QTOL
 from finitegap.spectral_set import GapSystem, critical_points, green, harmonic_measure
 
 # round-trip characters per set; random_<N> is a random set with N gaps
@@ -179,6 +181,15 @@ class TestJacobian:
 
 
 class TestSeriesEvaluation:
+    def test_series_that_cannot_converge_raises(self):
+        # a band of 5e-7 of the diameter: the period solve converges, but the
+        # Fourier series of the Abel map's derivative needs more nodes than allowed
+        gs = GapSystem(-2.0, 2.0, ((-2.0 + 2e-6, 1.0),))
+        assert np.all(np.isfinite(spectral_set._harmonic_poly_coeffs(gs, DEFAULT_QTOL).coeffs))
+        with pytest.raises(SolverError, match="Abel series did not converge") as err:
+            ab._abel_series(gs)
+        assert err.value.residual > 0.0
+
     def test_harmonics_match_exp(self, thin_band):
         m_count = ab._abel_series(thin_band)[0].shape[-1]
         assert m_count > 500  # the longest series of the fixtures

@@ -413,6 +413,13 @@ class TestContract:
     def test_verify_passes_on_fixtures(self, capsys):
         assert main(["verify"]) == 0
 
+    def test_verify_exits_1_when_a_check_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "reflectionless_residual", lambda gs, pair, x: 1.0)
+        assert main(["verify"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert not doc["all_pass"]
+        assert {c["check"] for c in doc["checks"] if not c["pass"]} == {"reflectionless"}
+
     @pytest.mark.parametrize("argv, doc", [pytest.param(*c, id=c[0][0]) for c in JSON_CASES])
     def test_json_output_is_one_line(self, capsys, tmp_path, argv, doc):
         code, out = run(capsys, argv, doc, tmp_path)

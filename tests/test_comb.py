@@ -17,6 +17,8 @@ class TestCombData:
             cb.CombData(teeth=((0.5, -0.1),))
         with pytest.raises(ValidationError):
             cb.CombData(teeth=((1.5, 0.1),))
+        with pytest.raises(ValidationError, match="tail bound"):
+            cb.CombData(teeth=((0.5, 0.1),), tail_bound=-1.0)
 
     def test_widom_flag(self):
         finite = cb.CombData(teeth=((0.5, 0.3),), tail_bound=0.25)
@@ -87,6 +89,30 @@ class TestInverseMap:
         c = cb.CombData(teeth=((0.5, 0.3),))
         with pytest.raises(ValidationError):
             cb.gaps_from_comb(c, two_gap)
+
+    def test_bracket_at_the_margin_is_no_start(self, sym_one_gap):
+        # a_1 within 1e-8 diameters of b0 breaks the order the iteration keeps
+        bracket = GapSystem(-2.0, 2.0, ((-2.0 + 1e-8, 0.9),))
+        with pytest.raises(SolverError, match="not a feasible start"):
+            cb.gaps_from_comb(cb.comb_from_gaps(sym_one_gap), bracket)
+
+    def test_trial_whose_inner_solve_raises_halves_the_step(self, sym_one_gap, monkeypatch):
+        # the first trial point's forward map raises: the trial is rejected, the next
+        # one is half the Newton step away, and the inversion still converges
+        c = cb.comb_from_gaps(sym_one_gap)
+        bracket = GapSystem(-2.0, 2.0, ((-0.8, 0.9),))
+        seen, forward = [], cb.comb_from_gaps
+
+        def failing_once(gs, qtol):
+            seen.append(np.array(gs.gaps).ravel())
+            if len(seen) == 2:
+                raise SolverError("inner solve failed")
+            return forward(gs, qtol)
+
+        monkeypatch.setattr(cb, "comb_from_gaps", failing_once)
+        rec = cb.gaps_from_comb(c, bracket)
+        assert np.allclose(seen[2] - seen[0], 0.5 * (seen[1] - seen[0]), rtol=0.0, atol=1e-15)
+        assert np.allclose(rec.gaps, sym_one_gap.gaps, atol=1e-8)
 
 
 def _perturbed_bracket(gs, rng):
@@ -221,6 +247,10 @@ class TestTruncation:
     def test_small_n_empties(self):
         c = cb.CombData(teeth=((0.3, 0.5),))
         assert cb.truncate_comb(c, 2).teeth == ()
+
+    def test_n_must_be_positive(self):
+        with pytest.raises(ValidationError, match="must be positive"):
+            cb.truncate_comb(cb.CombData(teeth=((0.3, 0.5),)), 0)
 
     def test_delta_report_monotone_with_exact_limit(self):
         c = cb.CombData(teeth=((0.3, 0.5), (0.6, 0.2), (0.8, 0.05)))

@@ -245,14 +245,19 @@ def test_pinned_window(doc, prec):
 
 @pytest.mark.parametrize("doc", _PINNED, ids=[f"n{len(d['gaps'])}" for d in _PINNED])
 def test_split_resolvents_rounds_the_cf_state(doc):
-    # split_resolvents and initial_state read one fixed-point build of T and
-    # 4 p0^2, so at 128 bits the pair holds the CF state rounded to float64
-    gs, d = GapSystem.from_json(doc), Divisor.from_json(doc)
-    pair = split_resolvents(gs, d)
-    st = jc.initial_state(gs, d, prec=128)
-    half = Fraction(0.5 * (gs.a0 - gs.b0))
-    assert pair.t_centred == tuple(c / 2**128 for c in st.t_coeffs)
-    assert pair.p0sq == float(Fraction(st.four_p0sq, 2**130) * half**2)
+    # split_resolvents and initial_state read one fixed-point build of T,
+    # 4 p0^2 and q0, so at 128 bits the pair holds the CF state rounded to
+    # float64, also on the set moved far from the origin
+    for shift in (0.0, 1e4, 1e6):
+        gs, d = GapSystem.from_json(doc), Divisor.from_json(doc)
+        gs = GapSystem(gs.b0 + shift, gs.a0 + shift, tuple((a + shift, b + shift) for a, b in gs.gaps))
+        d = Divisor(tuple((x + shift, e) for x, e in d.points))
+        pair = split_resolvents(gs, d)
+        st = jc.initial_state(gs, d, prec=128)
+        half = Fraction(0.5 * (gs.a0 - gs.b0))
+        assert pair.t_centred == tuple(c / 2**128 for c in st.t_coeffs)
+        assert pair.p0sq == float(Fraction(st.four_p0sq, 2**130) * half**2)
+        assert pair.q0 == jc.coefficients(gs, d, 0, 0, prec=128).q[0]
 
 
 @pytest.mark.parametrize("doc", _PINNED, ids=[f"n{len(d['gaps'])}" for d in _PINNED])
@@ -523,6 +528,24 @@ class TestTransfer:
         seg = jc.coefficients(free_set, Divisor(()), 0, 5)
         with pytest.raises(ValidationError):
             jc.cd_residual(seg, 1.0, 2)
+
+    @pytest.mark.parametrize("read, match", [
+        (lambda seg: jc.transfer_matrix(seg, 0.5j, -1), "is negative"),
+        (lambda seg: jc.orthogonal_polys(seg, 0.5j, seg.n1 + 1), "must cover"),
+    ], ids=["negative_index", "past_the_window"])
+    def test_reads_outside_the_segment(self, free_set, read, match):
+        with pytest.raises(ValidationError, match=match):
+            read(jc.coefficients(free_set, Divisor(()), 0, 5))
+
+    @pytest.mark.parametrize("p, q, match", [
+        ((1.0, 1.0), (0.0,), "length mismatch"),
+        ((1.0, 1.0, 1.0), (0.0, 0.0), "length mismatch"),
+        ((1.0, 0.0), (0.0, 0.0), "must be positive"),
+        ((1.0, -1.0), (0.0, 0.0), "must be positive"),
+    ])
+    def test_segment_validation(self, p, q, match):
+        with pytest.raises(ValidationError, match=match):
+            jc.JacobiSegment(n0=0, n1=1, p=p, q=q)
 
     def test_j_unitary_on_real_line(self, two_gap, rng):
         seg = jc.coefficients(two_gap, random_divisor(two_gap, rng), 0, 12)

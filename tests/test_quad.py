@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from finitegap import spectral_set
+from finitegap import quad, spectral_set
 from finitegap.errors import SolverError
 from finitegap.quad import DEFAULT_QTOL, _chart_angle, chebyshev_quad, gl_quad, theta_partial_quad
 
@@ -94,14 +99,14 @@ def _ref_gl(f, a, b):
     return _ref_doubling(values, 2048)
 
 
-def _ref_chebyshev(g, lo, hi):
+def _ref_chebyshev(g, lo, hi, n_max=1 << 16):
     m, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
     def values(n):
         theta = (2 * np.arange(1, n + 1) - 1) * (np.pi / (2 * n))
         return (np.pi / n) * np.add.reduce(g(m + r * np.cos(theta)), axis=-1)
 
-    return _ref_doubling(values, 1 << 16)
+    return _ref_doubling(values, n_max)
 
 
 def _ref_theta_partial(g, lo, hi, x):
@@ -200,3 +205,43 @@ def test_unconverged_stack_keeps_its_residual(rule):
     ref_val, diff = ref(_kink)
     assert ref_val is None
     assert err.value.residual == diff
+
+
+def test_doubling_stops_before_the_element_budget(monkeypatch):
+    # 3 values per node: 256 nodes fill a budget of 768 values, so the doubling
+    # stops before it forms the nodes of 512, with the last difference as residual
+    monkeypatch.setattr(quad, "_ELEMENT_BUDGET", 3 * 256)
+    f, shapes = _counted(_kink)
+    with pytest.raises(SolverError, match="stopped before 512 nodes.*budget of 768") as err:
+        chebyshev_quad(f, LO, HI)
+    assert [s[-1] for s in shapes] == [96, 128, 256]
+    assert err.value.residual == _ref_chebyshev(_kink, LO, HI, 256)[1]
+
+
+_THIN_BANDS = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import numpy as np
+import oracle_periodic as oracle
+from finitegap.errors import SolverError
+from finitegap.spectral_set import GapSystem, critical_points
+e = oracle.band_edges(*oracle.periodic_coefficients({p}, 0.3, np.random.default_rng(7)))
+try:
+    critical_points(GapSystem(e[0], e[-1], tuple(zip(e[1:-1:2], e[2:-1:2]))))
+except SolverError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("p", [48, 65])
+def test_thin_bands_stop_at_the_element_budget(p):
+    # periodic sets whose thinnest band is 1.3e-12 (p = 48) and 1.1e-14 (p = 65) of the
+    # diameter: the stacked moment rule of critical_points doubles until its next order
+    # would pass the budget, and stops there in a process held to 2 GiB of address space
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    proc = subprocess.run([sys.executable, "-c", _THIN_BANDS.format(p=p)], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert "Chebyshev doubling stopped before" in proc.stdout

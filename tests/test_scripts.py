@@ -61,14 +61,17 @@ def test_truncation_flow(monkeypatch, capsys):
 
 
 def test_output_digest_groups():
-    # the digest script's three groups on one N = 2 set, so a signature change that
+    # the digest script's four groups on one N = 2 set, so a signature change that
     # breaks it fails here as well as in its own full sweep
     digest = runpy.run_path(str(ROOT / "scripts" / "output_digest.py"), run_name="digest")
     gs = digest["_set"](np.random.default_rng([2, 0]), 2, 1.0, 0.0)
-    geometry, divisors, windows = [], [], []
+    geometry, divisors, windows, resolvents = [], [], [], []
     digest["_geometry"](gs, np.random.default_rng([2, 0, 1]), 1e-12, geometry)
     starts = digest["_starts"](gs, np.random.default_rng([2, 3]))
     assert digest["_divisors"](gs, starts, 128, divisors) == 40
     digest["_windows"](gs, starts, 128, windows)
-    for out in (geometry, divisors, windows):
+    digest["_resolvents"](gs, starts, resolvents)
+    # per start, T's four centred coefficients, p0^2 and q0
+    assert len(resolvents) == 4 * 6
+    for out in (geometry, divisors, windows, resolvents):
         assert out and not any(line.startswith("error:") for line in out)

@@ -14,6 +14,7 @@ from finitegap.spectral_set import (
     dos_cdf,
     dos_density,
     frequencies,
+    gap_branch_sign,
     green,
     harmonic_measure,
     harmonic_measure_density,
@@ -476,6 +477,14 @@ class TestHarmonicMeasure:
         # k indexes the coefficient rows, so 0 and -1 would read gaps 2 and 1
         with pytest.raises(ValidationError, match="gap index"):
             harmonic_measure_density(two_gap, k, 1.2)
+        with pytest.raises(ValidationError, match="gap index"):
+            gap_branch_sign(two_gap, k)
+
+    @pytest.mark.parametrize("x, match", [(0.0, "open gaps only"), (1.6 - 1e-14, "blow-up"),
+                                          (0.8 + 1e-14, "blow-up")])
+    def test_density_needs_a_point_inside_a_gap(self, two_gap, x, match):
+        with pytest.raises(ValidationError, match=match):
+            harmonic_measure_density(two_gap, 1, x)
 
 
 class TestDensityOfStates:
@@ -528,6 +537,8 @@ class TestDensityOfStates:
     def test_density_validation(self, two_gap):
         with pytest.raises(ValidationError):
             dos_density(two_gap, -0.5)  # gap point
+        with pytest.raises(ValidationError, match="band endpoint"):
+            dos_density(two_gap, -1.0 - 1e-14)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
