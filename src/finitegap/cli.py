@@ -153,8 +153,8 @@ def _cmd_dos(args, doc):
         raise ValidationError("density of states lives on the real line")
     out = {"x": z.real, "cdf": dos_cdf(gs, z.real, args.qtol),
            "frequencies": frequencies(gs, args.qtol)}
-    kind = gs.locate(z.real)
-    if kind[0] == "band":
+    # at a band end the density is singular, and only the cdf is reported, as in a gap
+    if gs.in_band_interior(z.real):
         out["density"] = dos_density(gs, z.real, args.qtol)
     return out
 
@@ -192,7 +192,7 @@ def _cmd_transfer(args, doc):
     n = args.n if args.n is not None else 5
     seg = jacobi_cf.coefficients(gs, d, 0, n + 1, prec=args.prec)
     z = _parse_z(args, default=2j)
-    a, rows = jacobi_cf._transfer(seg, z, n)
+    a = jacobi_cf.transfer_matrix(seg, z, n)
     out = {
         "z": z,
         "n": n,
@@ -200,11 +200,10 @@ def _cmd_transfer(args, doc):
         "det": complex(np.linalg.det(a)),
     }
     if z.imag > 0:
-        out["cd_residual"] = jacobi_cf._cd(a, rows, z)
+        out["cd_residual"] = jacobi_cf.cd_residual(seg, z, n)
     else:
         # the j-form is read on the real line, at Re z
-        out["j_unitarity_residual"] = jacobi_cf._j_unitarity(
-            jacobi_cf.transfer_matrix(seg, z.real, n) if z.imag else a)
+        out["j_unitarity_residual"] = jacobi_cf.j_unitarity_residual(seg, z.real, n)
     return out
 
 

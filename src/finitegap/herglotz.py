@@ -10,8 +10,8 @@ integer v stands for v / 2^w.  A sum of products is summed exactly and
 shifted once, square roots are `math.isqrt`, floats enter exactly through
 `float.as_integer_ratio` and leave through one correctly rounded integer
 true division.  _fixed_state is the one build of (T, R, 4 p0^2):
-split_resolvents runs it at w = _T_BITS and rounds to float64;
-jacobi_cf.initial_state runs it at w = prec.
+split_resolvents runs it at w = DEFAULT_PREC and rounds to float64;
+jacobi_cf.initial_state runs it at w = prec, DEFAULT_PREC unless given.
 """
 
 from dataclasses import dataclass
@@ -23,8 +23,10 @@ from .errors import SolverError, ValidationError, json_number
 from .quad import DEFAULT_QTOL
 from .spectral_set import GapSystem, _prod, critical_points, dos_density, gap_branch_sign, sqrt_R
 
-# fixed-point bits of T in split_resolvents; at 64 T missed float64 by 1.5e-11
-_T_BITS = 128
+# fixed-point bits of T in split_resolvents and the default precision of the
+# continued fraction (jacobi_cf), so that the pair is the CF's site 0 rounded
+# to float64; at 64 T missed float64 by 1.5e-11
+DEFAULT_PREC = 128
 
 
 @dataclass(frozen=True)
@@ -230,22 +232,22 @@ def _fixed_state(gs, divisor, w):
 def split_resolvents(gs, divisor):
     """Construct the resolvent pair (u, v) = ((sqrt R + T)/2Pi, (sqrt R - T)/2Pi).
 
-    T, 4 p0^2 and q0 (_trace_q) come from _fixed_state at _T_BITS on the
+    T, 4 p0^2 and q0 (_trace_q) come from _fixed_state at DEFAULT_PREC on the
     centred set s = (t - mid) / half, each rounded once to float64, the bits
     of the continued fraction's site 0 at that prec; in raw coordinates T
     scales by half^(N+1), p0^2 by half^2 and q0 = mid + half q.
     """
-    divisor, ends, pi, t, _, four_p0sq = _fixed_state(gs, divisor, _T_BITS)
+    divisor, ends, pi, t, _, four_p0sq = _fixed_state(gs, divisor, DEFAULT_PREC)
     mid, half = gs.frame
-    q0 = _from_fixed(_trace_q(sum(ends) >> 1, pi), _T_BITS, half, mid=mid)
-    t = [_from_fixed(c, _T_BITS) for c in t]
+    q0 = _from_fixed(_trace_q(sum(ends) >> 1, pi), DEFAULT_PREC, half, mid=mid)
+    t = [_from_fixed(c, DEFAULT_PREC) for c in t]
     # half^(N+1) T((z - mid) / half) by Horner in z - mid
     t_raw = np.array(t[-1:])
     for k, c in enumerate(reversed(t[:-1]), start=1):
         t_raw = np.convolve(t_raw, [-mid, 1.0])
         t_raw[0] += half ** k * c
     return HerglotzPair(gs=gs, divisor=divisor, t_coeffs=tuple(map(float, t_raw)), t_centred=tuple(t),
-                        p0sq=_from_fixed(four_p0sq, _T_BITS + 2, half, 2), q0=q0)
+                        p0sq=_from_fixed(four_p0sq, DEFAULT_PREC + 2, half, 2), q0=q0)
 
 
 def reflectionless_residual(gs, pair, x):

@@ -19,10 +19,11 @@ leave through one correctly rounded integer true division each.  q is the
 trace identity q_n = sum(ends) / 2 - sum x_j(n), `herglotz._trace_q`: the
 z^(N-1) coefficient of the monic Pi_n is exactly -sum x_j(n).
 
-R(z) = prod (z - e) over the 2N+2 endpoints is built once per window and
-carried with every state; what the division reads of it (R 2^W, max |r_k|,
-the shift of the remainder test) is formed once per window by `_r_terms`
-and shared by the forward sites, the dual division and the backward sites.
+R(z) = prod (z - e) over the 2N+2 endpoints enters only through the
+division: what it reads of R (R 2^W, max |r_k|, the shift of the remainder
+test) is formed by `_r_terms` once per state, in `initial_state`, and is a
+field of `CFState` that every state derived from it inherits, so the forward
+sites, `dual_state` and the backward sites all read the same terms.
 There is one step body, the generator `_steps`: it forms the frame's
 integer ratios for q and p^2 once and then runs site after site on plain
 integer lists.  A site reads only the coefficients it needs: each
@@ -38,13 +39,14 @@ read: `coefficients` on [n0, n1] runs n1 forward divisions (one at
 [0, 0]) and, for n0 < 0, the dual division and |n0| backward ones.  Each
 division's remainder test covers the (T, Pi) it starts from and the one it
 makes, so every pair an output reads has been tested; a test that fails
-raises `SolverError`.  `cf_step` takes two sites of `_steps`, one division,
-and `iterate` nsteps + 1 sites, nsteps divisions, building a CFState only
-at its end.  The orthogonal polynomials come from one pass of the
-three-term recurrence (`_polys`).
+raises `SolverError`.  `iterate` takes nsteps + 1 sites of `_steps`,
+nsteps divisions, building a CFState only at its end, and `cf_step` is
+`iterate` over one step.  The orthogonal polynomials come from one pass of
+the three-term recurrence (`_polys`), which `transfer_matrix` and
+`cd_residual` share through `_transfer`.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from math import isqrt, sqrt
 from operator import mul
@@ -52,10 +54,9 @@ from operator import mul
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .herglotz import Divisor, _fixed_ratio, _fixed_state, _from_fixed, _to_fixed, _trace_q, split_resolvents
+from .herglotz import (DEFAULT_PREC, Divisor, _fixed_ratio, _fixed_state, _from_fixed, _to_fixed,
+                       _trace_q, split_resolvents)
 from .spectral_set import gap_branch_sign
-
-DEFAULT_PREC = 128
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -94,18 +95,19 @@ class CFState:
     """Resolvent data (T, Pi) of the continued-fraction iteration at one site.
 
     pi_coeffs are the ascending coefficients of the monic Pi = prod (z - x_j),
-    and t_coeffs those of T; with ends, r_coeffs and four_p0sq = 4 p0^2 they
-    come from herglotz._fixed_state on the centred set, in fixed point at
-    prec bits.  ends are the centred endpoints b0, a_1, b_1, ..., a0, and
-    r_coeffs the coefficients of R; both are shared by every state derived
-    from the first one.
+    and t_coeffs those of T; with ends and four_p0sq = 4 p0^2 they come from
+    herglotz._fixed_state on the centred set, in fixed point at prec bits.
+    ends are the centred endpoints b0, a_1, b_1, ..., a0, and r_terms what
+    the division reads of R = prod (z - e) at prec bits (_r_terms); both are
+    formed once, by initial_state, and shared by every state derived from it.
+    r_terms follows from ends and prec, so it takes no part in comparisons.
     """
 
     gs: object
     pi_coeffs: tuple
     t_coeffs: tuple
     ends: tuple
-    r_coeffs: tuple
+    r_terms: tuple = field(repr=False, compare=False)
     four_p0sq: int
     prec: int = DEFAULT_PREC
 
@@ -166,14 +168,15 @@ class JacobiSegment:
 
 
 def initial_state(gs, divisor, prec=DEFAULT_PREC):
-    """CFState at site 0 from a divisor: herglotz._fixed_state at prec bits."""
+    """CFState at site 0 from a divisor: herglotz._fixed_state at prec bits,
+    with R's division terms formed once for this state and all derived from it."""
     _, ends, pi, t, r, four_p0sq = _fixed_state(gs, divisor, prec)
-    return CFState(gs=gs, pi_coeffs=tuple(pi), t_coeffs=tuple(t), ends=tuple(ends), r_coeffs=tuple(r),
-                   four_p0sq=four_p0sq, prec=prec)
+    return CFState(gs=gs, pi_coeffs=tuple(pi), t_coeffs=tuple(t), ends=tuple(ends),
+                   r_terms=_r_terms(r, prec), four_p0sq=four_p0sq, prec=prec)
 
 
 def _r_terms(r, w):
-    """What _reduce_divide reads of R at w bits, formed once per window: a
+    """What _reduce_divide reads of R at w bits, formed once per state: a
     row (r_k 2^w, below, above, middle) for each k <= 2N, where the slices
     below and above of T pair the factors t_i t_(k-i) with i < k - i, and
     middle is k / 2 for even k, else None; the shift 2w - 26 of the
@@ -183,7 +186,7 @@ def _r_terms(r, w):
     for k in range(2 * n + 1):
         lo, hi = max(0, k - n - 1), (k + 1) >> 1
         rows.append((r[k] << w, slice(lo, hi), slice(k - lo, k - hi, -1), None if k & 1 else hi))
-    return rows, 2 * w - 26, max(map(abs, r))
+    return tuple(rows), 2 * w - 26, max(map(abs, r))
 
 
 def _reduce_divide(t, pi, w, r_terms):
@@ -295,14 +298,14 @@ def _eps_from_t(gs, ends, t_coeffs, roots, w):
     return tuple(eps)
 
 
-def _steps(state, r_terms):
+def _steps(state):
     """The sites of the continued fraction from state's own site on, at its
     prec bits, one per next(): yields (q_n, p_n^2, 4 p_n^2, Pi_n, T_n), the
     floats correctly rounded and the rest in fixed point.  q_n needs only
     Pi_n, so a site is yielded before the division that advances to
-    the next one: k sites have run k - 1 divisions.  r_terms comes from
-    _r_terms; the frame's integer ratios are formed once."""
-    w = state.prec
+    the next one: k sites have run k - 1 divisions.  Every division reads
+    state.r_terms; the frame's integer ratios are formed once."""
+    w, r_terms = state.prec, state.r_terms
     mid, half = state.gs.frame
     four_psq, pi, t = state.four_p0sq, state.pi_coeffs, state.t_coeffs
     half_e = sum(state.ends) >> 1
@@ -319,12 +322,10 @@ def _steps(state, r_terms):
 
 
 def _cf_step_at_prec(state):
-    """The first two sites of _steps, as (q_n, p_{n+1}^2, next state);
-    bench/tracer.py counts its calls."""
-    sites = _steps(state, _r_terms(state.r_coeffs, state.prec))
-    q = next(sites)[0]
-    _, psq, four_psq, pi, t = next(sites)
-    return q, psq, replace(state, pi_coeffs=tuple(pi), t_coeffs=tuple(t), four_p0sq=four_psq)
+    """iterate over one step, as (q_n, p_{n+1}^2, next state); bench/tracer.py
+    counts its calls."""
+    (q,), (psq,), state = iterate(state, 1)
+    return q, psq, state
 
 
 def cf_step(state):
@@ -332,18 +333,13 @@ def cf_step(state):
     return _cf_step_at_prec(state)
 
 
-def _dual(state, r_terms):
-    """dual_state with R's terms given."""
-    _, quot = _reduce_divide(state.t_coeffs, state.pi_coeffs, state.prec, r_terms)
-    return replace(state, pi_coeffs=tuple(quot))
-
-
 def dual_state(state):
     """State generating the negative-index coefficients of the same matrix.
 
     Its Pi is (R - T^2) / (-4 p0^2 Pi); T and p0^2 are unchanged.
     """
-    return _dual(state, _r_terms(state.r_coeffs, state.prec))
+    _, quot = _reduce_divide(state.t_coeffs, state.pi_coeffs, state.prec, state.r_terms)
+    return replace(state, pi_coeffs=tuple(quot))
 
 
 def iterate(state, nsteps):
@@ -353,8 +349,7 @@ def iterate(state, nsteps):
     loop on integer lists, and builds the final state once.
     """
     qs, psqs = [], []
-    for q, psq, four_psq, pi, t in islice(_steps(state, _r_terms(state.r_coeffs, state.prec)),
-                                          max(nsteps, 0) + 1):
+    for q, psq, four_psq, pi, t in islice(_steps(state), max(nsteps, 0) + 1):
         qs.append(q)
         psqs.append(psq)
     return qs[:-1], psqs[1:], replace(state, pi_coeffs=tuple(pi), t_coeffs=tuple(t),
@@ -369,19 +364,18 @@ def coefficients(gs, divisor, n0, n1, prec=DEFAULT_PREC):
     ones for the dual's sites 0..|n0|.  A division tests the remainder of the
     site it starts from and of the one it makes, so every (T, Pi) read has
     been tested; at [0, 0], where no other division would test T_0, the
-    forward run takes one division.  R's terms are formed once per window.
+    forward run takes one division.  The backward run starts from dual_state.
     """
     if not n0 <= 0 <= n1:
         raise ValidationError("window must contain the origin: n0 <= 0 <= n1")
     state = initial_state(gs, divisor, prec=prec)
-    r_terms = _r_terms(state.r_coeffs, prec)
     # forward sites give q_0, q_1, .. and p_0, p_1, ..; the dual's give q_-1, q_-2, ..
     # and p_0, p_-1, ..; at [0, 0] a second site runs the one division that tests T_0
-    fwd = list(islice(_steps(state, r_terms), n1 + 1 if n0 or n1 else 2))[:n1 + 1]
+    fwd = list(islice(_steps(state), n1 + 1 if n0 or n1 else 2))[:n1 + 1]
     q = [s[0] for s in fwd]
     p = [state.p0] + [sqrt(s[1]) for s in fwd[1:]]
     if n0:
-        bwd = list(islice(_steps(_dual(state, r_terms), r_terms), 1 - n0))
+        bwd = list(islice(_steps(dual_state(state)), 1 - n0))
         q = [s[0] for s in bwd[-2::-1]] + q
         p = [sqrt(s[1]) for s in bwd[:0:-1]] + p
     return JacobiSegment(n0=n0, n1=n1, p=tuple(p), q=tuple(q))
@@ -432,8 +426,13 @@ def transfer_matrix(seg, z, n):
     return _transfer(seg, z, n)[0]
 
 
-def _cd(a, rows, z):
-    """cd_residual from _transfer's matrix and rows at non-real z."""
+def cd_residual(seg, z, n):
+    """Christoffel-Darboux identity residual at non-real z for the n-th transfer matrix,
+    relative to the size of the kernel sum Y^* Y over the rows (P_k, Q_k), k = 0..n."""
+    z = complex(z)
+    if z.imag == 0:
+        raise ValidationError("Christoffel-Darboux quotient needs Im z != 0")
+    a, rows = _transfer(seg, z, n)
     lhs = _j_form(a) / (z - np.conj(z))
     y = np.array(rows[:-1])
     rhs = y.conj().T @ y
@@ -441,23 +440,9 @@ def _cd(a, rows, z):
     return float(np.max(np.abs(lhs - rhs)) / scale)
 
 
-def cd_residual(seg, z, n):
-    """Christoffel-Darboux identity residual at non-real z for the n-th transfer matrix,
-    relative to the size of the kernel sum Y^* Y over the rows (P_k, Q_k), k = 0..n."""
-    z = complex(z)
-    if z.imag == 0:
-        raise ValidationError("Christoffel-Darboux quotient needs Im z != 0")
-    return _cd(*_transfer(seg, z, n), z)
-
-
-def _j_unitarity(a):
-    """j_unitarity_residual of a transfer matrix."""
-    return float(np.max(np.abs(_j_form(a))))
-
-
 def j_unitarity_residual(seg, x, n):
     """|A^* j A - j| at real x (holds identically since det A = 1)."""
-    return _j_unitarity(transfer_matrix(seg, complex(x), n))
+    return float(np.max(np.abs(_j_form(transfer_matrix(seg, complex(x), n)))))
 
 
 def j_expanding_min_eig(seg, z, n):

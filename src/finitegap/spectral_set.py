@@ -128,6 +128,12 @@ class GapSystem:
         scale = max(1.0, self.diameter)
         return any(lo - tol * scale <= x <= hi + tol * scale for lo, hi in self.bands)
 
+    def in_band_interior(self, x):
+        """Whether x lies in a band, _EDGE_TOL times max(1, diameter) or more from both
+        its ends: where the density of states is finite."""
+        scale = max(1.0, self.diameter)
+        return any(min(x - lo, hi - x) >= _EDGE_TOL * scale for lo, hi in self.bands)
+
     def to_json(self):
         return {"band": [self.b0, self.a0], "gaps": [list(g) for g in self.gaps]}
 
@@ -518,12 +524,9 @@ def harmonic_measure_density(gs, k, x):
 def dos_density(gs, x, qtol=DEFAULT_QTOL):
     """Density of the density-of-states measure at x in the interior of E: half^N |prod(s - s_j)|
     / (pi sqrt|R(x)|) at s = (x - mid) / half, s_j the centred critical points of gs at qtol."""
-    kind = gs.locate(x)
-    if kind[0] != "band":
+    if gs.locate(x)[0] != "band":
         raise ValidationError("density of states lives on E")
-    lo, hi = gs.bands[kind[1]]
-    scale = max(1.0, gs.diameter)
-    if min(abs(x - lo), abs(hi - x)) < _EDGE_TOL * scale:
+    if not gs.in_band_interior(x):
         raise ValidationError("integrable singularity at band endpoint")
     mid, half = gs.frame
     root = np.sqrt(np.abs(_prod(x, np.array(gs.endpoints))))

@@ -10,6 +10,7 @@ import pytest
 
 from finitegap import cli, jacobi_cf, spectral_set
 from finitegap.cli import main
+from finitegap.errors import ValidationError
 from finitegap.herglotz import Divisor
 from finitegap.quad import DEFAULT_QTOL
 from finitegap.spectral_set import GapSystem, sqrt_R_gap
@@ -65,6 +66,17 @@ class TestBasicCommands:
         doc = run_json(capsys, ["dos", "--z", "1.5"], ONE_GAP, tmp_path)
         assert 0.0 < doc["cdf"] < 1.0
         assert doc["frequencies"] == pytest.approx([0.5], abs=1e-10)
+
+    @pytest.mark.parametrize("x, cdf", [("2", 1.0), ("-1", 0.5), ("1", 0.5), ("-2", 0.0)])
+    def test_dos_at_a_band_end(self, capsys, tmp_path, x, cdf):
+        # the cdf is well defined at a band end; the density is singular there, so it is
+        # left out as at a gap point, and dos_density itself still refuses the point
+        doc = run_json(capsys, ["dos", f"--z={x}"], ONE_GAP, tmp_path)
+        assert doc["cdf"] == pytest.approx(cdf, abs=1e-12)
+        assert doc["frequencies"] == pytest.approx([0.5], abs=1e-10)
+        assert "density" not in doc
+        with pytest.raises(ValidationError, match="integrable singularity"):
+            spectral_set.dos_density(GapSystem.from_json(ONE_GAP), float(x))
 
     def test_resolvents(self, capsys, tmp_path):
         doc = run_json(capsys, ["resolvents", "--z", "0,2"], ONE_GAP_DIV, tmp_path)
@@ -131,21 +143,30 @@ class TestBasicCommands:
         assert "cd_residual" not in doc
 
     @pytest.mark.parametrize("z", ["0.3,0.9", "0.5", "0.5,-0.4"])
-    def test_transfer_builds_its_rows_once(self, capsys, tmp_path, monkeypatch, z):
-        # the matrix and its residual share one pass of the recurrence; below
-        # the real line the j-form is read at Re z, from a second matrix
-        polys, points = jacobi_cf._polys, []
+    def test_transfer_reports_the_public_residuals(self, capsys, tmp_path, monkeypatch, z):
+        # the command looks transfer_matrix and its residual up on the module at call
+        # time, as a wrapper installed there sees them; below the real line the j-form
+        # is read at Re z
+        calls = []
 
-        def spy(seg, x, n):
-            points.append(x)
-            return polys(seg, x, n)
+        def spy(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
 
-        monkeypatch.setattr(jacobi_cf, "_polys", spy)
+            return wrapper
+
+        for name in ("transfer_matrix", "cd_residual", "j_unitarity_residual"):
+            monkeypatch.setattr(jacobi_cf, name, spy(name, getattr(jacobi_cf, name)))
         doc = run_json(capsys, ["transfer", "--z", z, "--n", "4"], TWO_GAP_DIV, tmp_path)
+        monkeypatch.undo()
         zc = complex(*doc["z"])
-        assert points == [zc] + ([zc.real] if zc.imag < 0 else [])
+        residual = "cd_residual" if zc.imag > 0 else "j_unitarity_residual"
+        assert calls[0] == "transfer_matrix" and residual in calls
         gs, d = GapSystem.from_json(TWO_GAP_DIV), Divisor.from_json(TWO_GAP_DIV)
         seg = jacobi_cf.coefficients(gs, d, 0, 5)
+        assert [[complex(*v) for v in row] for row in doc["matrix"]] == \
+            jacobi_cf.transfer_matrix(seg, zc, 4).tolist()
         if zc.imag > 0:
             assert doc["cd_residual"] == jacobi_cf.cd_residual(seg, zc, 4)
         else:

@@ -225,6 +225,31 @@ class TestWindow:
         jc.coefficients(gs, random_divisor(gs, np.random.default_rng(n + 1)), n0, n1)
         assert len(calls) == (n1 or n0 == 0) + (1 - n0 if n0 else 0)
 
+    @pytest.mark.parametrize("n0, calls", [(-3, 1), (0, 0)])
+    def test_window_reaches_dual_state_by_name(self, two_gap, rng, monkeypatch, n0, calls):
+        # the backward run starts from the public dual_state, looked up on the module
+        # at call time, as a wrapper installed there sees it
+        dual, seen = jc.dual_state, []
+        monkeypatch.setattr(jc, "dual_state", lambda state: seen.append(state) or dual(state))
+        jc.coefficients(two_gap, random_divisor(two_gap, rng), n0, 4)
+        assert len(seen) == calls
+
+    def test_r_terms_are_formed_once_per_initial_state(self, two_gap, rng, monkeypatch):
+        # R's division terms are a field of the state: initial_state forms them, and every
+        # state that cf_step, iterate and dual_state derive holds the same object
+        terms, calls = jc._r_terms, []
+        monkeypatch.setattr(jc, "_r_terms", lambda r, w: calls.append(w) or terms(r, w))
+        d = random_divisor(two_gap, rng)
+        st = jc.initial_state(two_gap, d)
+        assert calls == [st.prec]
+        derived = [jc.cf_step(st)[2], jc.iterate(st, 5)[2], jc.dual_state(st)]
+        derived.append(jc.iterate(derived[-1], 3)[2])
+        assert calls == [st.prec]
+        assert all(s.r_terms is st.r_terms for s in derived)
+        # a window forms them once, in its own initial_state
+        jc.coefficients(two_gap, d, -4, 6)
+        assert calls == [st.prec] * 2
+
     @pytest.mark.parametrize("n0, n1", [(0, 0), (-1, 0), (0, 1), (-2, 3)])
     @pytest.mark.parametrize("n", [1, 4, 8])
     def test_window_tests_the_origin_state(self, n, n0, n1, monkeypatch):

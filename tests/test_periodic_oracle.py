@@ -1,8 +1,10 @@
 """Periodic sets against the closed forms of tests/oracle_periodic.py: each of the p bands
 of a p-periodic Jacobi matrix carries mass 1/p, the critical points, G and the Robin
-constant follow from the discriminant, and every divisor gives p-periodic coefficients
-with the same discriminant.  Each set is taken in three affine frames, and each bound is
-sized from the rounding of the edges in that frame."""
+constant follow from the discriminant, every divisor gives p-periodic coefficients
+with the same discriminant, which is also the trace of one period of their transfer
+matrices, and the comb of the closed forms inverts to the set.  Each set is taken in
+three affine frames, and each bound is sized from the rounding of the edges in that
+frame."""
 
 from functools import lru_cache
 
@@ -13,6 +15,7 @@ import oracle_periodic as oracle
 from conftest import random_divisor
 from finitegap import jacobi_cf as jc
 from finitegap.abel import abel_map, shift_covariance_residual
+from finitegap.comb import CombData, gaps_from_comb
 from finitegap.spectral_set import (
     GapSystem,
     critical_points,
@@ -118,6 +121,8 @@ def _engine_errors(p, amp, frame, edges, divisor):
       (a = p_1..p_p, b = q_0..q_(p-1)) from oracle.band_edges;
     - max |Delta - Delta_oracle| / |Delta_oracle| of that period at the frame images of two
       complex z (isospectral periodic matrices share Delta, and it is affine invariant);
+    - the same for tr(A_p A_0^-1), A_n = transfer_matrix(seg, z, n): A_p A_0^-1 carries the
+      solution's values at sites 0, 1 to those at p, p + 1, one period's monodromy;
     - the torus distance between the Abel images of the divisor after p sites and of the
       divisor itself, as p omega_k is an integer;
     - shift_covariance_residual over p steps, which reads the computed frequencies."""
@@ -131,11 +136,14 @@ def _engine_errors(p, amp, frame, edges, divisor):
     diam, j = unit[-1] - unit[0], (p + 1) // 2
     zs = (0.5 * (unit[2 * j - 1] + unit[2 * j]) + 0.05j * diam, unit[-1] + (0.25 + 0.1j) * diam)
     back = jc.iterate(jc.initial_state(gs, divisor), p)[2].divisor
+    monodromy = [jc.transfer_matrix(seg, scale * z + shift, p)
+                 @ np.linalg.inv(jc.transfer_matrix(seg, scale * z + shift, 0)) for z in zs]
     return np.array([
         np.max(np.abs(coef[:, p:] - coef[:, :p + 1])) / gs.diameter,
         np.max(np.abs(oracle.band_edges(*period) - (scale * unit + shift))) / gs.diameter,
         max(abs(oracle.discriminant(*period, scale * z + shift)[0] / oracle.discriminant(a, b, z)[0] - 1)
             for z in zs),
+        max(abs(np.trace(m) / oracle.discriminant(a, b, z)[0] - 1) for m, z in zip(monodromy, zs)),
         abel_map(gs, back).distance(abel_map(gs, divisor)),
         shift_covariance_residual(gs, divisor, steps=p),
     ])
@@ -143,9 +151,10 @@ def _engine_errors(p, amp, frame, edges, divisor):
 
 # the multiple of the edges' rounding each engine check allows.  Over the 12 sets of the
 # scaled frame, where that rounding is about 3.9e-13 of the diameter, the largest error
-# was 4.6, 3.4, 6.8, 8.3 and 3.6 times it, and the smallest with an edge moved by 1e-10
-# of the diameter 9.7, 130, 72, 232 and 0.6 times it; the other frames have wider margins
-_ENGINE_K = np.array([6.5, 40.0, 25.0, 50.0, 100.0])
+# was 4.6, 3.4, 6.8, 6.9, 8.3 and 3.6 times it, and the smallest with an edge moved by
+# 1e-10 of the diameter 9.7, 130, 72, 55, 232 and 0.6 times it; the other frames have
+# wider margins
+_ENGINE_K = np.array([6.5, 40.0, 25.0, 20.0, 50.0, 100.0])
 
 
 @pytest.mark.parametrize("frame", FRAMES, ids=["unit", "moved", "scaled"])
@@ -159,4 +168,37 @@ def test_coefficients_are_periodic_with_the_same_discriminant(p, amp, frame):
     # each but the last sees one inner edge moved by 1e-10 of the diameter; the shift
     # covariance residual holds on every set, as it reads the set's own frequencies
     seen = _engine_errors(p, amp, frame, _moved(edges), divisor) > bound
-    assert seen[:4].all()
+    assert seen[:5].all()
+
+
+def _bracket(gs):
+    """gs with every gap widened, as verify's comb round trip starts: each interior endpoint
+    moves out of its gap by 5 % of the shorter neighbouring segment."""
+    pts = np.asarray(gs.endpoints)
+    room = np.minimum(np.diff(pts)[:-1], np.diff(pts)[1:])
+    inner = pts[1:-1] - 0.05 * room * (-1.0) ** np.arange(room.size)
+    return GapSystem(gs.b0, gs.a0, tuple(zip(inner[::2], inner[1::2])))
+
+
+def _comb_error(p, amp, edges, move=0.0):
+    """max |edge - oracle's edge| / diameter of gaps_from_comb on the comb of the closed
+    forms, teeth ((p - j) / p, h_j) with h_1 scaled by 1 + move, from the widened bracket of
+    the set with these edges; the teeth are affine invariant, so every frame reads them."""
+    h = _closed_forms(p, amp)[2].copy()
+    h[0] *= 1.0 + move
+    comb = CombData(tuple(((p - j) / p, hj) for j, hj in enumerate(h, start=1)))
+    gs = _gap_system(edges)
+    found = np.array(gaps_from_comb(comb, _bracket(gs)).endpoints)
+    return np.max(np.abs(found - edges)) / gs.diameter
+
+
+@pytest.mark.parametrize("frame", FRAMES, ids=["unit", "moved", "scaled"])
+@pytest.mark.parametrize("amp", [0.3, 0.05])
+@pytest.mark.parametrize("p", range(3, 9))
+def test_comb_inverse_returns_the_oracle_edges(p, amp, frame):
+    # over the 36 sets the largest error was 0.46 times the edges' rounding, in the scaled
+    # frame.  h_1 moved by 1e-9 of itself moves the edges by 7.7 times it or more in every
+    # frame; a move of 1e-10 gave only 0.9 times it in the scaled frame
+    edges = frame[0] * _closed_forms(p, amp)[0] + frame[1]
+    assert _comb_error(p, amp, edges) <= _bound(edges, 1.0)
+    assert _comb_error(p, amp, edges, 1e-9) > _bound(edges, 1.0)

@@ -75,3 +75,18 @@ def test_output_digest_groups():
     assert len(resolvents) == 4 * 6
     for out in (geometry, divisors, windows, resolvents):
         assert out and not any(line.startswith("error:") for line in out)
+
+
+def test_cli_digest_slice(tmp_path):
+    # one request of each kind of each workload through the digest's in-process run: each
+    # exits 0, and the digest repeats
+    digest = runpy.run_path(str(ROOT / "scripts" / "cli_digest.py"), run_name="digest")
+    workloads = digest["_workloads"]()
+    for name in workloads.BUILDERS:
+        kinds = {}
+        for req in workloads.build(name, 1, tmp_path / name):
+            kinds.setdefault(req.kind, req)
+        reqs = list(kinds.values())
+        assert [digest["_run"](req.argv)[0] for req in reqs] == [0] * len(reqs)
+        first = digest["_digest"](reqs, tmp_path)
+        assert len(first) == 64 and first == digest["_digest"](reqs, tmp_path)
