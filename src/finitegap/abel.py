@@ -91,21 +91,18 @@ def torus_distance(a, b):
 
 
 def chart_from_divisor(gs, divisor):
-    """Chart angles of a divisor, exact at the gap endpoints: a_k has angle pi, b_k angle 0."""
+    """Chart angles of a divisor, exact at the gap endpoints: a_k has angle pi,
+    b_k angle 0, as validate gives a gap end eps = +1."""
     divisor = divisor.validate(gs)
-    phis = []
-    for (a, b), (x, e) in zip(gs.gaps, divisor.points):
-        phi = _chart_angle(a, b, x)
-        if e < 0 and 0.0 < phi < math.pi:
-            phi = _TWO_PI - phi
-        phis.append(phi)
-    return DivisorChart(angles=tuple(phis))
+    phis = (_chart_angle(a, b, x) for (a, b), x in zip(gs.gaps, divisor.xs))
+    return DivisorChart(angles=tuple(_TWO_PI - phi if e < 0 else phi
+                                     for phi, e in zip(phis, divisor.eps)))
 
 
 def divisor_from_chart(gs, chart):
     pts = [(_chart_point(a, b, phi), 1 if math.sin(phi) >= 0.0 else -1)
            for (a, b), phi in zip(gs.gaps, chart.angles)]
-    return Divisor(points=tuple(pts)).normalized(gs)
+    return Divisor(points=tuple(pts)).validate(gs)
 
 
 @lru_cache(maxsize=16)
@@ -172,7 +169,7 @@ def abel_map(gs, divisor, qtol=DEFAULT_QTOL):
     divisor {(a_k, +1)} maps to 0.
     """
     n = gs.n_gaps
-    divisor = divisor.normalized(gs)
+    divisor = divisor.validate(gs)
     if n == 0:
         return Character(alpha=())
     poly = _lagrange_basis(gs.centred, _harmonic_poly_coeffs(gs, qtol).coeffs)
@@ -387,7 +384,7 @@ def kernel_at_origin(gs, divisor, qtol=DEFAULT_QTOL):
     G at the divisor points inside their gaps is one stacked _gap_increment,
     as `green` takes it one point at a time, clipped at 0 per point; at a gap
     endpoint, which lies on E, G is 0."""
-    divisor = divisor.normalized(gs)
+    divisor = divisor.validate(gs)
     if gs.n_gaps == 0:
         return 1.0
     cp = critical_points(gs, qtol)
@@ -477,7 +474,9 @@ def measure_mc(gs, box, samples=100_000, seed=0):
     for j, a, b, e in entries:
         th_a, th_b = (_chart_angle(*gs.gap(j), x) for x in (a, b))
         arcs.append((j - 1, th_b, th_a) if e > 0 else (j - 1, _TWO_PI - th_a, _TWO_PI - th_b))
-    chunk = min(_MC_CHUNK, max(1, _MC_TABLE // (_abel_series(gs)[0].shape[-1] * n)))
+    # a series cut to no terms has an empty table, and the chunk is _MC_CHUNK
+    row = max(1, _abel_series(gs)[0].shape[-1] * n)
+    chunk = min(_MC_CHUNK, max(1, _MC_TABLE // row))
     hits = 0
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)

@@ -4,10 +4,11 @@ Input is a single JSON document (--input FILE or standard input) that may
 carry a gap system, a divisor, a character, a box, or a comb, as the
 subcommand requires; `verify` reads none.  Output is a single JSON document
 whose "meta" field echoes the run options: precision, qtol, seed, fmt and
-base_point.  `coeffs --csv` writes its window as CSV instead.
+base_point.  `coeffs --csv` writes its window as CSV instead; --csv on any
+other command is an input error.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input,
-3 numeric failure.
+3 numeric failure, which includes a result that overflows or is not finite.
 """
 
 import argparse
@@ -41,6 +42,8 @@ def _check_options(args):
         raise ValidationError("qtol must be positive and finite")
     if args.seed < 0:
         raise ValidationError("seed must be nonnegative")
+    if args.csv and args.command != "coeffs":
+        raise ValidationError("--csv applies to coeffs only")
     # islice takes a window or a step count up to sys.maxsize, truncate takes 1 / n,
     # and a sample count past it could never finish
     if max(abs(args.n0), abs(args.n1), abs(args.steps), abs(args.n or 0),
@@ -52,7 +55,7 @@ def _check_options(args):
 def _meta(args):
     """The run options, echoed in every output document."""
     return {"precision": args.prec, "qtol": args.qtol, "seed": args.seed,
-            "fmt": "csv" if args.csv else "json", "base_point": _BASE_POINT_NOTE}
+            "fmt": "json", "base_point": _BASE_POINT_NOTE}
 
 
 @lru_cache(maxsize=None)
@@ -65,8 +68,8 @@ def _parser():
                    help="working precision in bits")
     p.add_argument("--qtol", type=float, default=quad.DEFAULT_QTOL, help="quadrature tolerance")
     p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--csv", action="store_true", help="CSV output for sequences")
-    p.add_argument("--z", help="evaluation point RE,IM (IM optional)")
+    p.add_argument("--csv", action="store_true", help="CSV output for coeffs")
+    p.add_argument("--z", help="evaluation point RE,IM (IM optional); --z=RE,IM for RE < 0")
     p.add_argument("--k", type=int, default=1, help="gap index for harmonic measure")
     p.add_argument("--from", dest="n0", type=int, default=0, help="first index of a window")
     p.add_argument("--to", dest="n1", type=int, default=0, help="last index of a window")
@@ -118,9 +121,15 @@ def _to_json(obj):
 
 
 def _emit(doc, args):
+    """Write doc with meta as one line of strict JSON; SolverError, and nothing
+    written, where it holds NaN or +-inf."""
     doc = dict(doc)
     doc["meta"] = _meta(args)
-    sys.stdout.write(json.dumps(doc, default=_to_json) + "\n")
+    try:
+        text = json.dumps(doc, default=_to_json, allow_nan=False)
+    except ValueError:
+        raise SolverError("result is not finite")
+    sys.stdout.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +401,16 @@ def main(argv=None):
         _check_options(args)
         doc = {} if args.command == "verify" else _load_doc(args)
         result = _COMMANDS[args.command](args, doc)
+        if result is not None:
+            _emit(result, args)
     except (ValidationError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except SolverError as exc:
-        detail = f" (residual {exc.residual:.3e})" if exc.residual is not None else ""
+    except (SolverError, OverflowError) as exc:
+        residual = getattr(exc, "residual", None)
+        detail = f" (residual {residual:.3e})" if residual is not None else ""
         print(f"numeric failure: {exc}{detail}", file=sys.stderr)
         return 3
-    if result is not None:
-        _emit(result, args)
     if args.command == "verify" and not result["all_pass"]:
         return 1
     return 0

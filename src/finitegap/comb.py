@@ -196,6 +196,8 @@ def gaps_from_comb(comb, bracket):
     if bracket.n_gaps != n:
         raise ValidationError("bracket must have one gap per tooth")
     b0, a0 = bracket.b0, bracket.a0
+    if n == 0:
+        return GapSystem(b0, a0)  # no teeth, no gaps: the bare band
     target = np.concatenate([comb.omegas, comb.heights])
     margin = 1e-8 * (a0 - b0)
 

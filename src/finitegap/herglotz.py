@@ -50,25 +50,19 @@ class Divisor:
         return tuple(e for _, e in self.points)
 
     def validate(self, gs):
+        """The divisor checked against gs, one point in each closed gap, in
+        normal form: a gap end is a branch point, (a_j, -1) = (a_j, +1), and
+        is stored with eps = +1."""
         if len(self.points) != gs.n_gaps:
             raise ValidationError(
                 f"divisor has {len(self.points)} points, gap system has {gs.n_gaps} gaps"
             )
-        for j, (x, _) in enumerate(self.points, start=1):
-            a, b = gs.gap(j)
-            if not a <= x <= b:
-                raise ValidationError(f"divisor point {x} outside closed gap {j} [{a}, {b}]")
-        return self
-
-    def normalized(self, gs):
-        """Endpoint identification: (a_j, -1) = (a_j, +1), stored with eps = +1."""
-        self.validate(gs)
         pts = []
         for j, (x, e) in enumerate(self.points, start=1):
             a, b = gs.gap(j)
-            if x == a or x == b:
-                e = 1
-            pts.append((x, e))
+            if not a <= x <= b:
+                raise ValidationError(f"divisor point {x} outside closed gap {j} [{a}, {b}]")
+            pts.append((x, 1 if x == a or x == b else e))
         return Divisor(points=tuple(pts))
 
     def to_json(self):
@@ -92,16 +86,26 @@ class HerglotzPair:
     on the gaps and the two leading coefficients matched to the expansion of
     sqrt(R) at infinity.  t_centred holds the ascending coefficients of T_c
     on the centred set, T(z) = half^(N+1) T_c((z - mid) / half), from which
-    T is evaluated; t_coeffs are the ascending coefficients of T in z, an
-    export that loses accuracy on sets far from the origin.
+    T is evaluated.
     """
 
     gs: GapSystem
     divisor: Divisor
-    t_coeffs: tuple
     t_centred: tuple
     p0sq: float
     q0: float
+
+    @property
+    def t_coeffs(self):
+        """The ascending coefficients of T in z, derived from t_centred by
+        Horner in z - mid on each read: an export that loses accuracy on sets
+        far from the origin."""
+        mid, half = self.gs.frame
+        t_raw = np.array(self.t_centred[-1:])
+        for k, c in enumerate(reversed(self.t_centred[:-1]), start=1):
+            t_raw = np.convolve(t_raw, [-mid, 1.0])
+            t_raw[0] += half ** k * c
+        return tuple(map(float, t_raw))
 
     def _pi(self, z):
         return _prod(np.asarray(z, dtype=complex), np.array(self.divisor.xs))
@@ -210,12 +214,12 @@ def t_poly(ends, xs, sigmas, w):
 
 
 def _fixed_state(gs, divisor, w):
-    """(normalized divisor, ends, Pi, T, R, 4 p0^2) in fixed point at w bits
+    """(divisor in normal form, ends, Pi, T, R, 4 p0^2) in fixed point at w bits
     on the set centred by s = (t - mid) / half: ends b0, a_1, b_1, ..., a0,
     R their product, Pi and T from t_poly on the s_j of the divisor (in their
     closed gaps, as rounding is monotone) and, T being monic of degree N+1,
     4 p0^2 = -[z^2N](R - T^2) = 2 t_(N-1) + t_N^2 - r_2N."""
-    divisor = divisor.normalized(gs)
+    divisor = divisor.validate(gs)
     mid, half = gs.frame
     ends = [_to_fixed(e, w) for e in gs.centred.endpoints]
     xs = [_to_fixed((x - mid) / half, w) for x in divisor.xs]
@@ -240,13 +244,8 @@ def split_resolvents(gs, divisor):
     divisor, ends, pi, t, _, four_p0sq = _fixed_state(gs, divisor, DEFAULT_PREC)
     mid, half = gs.frame
     q0 = _from_fixed(_trace_q(sum(ends) >> 1, pi), DEFAULT_PREC, half, mid=mid)
-    t = [_from_fixed(c, DEFAULT_PREC) for c in t]
-    # half^(N+1) T((z - mid) / half) by Horner in z - mid
-    t_raw = np.array(t[-1:])
-    for k, c in enumerate(reversed(t[:-1]), start=1):
-        t_raw = np.convolve(t_raw, [-mid, 1.0])
-        t_raw[0] += half ** k * c
-    return HerglotzPair(gs=gs, divisor=divisor, t_coeffs=tuple(map(float, t_raw)), t_centred=tuple(t),
+    return HerglotzPair(gs=gs, divisor=divisor,
+                        t_centred=tuple(_from_fixed(c, DEFAULT_PREC) for c in t),
                         p0sq=_from_fixed(four_p0sq, DEFAULT_PREC + 2, half, 2), q0=q0)
 
 

@@ -133,7 +133,7 @@ class CFState:
         eps = _eps_from_t(self.gs, self.ends, self.t_coeffs, roots, w)
         pts = tuple((min(max(_from_fixed(s, w, half, mid=mid), a), b), e)
                     for s, e, (a, b) in zip(roots, eps, self.gs.gaps))
-        return Divisor(pts).normalized(self.gs)
+        return Divisor(pts).validate(self.gs)
 
 
 @dataclass(frozen=True)

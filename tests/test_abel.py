@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ class TestAbelMap:
         rng = np.random.default_rng(n)
         for pos in range(4):
             pts = tuple((_edge_points(a, b)[pos], int(rng.choice([-1, 1]))) for a, b in gs.gaps)
-            d = Divisor(pts).normalized(gs)
+            d = Divisor(pts).validate(gs)
             ref = [sum(0.5 * e * (harmonic_measure(gs, j, x) - harmonic_measure(gs, j, a))
                        for (x, e), (a, _) in zip(d.points, gs.gaps)) for j in range(1, n + 1)]
             assert ab.torus_distance(ab.abel_map(gs, d).alpha, ref) < 1e-13
@@ -189,6 +190,16 @@ class TestSeriesEvaluation:
         with pytest.raises(SolverError, match="Abel series did not converge") as err:
             ab._abel_series(gs)
         assert err.value.residual > 0.0
+
+    def test_series_normalization_failure_raises(self, monkeypatch):
+        # doubled harmonic polynomials: each omega_j' has mean -2/2pi on its own gap, not -1/2pi
+        poly_coeffs = ab._harmonic_poly_coeffs
+        monkeypatch.setattr(ab, "_harmonic_poly_coeffs", lambda gs, qtol: SimpleNamespace(
+            coeffs=2.0 * poly_coeffs(gs, qtol).coeffs))
+        gs = GapSystem(-2.0, 2.0, ((-0.8, 0.35),))
+        with pytest.raises(SolverError, match="Abel series normalization failed") as err:
+            ab._abel_series(gs)
+        assert err.value.residual == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-6)
 
     def test_harmonics_match_exp(self, thin_band):
         m_count = ab._abel_series(thin_band)[0].shape[-1]
@@ -298,6 +309,24 @@ class TestInversion:
         assert len(starts) == 1 + 2 * three_gap.n_gaps
         assert np.allclose(starts[0], ab._diagonal_seed(alpha.alpha))
 
+    def test_singular_newton_system_takes_the_regularized_step(self, two_gap, monkeypatch):
+        alpha = ab.Character((0.1, 0.35))
+        expected = ab.invert_abel(two_gap, alpha)
+        solve, calls = np.linalg.solve, []
+
+        def singular_once(a, b):
+            calls.append(np.array(a))
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_once)
+        d = ab.invert_abel(two_gap, alpha)
+        # the fallback solves the same Jacobian plus 1e-10 I, and Newton still converges
+        assert np.array_equal(calls[1], calls[0] + 1e-10 * np.eye(two_gap.n_gaps))
+        assert ab.abel_map(two_gap, d).distance(alpha) < 1e-9
+        assert np.allclose(d.xs, expected.xs, rtol=0.0, atol=1e-9) and d.eps == expected.eps
+
     @pytest.mark.parametrize("gaps, alpha", [
         (((-1.0, -0.3), (0.8, 1.6)), (0.1,)),
         (((-1.0, -0.3), (0.8, 1.6)), (0.1, 0.2, 0.3)),
@@ -374,7 +403,7 @@ class TestKernel:
                    for j, (gap, (_, e)) in enumerate(zip(gs.gaps, divisors[0].points))]
             divisors.append(Divisor(tuple(pts)))
         for d in divisors:
-            expo = sum(h + e * green(gs, x) for (x, e), h in zip(d.normalized(gs).points, cp.h))
+            expo = sum(h + e * green(gs, x) for (x, e), h in zip(d.validate(gs).points, cp.h))
             assert ab.kernel_at_origin(gs, d) == pytest.approx(np.exp(-expo), rel=1e-13)
 
 

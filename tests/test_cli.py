@@ -293,7 +293,86 @@ JSON_CASES = [
 ]
 
 
+def _strict_json(out):
+    """json.loads that rejects NaN and +-Infinity, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(out, parse_constant=reject)
+
+
+def _edge_doc(band, gaps, divisor, **extra):
+    """A document that every subcommand reads: the set, its divisor, the character 1/4 and a
+    box over each whole gap, plus extra."""
+    return dict({"band": band, "gaps": gaps, "divisor": [{"x": x, "eps": e} for x, e in divisor],
+                 "alpha": [0.25] * len(gaps),
+                 "box": [{"gap": j, "a": a, "b": b, "eps": 1} for j, (a, b) in enumerate(gaps, 1)]},
+                **extra)
+
+
+EDGE_DOCS = {
+    "one-gap-end": _edge_doc([-2.0, 2.0], [[-1.0, 1.0]], [(-1.0, -1)]),
+    "two-gap-ends": _edge_doc([-2.0, 3.0], [[-1.0, -0.3], [0.8, 1.6]], [(-1.0, -1), (1.6, -1)]),
+    "band-1e300": _edge_doc([-1e300, 1e300], [[-1.0, 1.0]], [(0.0, 1)]),
+    "shift-1e15": _edge_doc([1e15 - 2, 1e15 + 2], [[1e15 - 1, 1e15 + 1]], [(1e15 + 0.25, -1)]),
+    "zero-teeth": _edge_doc([-2.0, 2.0], [], [], teeth=[],
+                            bracket={"band": [-2.0, 2.0], "gaps": []}),
+}
+
+
+def _edge_argvs(doc):
+    """Every subcommand on doc: those with an evaluation point at the default, at each
+    branch point and far out, and the rest once."""
+    ends = [doc["band"][0], doc["band"][1]] + [e for g in doc["gaps"] for e in g]
+    zs = [[]] + [[f"--z={x!r}"] for x in ends] + [["--z=1e200,1"], ["--z=-1e200,0"]]
+    point = [["green"], ["harmonic", "--k", "1"], ["dos"], ["resolvents"], ["transfer", "--n", "3"]]
+    rest = [["critical"], ["coeffs", "--from", "-2", "--to", "2"], ["abel"], ["invert"],
+            ["shift-check"], ["kernel0"], ["measure"], ["measure-mc", "--mc-samples", "100"],
+            ["comb"], ["truncate", "--n", "3"]]
+    return [cmd + z for cmd in point for z in zs] + rest
+
+
 class TestContract:
+    # numpy's RuntimeWarnings on the non-finite values go to stderr; the contract is the
+    # exit code and stdout
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", EDGE_DOCS)
+    def test_edge_documents_exit_0_2_or_3_with_strict_json(self, capsys, tmp_path, name):
+        doc = EDGE_DOCS[name]
+        for argv in _edge_argvs(doc):
+            code, out = run(capsys, argv, doc, tmp_path)
+            assert code in (0, 2, 3), argv
+            if code == 0:
+                assert isinstance(_strict_json(out), dict), argv
+            else:
+                assert out == "", argv
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [["resolvents", "--z", "1"], ["transfer", "--z=1e200,1"]],
+                             ids=["resolvents-at-a-branch-point", "transfer-far"])
+    def test_non_finite_result_exit_3(self, capsys, tmp_path, argv):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(ONE_GAP_DIV))
+        assert main(argv + ["--input", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "numeric failure" in err
+
+    @pytest.mark.parametrize("argv", [["coeffs"], ["transfer"], ["resolvents", "--z=1,0"]],
+                             ids=["coeffs", "transfer", "resolvents"])
+    def test_overflow_exit_3(self, capsys, tmp_path, argv):
+        code, out = run(capsys, argv, EDGE_DOCS["band-1e300"], tmp_path)
+        assert code == 3 and out == ""
+
+    def test_comb_with_no_teeth_is_the_bare_band(self, capsys, tmp_path):
+        doc = {"teeth": [], "bracket": {"band": [-2, 2], "gaps": []}}
+        out = run_json(capsys, ["comb"], doc, tmp_path)
+        assert {k: out[k] for k in ("band", "gaps")} == {"band": [-2.0, 2.0], "gaps": []}
+
+    @pytest.mark.parametrize("argv, doc", [pytest.param(*c, id=c[0][0]) for c in JSON_CASES
+                                           if c[0][0] != "coeffs"])
+    def test_csv_outside_coeffs_exit_2(self, capsys, tmp_path, argv, doc):
+        code, out = run(capsys, argv + ["--csv"], doc, tmp_path)
+        assert code == 2 and out == ""
+
     def test_malformed_input_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

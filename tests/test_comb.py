@@ -157,6 +157,17 @@ class TestCombJacobian:
     def test_no_gaps(self, free_set):
         assert cb.comb_jacobian(free_set).shape == (0, 0)
 
+    def test_singular_period_matrix_raises(self, two_gap, monkeypatch):
+        endpoint_jet = cb._endpoint_jet
+
+        def zero_moments(*args):
+            mom, jet = endpoint_jet(*args)
+            return np.zeros_like(mom), jet
+
+        monkeypatch.setattr(cb, "_endpoint_jet", zero_moments)
+        with pytest.raises(SolverError, match="singular period matrix"):
+            cb.comb_jacobian(two_gap)
+
 
 class TestLevenbergMarquardt:
     """The comb inverse, Newton with step halving.  The class keeps the name of

@@ -1,3 +1,7 @@
+import json
+from dataclasses import fields, replace
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +11,7 @@ from conftest import random_divisor, spaced_gap_system
 from finitegap.errors import ValidationError
 from finitegap.herglotz import (
     Divisor,
+    HerglotzPair,
     r00,
     reflectionless_residual,
     split_resolvents,
@@ -19,15 +24,20 @@ class TestDivisor:
     def test_validation(self, two_gap):
         with pytest.raises(ValidationError):
             Divisor(((0.0, 2),))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="divisor has 1 points, gap system has 2 gaps"):
             Divisor(((-0.6, 1),)).validate(two_gap)  # wrong count
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"divisor point -1.5 outside closed gap 1 \[-1.0, -0.3\]"):
             Divisor(((-1.5, 1), (1.0, 1))).validate(two_gap)  # outside gap
 
     def test_endpoint_normalization(self, two_gap):
-        d = Divisor(((-1.0, -1), (1.1, -1))).normalized(two_gap)
+        d = Divisor(((-1.0, -1), (1.1, -1))).validate(two_gap)
         assert d.points[0] == (-1.0, 1)
         assert d.points[1] == (1.1, -1)
+
+    def test_validate_puts_both_gap_ends_on_the_upper_sheet(self, two_gap):
+        d = Divisor(((-1.0, -1), (1.6, -1)))
+        assert d.validate(two_gap).points == ((-1.0, 1), (1.6, 1))
+        assert d.validate(two_gap).validate(two_gap) == d.validate(two_gap)
 
     def test_json_roundtrip(self):
         d = Divisor(((-0.6, 1), (1.1, -1)))
@@ -56,6 +66,40 @@ class TestSplitResolvents:
         assert pair.p0sq == pytest.approx(1.0, abs=1e-14)
         assert pair.q0 == pytest.approx(0.0, abs=1e-14)
         assert tuple(pair.t_coeffs) == pytest.approx((0.0, 1.0), abs=1e-14)
+
+    def test_pair_stores_t_once(self, two_gap, three_gap, rng, monkeypatch):
+        assert [f.name for f in fields(HerglotzPair)] == ["gs", "divisor", "t_centred", "p0sq", "q0"]
+        pair = split_resolvents(two_gap, random_divisor(two_gap, rng))
+        other = split_resolvents(two_gap, random_divisor(two_gap, rng))
+        # the raw export follows t_centred, so a replaced pair cannot disagree with itself
+        assert replace(pair, t_centred=other.t_centred).t_coeffs == other.t_coeffs
+
+        def no_convolve(*args, **kwargs):
+            raise AssertionError("split_resolvents builds the raw export")
+
+        monkeypatch.setattr(np, "convolve", no_convolve)
+        split_resolvents(three_gap, random_divisor(three_gap, rng))
+
+    @pytest.mark.parametrize("name, shift, expected", [
+        ("n0_free", 0.0, ("0x0.0p+0", "0x1.0000000000000p+0")),
+        ("n1_symmetric", 0.0, ("0x1.cbd9d5f5b09e7p+0", "0x0.0p+0", "0x1.0000000000000p+0")),
+        ("n2_asymmetric", 0.0, ("0x1.d0a0fdf4b1ebep+0", "-0x1.eb1dee295a102p-3",
+                                "-0x1.0cccccccccccep+0", "0x1.0000000000000p+0")),
+        ("n3_three_gap", 0.0, ("-0x1.2d628cf18f4e6p+1", "-0x1.253064231edfep-2", "-0x1.7d89a6c93e5dep+1",
+                               "0x1.3333333333330p-2", "0x1.0000000000000p+0")),
+        ("n2_asymmetric", 1e2, ("-0x1.ed65468d1c20cp+19", "0x1.d8070a7108eb6p+14",
+                                "-0x1.2d0cccccccccdp+8", "0x1.0000000000000p+0")),
+        ("n2_asymmetric", 1e4, ("-0x1.d1b5ce65c04e7p+39", "0x1.1e1f507c29c42p+28",
+                                "-0x1.d4c4333333333p+14", "0x1.0000000000000p+0")),
+    ])
+    def test_t_coeffs_are_pinned(self, name, shift, expected):
+        # the raw monomial export, bit for bit as when it was a stored field; the
+        # fixture moved by shift, every endpoint and divisor point by + shift
+        doc = json.loads((resources.files("finitegap") / "fixtures" / f"{name}.json").read_text())
+        gs = GapSystem.from_json(doc)
+        gs = GapSystem(gs.b0 + shift, gs.a0 + shift, tuple((a + shift, b + shift) for a, b in gs.gaps))
+        d = Divisor(tuple((x + shift, e) for x, e in Divisor.from_json(doc).points))
+        assert tuple(c.hex() for c in split_resolvents(gs, d).t_coeffs) == expected
 
     def test_resolvent_algebra(self, two_gap, rng):
         # u + v = -1/R00 for the split pair

@@ -342,7 +342,7 @@ class TestGapRoots:
         xs = [_to_fixed((x - gs.frame[0]) / gs.frame[1], 128) for x in d.xs]
         roots = jc._gap_roots(ends, pi, 128)
         assert max(abs(r - x) for r, x in zip(roots, xs)) <= 2**5
-        assert jc.initial_state(gs, d).divisor == d.normalized(gs)
+        assert jc.initial_state(gs, d).divisor == d.validate(gs)
 
 
 class TestSiteZeroDivisor:
@@ -359,7 +359,7 @@ class TestSiteZeroDivisor:
             for x in (a + share * (b - a), b - share * (b - a)):
                 pts = [(x, eps) if k == j else (0.5 * (lo + hi), -eps) for k, (lo, hi) in enumerate(gs.gaps)]
                 d = Divisor(tuple(pts))
-                assert jc.initial_state(gs, d).divisor == d.normalized(gs)
+                assert jc.initial_state(gs, d).divisor == d.validate(gs)
                 assert shift_covariance_residual(gs, d, steps=0) == 0.0
 
 

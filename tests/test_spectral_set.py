@@ -632,3 +632,20 @@ def test_random_geometry_invariants(data):
     om = frequencies(gs)
     assert np.all(om > 0) and np.all(om < 1)
     assert np.all(np.diff(om) < 0)  # tail masses strictly decrease
+
+
+def test_singular_period_matrix_raises_and_the_cli_exits_3(monkeypatch, capsys, tmp_path):
+    # every moment zero: the period matrix is singular, a SolverError that is not cached
+    edge_integral = spectral_set._edge_integral
+    monkeypatch.setattr(spectral_set, "_edge_integral",
+                        lambda *args: np.zeros_like(edge_integral(*args)))
+    gs = GapSystem(-2.0, 2.0, ((-0.7, 0.45),))
+    with pytest.raises(SolverError, match="singular period matrix"):
+        critical_points(gs)
+    path = tmp_path / "in.json"
+    path.write_text('{"band": [-2.0, 2.0], "gaps": [[-0.7, 0.45]]}')
+    from finitegap.cli import main
+    assert main(["critical", "--input", str(path)]) == 3
+    assert capsys.readouterr().out == ""
+    monkeypatch.undo()
+    assert np.all(np.isfinite(critical_points(gs).c))

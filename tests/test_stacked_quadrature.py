@@ -196,7 +196,7 @@ def test_stacked_matches_per_interval(n, seed, scale, shift, min_share):
         x = lo + rng.uniform(0.05, 0.95) * (hi - lo)
         assert abs(ss.dos_cdf(gs, x) - _ref_band_masses(gs, s, x).sum()) <= qtol
 
-    divisor = random_divisor(gs, rng).normalized(gs)
+    divisor = random_divisor(gs, rng).validate(gs)
     alpha = sum(0.5 * e * _ref_increment(gs, ref_poly, k, x)
                 for k, (x, e) in enumerate(divisor.points, start=1))
     assert abel.abel_map(gs, divisor).distance(abel.Character(tuple(alpha))) <= qtol
