@@ -39,11 +39,23 @@ _TWO_PI = 2.0 * np.pi
 # 1e-10, and _NEWTON_ITERS leaves room for many halvings of a row's step
 _NEWTON_ITERS = 60
 _NEWTON_TOL = 1e-11
+# a measure_mc row settles once its Newton step delta is below _SETTLE_STEP
+# and phi - delta lies more than _SETTLE_RADIUS |delta| from every arc end,
+# 0 and 2 pi.  Where Kantorovich's condition holds the root lies within |delta|
+# of phi - delta; the factor 4 leaves room for rows where it fails.  The root
+# sits about K |delta|^2 from phi - delta, and K reached 8.4 on thin_band
+# (0.6 and 1.3 on two N = 16 sets, 3000 samples each), so the 1e-2 gate keeps
+# that remainder below 0.09 |delta|
+_SETTLE_STEP = 1e-2
+_SETTLE_RADIUS = 4.0
 # samples per Newton call in measure_mc: _MC_CHUNK, or fewer where the harmonic
 # table of _newton_invert, M N complex entries per sample, would pass _MC_TABLE
 # entries (16 MB); a thin band with M = 696 gets 1506
 _MC_CHUNK = 4096
 _MC_TABLE = 1 << 20
+# the most samples one measure_mc call takes: about 5 minutes at the
+# 3e5 samples/s measured on N <= 3 sets, so no request runs for hours
+_MC_MAX_SAMPLES = 10**8
 
 
 @dataclass(frozen=True)
@@ -277,7 +289,7 @@ def _restart_offsets(n):
     return _TWO_PI * ((np.arange(1, 2 * n + 1)[:, None] * step) % 1.0)
 
 
-def _newton_invert(gs, targets, phis):
+def _newton_invert(gs, targets, phis, margin=None):
     """Vectorized torus Newton for the chart Abel map; returns (phis, residuals).
 
     Each evaluated point costs one harmonic table (_harmonics): the map comes
@@ -287,6 +299,19 @@ def _newton_invert(gs, targets, phis):
     down to at most one radian in its largest angle and is taken only if it
     lowers the row's residual; otherwise the row keeps its point and its
     Jacobian, and its step length is halved on the next iteration.
+
+    margin, if given, maps angle rows of shape (rows, N) in [0, 2 pi) to their
+    distance from the nearest point where the caller's decision about a row
+    changes (measure_mc: an arc end of its box, or 0 or 2 pi).  A live row
+    then settles at the top of an iteration if its last step was taken at
+    full length, its new Newton step delta is below _SETTLE_STEP in every
+    angle, and margin(phi - delta) exceeds _SETTLE_RADIUS |delta|: it takes
+    phi - delta (mod 2 pi) unevaluated and stops.  The root then lies on the
+    same side of every such point as phi - delta, so the decision is the one
+    a fully converged row gives.  A settled row's residual is NaN, since its
+    point is never evaluated; NaN fails every tolerance test, so a settled row
+    counts neither as converged (res <= tol) nor as a stray (res > tol).
+    Without margin no row settles.
     """
     series = _abel_series(gs)
     m_count = series[0].shape[-1]
@@ -299,13 +324,25 @@ def _newton_invert(gs, targets, phis):
     res_vec = res_vec[active]
     jac = _series_jacobian(series, h, active)
     length = np.ones(active.size)
-    for _ in range(_NEWTON_ITERS):
+    for it in range(_NEWTON_ITERS):
         if active.size == 0:
             break
         try:
             step = np.linalg.solve(jac, res_vec[..., None])[..., 0]
         except np.linalg.LinAlgError:
             step = np.linalg.solve(jac + 1e-10 * np.eye(gs.n_gaps), res_vec[..., None])[..., 0]
+        if margin is not None and it:
+            size = np.abs(step).max(axis=-1)
+            landing = (phis[active] - step) % _TWO_PI
+            settle = ((length == 1.0) & (size < _SETTLE_STEP)
+                      & (margin(landing) > _SETTLE_RADIUS * size))
+            phis[active[settle]] = landing[settle]
+            res[active[settle]] = np.nan
+            keep = ~settle
+            active, res_vec, length, jac, step = (
+                active[keep], res_vec[keep], length[keep], jac[keep], step[keep])
+            if active.size == 0:
+                break
         scale = length / np.maximum(np.abs(step).max(axis=-1), 1.0)
         trial = (phis[active] - scale[:, None] * step) % _TWO_PI
         del h  # one table at a time: on a thin band a 4096-row table is 46 MB
@@ -450,30 +487,65 @@ def measure_box(gs, box, qtol=DEFAULT_QTOL):
     return float(2.0 ** (-len(entries)) * abs(np.linalg.det(cols[:, rows])))
 
 
+def _box_arcs(gs, entries):
+    """The columns a parsed box constrains and their chart-angle arcs (lo, hi).
+
+    The arc (a, b) with sign eps is the chart-angle interval
+    [theta(b), theta(a)], reflected to [2 pi - theta(a), 2 pi - theta(b)] for
+    eps = -1.
+    """
+    arcs = []
+    for j, a, b, e in entries:
+        th_a, th_b = (_chart_angle(*gs.gap(j), x) for x in (a, b))
+        arcs.append((j - 1, th_b, th_a) if e > 0 else (j - 1, _TWO_PI - th_a, _TWO_PI - th_b))
+    cols, lo, hi = zip(*arcs)
+    return np.array(cols), np.array(lo), np.array(hi)
+
+
+def _in_box(arcs, phis):
+    """Rows of chart angles phis (rows, N) inside every arc, ends included."""
+    cols, lo, hi = arcs
+    t = phis[:, cols]
+    return np.all((t >= lo) & (t <= hi), axis=1)
+
+
+def _box_margin(arcs, phis):
+    """Distance of each row of phis (rows, N) in [0, 2 pi) from the nearest
+    arc end, 0 or 2 pi, over the columns the box constrains."""
+    cols, lo, hi = arcs
+    t = phis[:, cols]
+    return np.minimum.reduce([t, _TWO_PI - t, np.abs(t - lo), np.abs(t - hi)]).min(axis=1)
+
+
 def measure_mc(gs, box, samples=100_000, seed=0):
     """Monte-Carlo oracle for measure_box: sample characters uniformly,
     invert the Abel map, count divisors landing in the box.
 
     Every sample starts Newton from the diagonal seed (see invert_abel), so
-    no start grid is built and the work per sample is polynomial in N; a
-    sample that misses 1e-8 is retried by invert_abel with its restarts.
-    Tested against measure_box for N up to 6.
+    no start grid is built and the work per sample is polynomial in N.  A
+    sample stops as soon as its side of every arc end is settled (see
+    _newton_invert's margin), before its residual reaches _NEWTON_TOL: that
+    about halves the Newton rows evaluated, and the count is the one fully
+    converged samples give.  A sample that neither settles nor reaches 1e-8
+    is retried by invert_abel with its restarts.  Tested against measure_box
+    for N up to 6, and against the counts of fully converged samples up to
+    N = 16 and on a thin band.
+
+    samples runs from 1 to _MC_MAX_SAMPLES; anything else is a
+    ValidationError, raised before any work.
 
     Returns (estimate, stderr).
     """
-    if samples < 1:
-        raise ValidationError(f"Monte-Carlo needs at least one sample, got {samples}")
+    if not 1 <= samples <= _MC_MAX_SAMPLES:
+        raise ValidationError(
+            f"Monte-Carlo takes 1 to {_MC_MAX_SAMPLES} samples, got {samples}")
     entries = _parse_box(gs, box)
     n = gs.n_gaps
     if n == 0 or not entries:
         return 1.0, 0.0
     rng = np.random.Generator(np.random.Philox(seed))
-    # the arc (a, b) with sign eps is the chart-angle interval [theta(b), theta(a)],
-    # reflected to [2 pi - theta(a), 2 pi - theta(b)] for eps = -1
-    arcs = []
-    for j, a, b, e in entries:
-        th_a, th_b = (_chart_angle(*gs.gap(j), x) for x in (a, b))
-        arcs.append((j - 1, th_b, th_a) if e > 0 else (j - 1, _TWO_PI - th_a, _TWO_PI - th_b))
+    arcs = _box_arcs(gs, entries)
+    margin = partial(_box_margin, arcs)
     # a series cut to no terms has an empty table, and the chunk is _MC_CHUNK
     row = max(1, _abel_series(gs)[0].shape[-1] * n)
     chunk = min(_MC_CHUNK, max(1, _MC_TABLE // row))
@@ -481,17 +553,14 @@ def measure_mc(gs, box, samples=100_000, seed=0):
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
         alpha = rng.random((count, n))
-        phis, res = _newton_invert(gs, alpha, _diagonal_seed(alpha))
-        bad = res > 1e-8
+        phis, res = _newton_invert(gs, alpha, _diagonal_seed(alpha), margin)
+        bad = res > 1e-8  # a settled row's NaN is no stray
         if np.any(bad):
             # retry strays one by one with full restarts
             for i in np.nonzero(bad)[0]:
                 div = invert_abel(gs, Character(tuple(alpha[i])))
                 phis[i] = np.asarray(chart_from_divisor(gs, div).angles)
-        inside = np.ones(count, dtype=bool)
-        for col, lo, hi in arcs:
-            inside &= (phis[:, col] >= lo) & (phis[:, col] <= hi)
-        hits += int(np.count_nonzero(inside))
+        hits += int(np.count_nonzero(_in_box(arcs, phis)))
     p = hits / samples
     stderr = float(np.sqrt(max(p * (1.0 - p), 1e-300) / samples))
     return p, stderr

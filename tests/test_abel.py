@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,6 +63,18 @@ MC_PINNED = {
     "three_gap": ([{"gap": 1, "a": -1.9, "b": -1.5, "eps": -1},
                    {"gap": 3, "a": 1.2, "b": 1.8, "eps": 1}], (207, 202, 198)),
     "thin_band": ([{"gap": 1, "a": -1.0, "b": 0.5, "eps": 1}], (186, 157, 164)),
+}
+
+# measure_mc hit counts at 4000 samples for seeds 1, 2, 3 on stress boxes,
+# each arc given as (gap, lo, hi, eps) with lo and hi fractions of its gap;
+# "16" is _series_set's spaced set with 16 gaps.  The counts are those of
+# samples driven to full convergence, so a settled sample must not move them
+MC_STRESS_PINNED = {
+    "thin_band": [([(1, 0.0, 1.0, -1)], (2012, 2011, 1998)),
+                  ([(1, 0.999, 1.0, 1)], (298, 299, 301)),
+                  ([(1, 0.25, 0.5, -1)], (103, 107, 118))],
+    "16": [([(1, 0.0, 1.0, 1), (7, 0.3, 0.6, -1), (16, 0.9, 1.0, 1)], (27, 24, 22)),
+           ([(2, 0.0, 0.5, -1), (11, 0.5, 1.0, 1)], (240, 261, 306))],
 }
 
 # chart angles of invert_abel at two characters per set, pinned to 1e-12
@@ -476,6 +489,45 @@ class TestMeasure:
             est, _ = ab.measure_mc(gs, box, samples=4000, seed=seed)
             assert est == count / 4000
 
+    @pytest.mark.parametrize("name", MC_STRESS_PINNED)
+    def test_monte_carlo_stress_pinned(self, request, name):
+        gs = _series_set(request, name)
+        for arcs, hits in MC_STRESS_PINNED[name]:
+            box = []
+            for j, lo, hi, e in arcs:
+                a, b = gs.gap(j)
+                box.append({"gap": j, "a": a + lo * (b - a), "b": a + hi * (b - a), "eps": e})
+            for seed, count in zip((1, 2, 3), hits):
+                est, _ = ab.measure_mc(gs, box, samples=4000, seed=seed)
+                assert est == count / 4000
+
+    @pytest.mark.parametrize("box", [
+        MC_PINNED["two_gap"][0],
+        # gap 2 whole, eps = -1: the arc [pi, 2 pi] ends where the angle wraps
+        [{"gap": 1, "a": -0.9, "b": -0.5, "eps": 1}, {"gap": 2, "a": 0.8, "b": 1.6, "eps": -1}],
+    ], ids=["pinned", "whole-gap"])
+    def test_settled_rows_classify_as_converged_next_to_arc_ends(self, two_gap, box):
+        """Characters whose chart angle lies 1e-12 to 1e-5 from an arc end of a
+        two-gap box: the rows that settle fall on the side of the end that fully
+        converged rows do."""
+        arcs = ab._box_arcs(two_gap, ab._parse_box(two_gap, box))
+        cols, lo, hi = arcs
+        rng = np.random.default_rng(11)
+        rows = 4000
+        phis = lo + (hi - lo) * rng.random((rows, 2))  # inside both arcs
+        near = rng.integers(0, 2, rows)
+        ends = np.where(rng.random(rows) < 0.5, lo[near], hi[near])
+        offset = 10.0 ** rng.uniform(-12, -5, rows) * rng.choice([-1.0, 1.0], rows)
+        phis[np.arange(rows), cols[near]] = ends + offset
+        alpha = ab.abel_map_angles(two_gap, phis)
+        seed = ab._diagonal_seed(alpha)
+        settled, res = ab._newton_invert(two_gap, alpha, seed, partial(ab._box_margin, arcs))
+        converged, full_res = ab._newton_invert(two_gap, alpha, seed)
+        assert np.all(full_res < ab._NEWTON_TOL)
+        assert np.all(np.isnan(res) | (res < ab._NEWTON_TOL))
+        assert np.isnan(res).any()  # a few rows settle this close to an end
+        assert np.array_equal(ab._in_box(arcs, settled), ab._in_box(arcs, converged))
+
     def test_monte_carlo_chunk_bounds_memory(self, thin_band):
         # one 4096-sample Newton call on thin_band (M = 696) peaked at 68.7 MB
         a, b = thin_band.gap(1)
@@ -496,8 +548,8 @@ class TestMeasure:
         newton, invert = ab._newton_invert, ab.invert_abel
         batches, retried = [], []
 
-        def first_call_strays(gs, targets, phis):
-            out, res = newton(gs, targets, phis)
+        def first_call_strays(gs, targets, phis, *margin):
+            out, res = newton(gs, targets, phis, *margin)
             if not batches:
                 res = res.copy()
                 res[[0, 7]] = 1.0
@@ -519,9 +571,9 @@ class TestMeasure:
         rows = []
         newton = ab._newton_invert
 
-        def recording(gs, targets, phis):
+        def recording(gs, targets, phis, *margin):
             rows.append(len(phis))
-            return newton(gs, targets, phis)
+            return newton(gs, targets, phis, *margin)
 
         monkeypatch.setattr(ab, "_newton_invert", recording)
         for seed in range(3):

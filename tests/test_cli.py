@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finitegap import cli, jacobi_cf, spectral_set
+from finitegap import abel, cli, jacobi_cf, spectral_set
 from finitegap.cli import main
 from finitegap.errors import ValidationError
 from finitegap.herglotz import Divisor
@@ -444,6 +444,15 @@ class TestContract:
         code, out = run(capsys, argv, doc, tmp_path)
         assert code == 2 and out == ""
 
+    def test_mc_samples_past_the_cap_exit_2_before_newton(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(abel, "_newton_invert", lambda *args: calls.append(args))
+        cap = abel._MC_MAX_SAMPLES
+        code, out = run(capsys, ["measure-mc", "--mc-samples", str(cap + 1)], ONE_GAP_BOX, tmp_path)
+        assert code == 2 and out == "" and not calls
+        # the CLI's default and acceptance criterion 8's 100 000 samples stay allowed
+        assert cli._parser().get_default("mc_samples") == 100_000 <= cap
+
     @pytest.mark.parametrize("argv, doc", [
         (["critical"], {"band": ["x", 2]}),
         (["critical"], {"band": [-2.0, 2.0], "gaps": [[-1.0]]}),
@@ -538,9 +547,22 @@ class TestRuntimeDependencies:
     SRC = str(Path(__file__).resolve().parent.parent / "src")
 
     def _python(self, code):
+        return self._run(["-c", code])
+
+    def _run(self, args, stdin=None):
         env = dict(os.environ, PYTHONPATH=self.SRC)
-        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+        return subprocess.run([sys.executable, *args], input=stdin, env=env, capture_output=True,
                               text=True, timeout=120)
+
+    def test_python_m_finitegap_runs_the_readme_example(self, capsys, monkeypatch):
+        """README's stdin example prints through `python -m finitegap` what cli.main prints."""
+        doc = '{"band": [-2, 2], "gaps": [[-1, 1]], "divisor": [{"x": 0.3, "eps": 1}]}\n'
+        argv = ["coeffs", "--from", "-5", "--to", "5"]
+        proc = self._run(["-m", "finitegap", *argv], stdin=doc)
+        assert proc.returncode == 0, proc.stderr
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
 
     def test_cli_import_loads_no_scipy(self):
         proc = self._python(
